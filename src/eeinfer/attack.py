@@ -8,8 +8,10 @@ mapping ciphertext -> plaintext. Losses score a candidate mapping:
 * consistency_penalty: fraction of pairs where replaying the decrypted input
   through a plaintext oracle model does not reproduce the decrypted output.
   The true mapping scores 0 on a greedy-generated corpus.
-* judge_loss: mean (10 - rating)/10 from a 0..10 coherence judge, either a
-  deterministic local stub or a chat-completion-style HTTP endpoint.
+
+Each loss component is computed by one private function over statistics of
+the ciphertext corpus; the public losses and the optimizers' evaluator both
+call it, so a candidate map only relabels precomputed counts.
 
 Optimizers search permutation space: exhaustive enumeration (tiny
 vocabularies only), best-of-M random draws, and 2-swap hill climbing with
@@ -24,37 +26,19 @@ produce accepted states, so reported losses are always fully evaluated.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import requests
 
-from .errors import (
-    ConfigError,
-    FormatError,
-    ProtocolError,
-    RangeError,
-    RefusalError,
-    RemoteError,
-    ShapeError,
-)
-from .model import CIPHERTEXT, PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
+from .errors import ConfigError, FormatError, RangeError, RefusalError, ShapeError
+from .model import PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
 from .tensor_ops import PermTable
 
 BRUTE_FORCE_MAX_VOCAB = 9
-
-JUDGE_ENV_VAR = "EE_JUDGE_URL"
-
-JUDGE_RUBRIC = (
-    "Rate the coherence and correctness of the response for the given input "
-    "on an integer scale from 0 to 10. Reply with the integer only."
-)
 
 
 @dataclass(frozen=True)
@@ -134,31 +118,55 @@ def generate_corpus(
     return TranscriptCorpus(pairs=tuple(pairs), vocab_size=model.config.vocab_size)
 
 
-def empirical_unigram(corpus: TranscriptCorpus, perm: PermTable) -> np.ndarray:
-    """Distribution of perm-decrypted corpus tokens (inputs and outputs)."""
-    _check_perm(perm, corpus.vocab_size)
-    counts = np.bincount(perm.map[corpus.all_tokens()], minlength=corpus.vocab_size)
+def _token_freq(corpus: TranscriptCorpus) -> np.ndarray:
+    """Frequencies of the ciphertext corpus tokens (inputs and outputs)."""
+    counts = np.bincount(corpus.all_tokens(), minlength=corpus.vocab_size)
     return counts / counts.sum()
 
 
-def empirical_bigram(corpus: TranscriptCorpus, perm: PermTable) -> dict[int, dict[int, float]]:
-    """Sparse conditional next-token distributions of the decrypted corpus.
+def _decrypt_freq(enc_freq: np.ndarray, perm_map: np.ndarray) -> np.ndarray:
+    # the decrypted distribution is the encrypted one rescattered
+    dec = np.empty(enc_freq.shape[0], dtype=np.float64)
+    dec[perm_map] = enc_freq
+    return dec
+
+
+def _bigram_counts(corpus: TranscriptCorpus) -> list[tuple[int, int, dict[int, int]]]:
+    """(context, context count, successor counts) over ciphertext ids, in
+    first-seen order.
 
     Adjacency runs across each pair's input->output boundary: the output is
     the continuation of the input, so that bigram is real.
     """
-    _check_perm(perm, corpus.vocab_size)
-    counts: dict[int, dict[int, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for pair_in, pair_out in corpus.pairs:
-        seq = [int(perm.map[t]) for t in pair_in + pair_out]
+        seq = pair_in + pair_out
         for a, b in zip(seq, seq[1:]):
-            counts.setdefault(a, {}).setdefault(b, 0)
-            counts[a][b] += 1
-    table: dict[int, dict[int, float]] = {}
-    for ctx, row in counts.items():
-        total = sum(row.values())
-        table[ctx] = {nxt: c / total for nxt, c in row.items()}
-    return table
+            row = rows.setdefault(a, {})
+            row[b] = row.get(b, 0) + 1
+    return [(ctx, sum(row.values()), row) for ctx, row in rows.items()]
+
+
+def _pair_arrays(corpus: TranscriptCorpus) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    return [
+        (np.asarray(pi, dtype=np.int64), np.asarray(po, dtype=np.int64), len(po))
+        for pi, po in corpus.pairs
+    ]
+
+
+def empirical_unigram(corpus: TranscriptCorpus, perm: PermTable) -> np.ndarray:
+    """Distribution of perm-decrypted corpus tokens (inputs and outputs)."""
+    _check_perm(perm, corpus.vocab_size)
+    return _decrypt_freq(_token_freq(corpus), perm.map)
+
+
+def empirical_bigram(corpus: TranscriptCorpus, perm: PermTable) -> dict[int, dict[int, float]]:
+    """Sparse conditional next-token distributions of the decrypted corpus."""
+    _check_perm(perm, corpus.vocab_size)
+    return {
+        int(perm.map[ctx]): {int(perm.map[nxt]): c / n_ctx for nxt, c in row.items()}
+        for ctx, n_ctx, row in _bigram_counts(corpus)
+    }
 
 
 class GreedyOracle:
@@ -199,6 +207,48 @@ def _check_perm(perm: PermTable, vocab_size: int) -> None:
         raise ShapeError(f"permutation size {perm.n} does not match vocab_size {vocab_size}")
 
 
+def _unigram_l1(enc_freq: np.ndarray, perm_map: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.abs(_decrypt_freq(enc_freq, perm_map) - ref).sum())
+
+
+def _bigram_l1(
+    counts: list[tuple[int, int, dict[int, int]]],
+    perm_map: np.ndarray,
+    ref_bigram: Mapping[int, Mapping[int, float]],
+) -> float:
+    total = sum(n_ctx for _, n_ctx, _ in counts)
+    loss = 0.0
+    for enc_ctx, n_ctx, row in counts:
+        ref_row = ref_bigram.get(int(perm_map[enc_ctx]))
+        if ref_row is None:
+            l1 = 2.0
+        else:
+            emp = {int(perm_map[b]): c / n_ctx for b, c in row.items()}
+            keys = set(emp) | set(ref_row)
+            l1 = sum(abs(emp.get(k, 0.0) - float(ref_row.get(k, 0.0))) for k in keys)
+        loss += (n_ctx / total) * l1
+    return loss
+
+
+def _mismatches(
+    pairs: list[tuple[np.ndarray, np.ndarray, int]],
+    perm_map: np.ndarray,
+    oracle: GreedyOracle,
+    give_up=None,
+) -> tuple[int, bool]:
+    """(mismatched pairs, complete). Stops before the last pair, incomplete,
+    as soon as ``give_up(mismatches so far)`` holds."""
+    n_pairs = len(pairs)
+    mismatches = 0
+    for idx, (pi, po, n_new) in enumerate(pairs):
+        got = oracle._continuation_array(perm_map[pi], n_new)
+        if not np.array_equal(got, perm_map[po]):
+            mismatches += 1
+            if give_up is not None and idx + 1 < n_pairs and give_up(mismatches):
+                return mismatches, False
+    return mismatches, True
+
+
 def unigram_loss(perm: PermTable, corpus: TranscriptCorpus, ref_unigram) -> float:
     """L1 distance between decrypted token frequencies and the reference."""
     if ref_unigram is None:
@@ -209,7 +259,7 @@ def unigram_loss(perm: PermTable, corpus: TranscriptCorpus, ref_unigram) -> floa
         raise ShapeError(
             f"reference unigram has shape {ref.shape}, expected ({corpus.vocab_size},)"
         )
-    return float(np.abs(empirical_unigram(corpus, perm) - ref).sum())
+    return _unigram_l1(_token_freq(corpus), perm.map, ref)
 
 
 def bigram_loss(
@@ -225,26 +275,7 @@ def bigram_loss(
     if ref_bigram is None:
         raise ConfigError("bigram loss needs a reference table")
     _check_perm(perm, corpus.vocab_size)
-    ctx_counts: dict[int, int] = {}
-    pair_counts: dict[int, dict[int, int]] = {}
-    for pair_in, pair_out in corpus.pairs:
-        seq = [int(perm.map[t]) for t in pair_in + pair_out]
-        for a, b in zip(seq, seq[1:]):
-            ctx_counts[a] = ctx_counts.get(a, 0) + 1
-            pair_counts.setdefault(a, {}).setdefault(b, 0)
-            pair_counts[a][b] += 1
-    total = sum(ctx_counts.values())
-    loss = 0.0
-    for ctx, n_ctx in ctx_counts.items():
-        ref_row = ref_bigram.get(ctx)
-        if ref_row is None:
-            l1 = 2.0
-        else:
-            emp = {nxt: c / n_ctx for nxt, c in pair_counts[ctx].items()}
-            keys = set(emp) | set(ref_row)
-            l1 = sum(abs(emp.get(k, 0.0) - float(ref_row.get(k, 0.0))) for k in keys)
-        loss += (n_ctx / total) * l1
-    return loss
+    return _bigram_l1(_bigram_counts(corpus), perm.map, ref_bigram)
 
 
 def consistency_penalty(
@@ -255,100 +286,8 @@ def consistency_penalty(
     if oracle is None:
         raise ConfigError("consistency penalty needs a plaintext oracle model")
     _check_perm(perm, corpus.vocab_size)
-    mismatches = 0
-    for pair_in, pair_out in corpus.pairs:
-        dec_in = perm.map[np.asarray(pair_in, dtype=np.int64)]
-        dec_out = perm.map[np.asarray(pair_out, dtype=np.int64)]
-        got = oracle._continuation_array(dec_in, len(pair_out))
-        if not np.array_equal(got, dec_out):
-            mismatches += 1
+    mismatches, _ = _mismatches(_pair_arrays(corpus), perm.map, oracle)
     return mismatches / len(corpus.pairs)
-
-
-class JudgeStub:
-    """Deterministic local judge: a rating in 0..10 derived from a hash."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-
-    def rate(self, input_ids: Sequence[int], output_ids: Sequence[int]) -> int:
-        blob = f"{self.seed}:{list(map(int, input_ids))}:{list(map(int, output_ids))}"
-        digest = hashlib.sha256(blob.encode("utf-8")).digest()
-        return digest[0] % 11
-
-
-class RemoteJudge:
-    """Chat-completion-style HTTP judge client.
-
-    Sends the decrypted pair with a fixed rubric; expects choices[0].message.
-    content to parse as an integer 0..10. Connection problems retry and then
-    raise a remote error carrying the retry count; a reachable endpoint that
-    answers off-protocol raises a protocol error immediately.
-    """
-
-    def __init__(self, url: str, timeout: float = 10.0, max_retries: int = 3) -> None:
-        self.url = url
-        self.timeout = timeout
-        self.max_retries = int(max_retries)
-
-    def rate(self, input_ids: Sequence[int], output_ids: Sequence[int]) -> int:
-        payload = {
-            "model": "ee-judge",
-            "temperature": 0,
-            "messages": [
-                {"role": "system", "content": JUDGE_RUBRIC},
-                {
-                    "role": "user",
-                    "content": json.dumps(
-                        {
-                            "input_ids": list(map(int, input_ids)),
-                            "output_ids": list(map(int, output_ids)),
-                        }
-                    ),
-                },
-            ],
-        }
-        response = None
-        for _ in range(self.max_retries + 1):
-            try:
-                response = requests.post(self.url, json=payload, timeout=self.timeout)
-                break
-            except requests.RequestException:
-                response = None
-        if response is None:
-            raise RemoteError(
-                f"judge endpoint {self.url} unreachable", retries=self.max_retries
-            )
-        if response.status_code != 200:
-            raise ProtocolError(f"judge endpoint returned HTTP {response.status_code}")
-        try:
-            content = response.json()["choices"][0]["message"]["content"]
-            rating = int(str(content).strip())
-        except (ValueError, KeyError, IndexError, TypeError, requests.JSONDecodeError) as exc:
-            raise ProtocolError(f"judge response is not a 0..10 integer rating: {exc}") from exc
-        if not (0 <= rating <= 10):
-            raise ProtocolError(f"judge rating {rating} outside 0..10")
-        return rating
-
-
-def make_judge(seed: int = 0, env: Mapping[str, str] | None = None):
-    """Remote judge when EE_JUDGE_URL is set, the deterministic stub otherwise."""
-    env = os.environ if env is None else env
-    url = env.get(JUDGE_ENV_VAR)
-    return RemoteJudge(url) if url else JudgeStub(seed)
-
-
-def judge_loss(perm: PermTable, corpus: TranscriptCorpus, judge) -> float:
-    """Mean (10 - rating)/10 over all decrypted pairs."""
-    if judge is None:
-        raise ConfigError("judge loss needs a judge")
-    _check_perm(perm, corpus.vocab_size)
-    total = 0.0
-    for pair_in, pair_out in corpus.pairs:
-        dec_in = [int(perm.map[t]) for t in pair_in]
-        dec_out = [int(perm.map[t]) for t in pair_out]
-        total += (10 - judge.rate(dec_in, dec_out)) / 10.0
-    return total / len(corpus.pairs)
 
 
 @dataclass
@@ -444,29 +383,10 @@ class _Evaluator:
 
     def __init__(self, cfg: AttackConfig) -> None:
         self.cfg = cfg
-        self.n = cfg.corpus.vocab_size
-        counts = np.bincount(cfg.corpus.all_tokens(), minlength=self.n)
-        self._enc_freq = counts / counts.sum()
-        self._pairs = [
-            (
-                np.asarray(pi, dtype=np.int64),
-                np.asarray(po, dtype=np.int64),
-                len(po),
-            )
-            for pi, po in cfg.corpus.pairs
-        ]
+        self._enc_freq = _token_freq(cfg.corpus)
+        self._pairs = _pair_arrays(cfg.corpus)
         if cfg.lambda_bi > 0:
-            ctx: dict[int, int] = {}
-            big: dict[int, dict[int, int]] = {}
-            for pi, po in cfg.corpus.pairs:
-                seq = pi + po
-                for a, b in zip(seq, seq[1:]):
-                    ctx[a] = ctx.get(a, 0) + 1
-                    big.setdefault(a, {}).setdefault(b, 0)
-                    big[a][b] += 1
-            self._enc_ctx = ctx
-            self._enc_big = big
-            self._big_total = sum(ctx.values())
+            self._bigrams = _bigram_counts(cfg.corpus)
 
     def loss(
         self, perm_map: np.ndarray, bound: float | None = None
@@ -478,49 +398,30 @@ class _Evaluator:
         total = 0.0
         breakdown: dict[str, float] = {}
         if cfg.lambda_uni > 0:
-            # decrypted distribution is the encrypted one rescattered
-            dec = np.empty(self.n, dtype=np.float64)
-            dec[perm_map] = self._enc_freq
-            l_uni = float(np.abs(dec - cfg.ref_unigram).sum())
+            l_uni = _unigram_l1(self._enc_freq, perm_map, cfg.ref_unigram)
             breakdown["unigram"] = l_uni
             total += cfg.lambda_uni * l_uni
         if cfg.lambda_bi > 0:
-            l_bi = self._bigram(perm_map)
+            l_bi = _bigram_l1(self._bigrams, perm_map, cfg.ref_bigram)
             breakdown["bigram"] = l_bi
             total += cfg.lambda_bi * l_bi
         if bound is not None and total >= bound:
             return total, None, False
         if cfg.lambda_cons > 0:
-            oracle = cfg.oracle
             n_pairs = len(self._pairs)
-            mismatches = 0
-            for idx, (pi, po, n_new) in enumerate(self._pairs):
-                got = oracle._continuation_array(perm_map[pi], n_new)
-                if not np.array_equal(got, perm_map[po]):
-                    mismatches += 1
-                    if bound is not None:
-                        lower = total + cfg.lambda_cons * (mismatches / n_pairs)
-                        if lower >= bound and idx + 1 < n_pairs:
-                            return lower, None, False
-            l_cons = mismatches / n_pairs
-            breakdown["consistency"] = l_cons
-            total += cfg.lambda_cons * l_cons
-        return total, breakdown, True
+            give_up = None
+            if bound is not None:
 
-    def _bigram(self, perm_map: np.ndarray) -> float:
-        ref = self.cfg.ref_bigram
-        loss = 0.0
-        for enc_ctx, n_ctx in self._enc_ctx.items():
-            dec_ctx = int(perm_map[enc_ctx])
-            ref_row = ref.get(dec_ctx)
-            if ref_row is None:
-                l1 = 2.0
-            else:
-                emp = {int(perm_map[b]): c / n_ctx for b, c in self._enc_big[enc_ctx].items()}
-                keys = set(emp) | set(ref_row)
-                l1 = sum(abs(emp.get(k, 0.0) - float(ref_row.get(k, 0.0))) for k in keys)
-            loss += (n_ctx / self._big_total) * l1
-        return loss
+                def give_up(mismatches: int) -> bool:
+                    return total + cfg.lambda_cons * (mismatches / n_pairs) >= bound
+
+            mismatches, complete = _mismatches(self._pairs, perm_map, cfg.oracle, give_up)
+            l_cons = mismatches / n_pairs
+            total += cfg.lambda_cons * l_cons
+            if not complete:
+                return total, None, False
+            breakdown["consistency"] = l_cons
+        return total, breakdown, True
 
 
 def total_loss(perm: PermTable, cfg: AttackConfig) -> tuple[float, dict[str, float]]:

@@ -177,8 +177,10 @@ def measure_latency(
     """Median wall-clock seconds per arm over the same prompts and length.
 
     The EE arm is the full pipeline: encrypt tokens, decode on the encrypted
-    model, decrypt tokens. One untimed warmup pass precedes measurement; each
-    repeat runs one arm to completion before the other.
+    model, decrypt tokens. One untimed warmup pass per arm precedes
+    measurement. Each repeat times every prompt's two arms back to back,
+    alternating which arm goes first, and sums them into that repeat's
+    per-arm samples, so drift in host speed lands on both arms alike.
     """
     if repeats < 3:
         raise ConfigError(f"repeats must be >= 3 for a stable median, got {repeats}")
@@ -186,27 +188,36 @@ def measure_latency(
         raise DomainError("latency measurement needs at least one prompt")
     _check_arms(model_vi, model_ee, key)
 
-    def vi_arm() -> None:
-        for p in prompts:
-            greedy_decode(model_vi, p, n_new)
+    def vi_run(p: TokenSeq) -> None:
+        greedy_decode(model_vi, p, n_new)
 
-    def ee_arm() -> None:
-        for p in prompts:
-            decrypt_tokens(key, greedy_decode(model_ee, encrypt_tokens(key, p), n_new))
+    def ee_run(p: TokenSeq) -> None:
+        decrypt_tokens(key, greedy_decode(model_ee, encrypt_tokens(key, p), n_new))
 
-    vi_arm()
-    ee_arm()
+    def timed(run, p: TokenSeq) -> float:
+        t0 = time.perf_counter()
+        run(p)
+        return time.perf_counter() - t0
+
+    for run in (vi_run, ee_run):
+        for p in prompts:
+            run(p)
 
     vi_samples: list[float] = []
     ee_samples: list[float] = []
+    vi_first = True
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        vi_arm()
-        t1 = time.perf_counter()
-        ee_arm()
-        t2 = time.perf_counter()
-        vi_samples.append(t1 - t0)
-        ee_samples.append(t2 - t1)
+        vi_total = ee_total = 0.0
+        for p in prompts:
+            if vi_first:
+                vi_total += timed(vi_run, p)
+                ee_total += timed(ee_run, p)
+            else:
+                ee_total += timed(ee_run, p)
+                vi_total += timed(vi_run, p)
+            vi_first = not vi_first
+        vi_samples.append(vi_total)
+        ee_samples.append(ee_total)
 
     vi_med = statistics.median(vi_samples)
     ee_med = statistics.median(ee_samples)

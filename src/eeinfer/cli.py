@@ -6,13 +6,15 @@ inference, benchmark fidelity and latency, mount recovery attacks, and
 simulate the sharded pipeline with a blindness audit.
 
 Every subcommand accepts --config pointing at a JSON object of flag values
-(underscored names); explicit command-line flags win. Each run that writes
-an output also records its fully resolved parameters next to that output as
+(underscored names); explicit command-line flags win. Each subcommand's flags
+are declared once, in COMMANDS; the parser and the keys --config accepts are
+both generated from that table. Each run that writes an output also records
+its fully resolved parameters next to that output as
 <out>.resolved_config.json so the run can be replayed exactly.
 
 Exit codes: 0 success; 2 usage; 3 format; 4 integrity; 5 pairing; 6 domain;
-7 configuration or shape; 8 version; 9 refusal; 10 range; 11 remote;
-12 protocol; 13 pipeline; 14 numerics; 1 anything unexpected.
+7 configuration or shape; 8 version; 9 refusal; 10 range; 13 pipeline;
+14 numerics; 1 anything unexpected.
 """
 from __future__ import annotations
 
@@ -44,10 +46,8 @@ from .errors import (
     NumericsError,
     PairingError,
     PipelineError,
-    ProtocolError,
     RangeError,
     RefusalError,
-    RemoteError,
     ShapeError,
     VersionError,
 )
@@ -71,8 +71,6 @@ EXIT_CODES: tuple[tuple[type, int], ...] = (
     (VersionError, 8),
     (RefusalError, 9),
     (RangeError, 10),
-    (RemoteError, 11),
-    (ProtocolError, 12),
     (PipelineError, 13),
     (NumericsError, 14),
     (ConfigError, 7),
@@ -406,7 +404,102 @@ def cmd_make_prompts(resolved: dict) -> int:
 
 # ------------------------------------------------------------------ plumbing
 
-_S = argparse.SUPPRESS
+_INT = {"type": int}
+_FLOAT = {"type": float}
+_STR: dict = {}
+
+# Per subcommand: its handler and one row per flag, (flag, default, argparse
+# keywords). The flag's underscored name is its argparse dest and the key
+# --config accepts for it.
+COMMANDS: dict[str, tuple] = {
+    "init-model": (cmd_init_model, (
+        ("--vocab-size", None, _INT),
+        ("--d-model", None, _INT),
+        ("--n-layers", None, _INT),
+        ("--n-heads", None, _INT),
+        ("--d-ff", None, _INT),
+        ("--max-seq-len", None, _INT),
+        ("--d-head", None, _INT),
+        ("--norm-kind", "layernorm", _STR),
+        ("--act-kind", "gelu", _STR),
+        ("--seed", None, _INT),
+        ("--out", None, _STR),
+        ("--config-out", None, _STR),
+    )),
+    "keygen": (cmd_keygen, (
+        ("--model-config", None, _STR),
+        ("--seed", None, _INT),
+        ("--out", None, _STR),
+        ("--identity", False, {"action": "store_true"}),
+    )),
+    "encrypt-model": (cmd_encrypt_model, (
+        ("--model", None, _STR),
+        ("--key", None, _STR),
+        ("--out", None, _STR),
+    )),
+    "infer": (cmd_infer, (
+        ("--model", None, _STR),
+        ("--key", None, _STR),
+        ("--prompt", None, _STR),
+        ("--n-new", None, _INT),
+    )),
+    "fidelity": (cmd_fidelity, (
+        ("--vi-model", None, _STR),
+        ("--ee-model", None, _STR),
+        ("--key", None, _STR),
+        ("--prompts", None, _STR),
+        ("--out", None, _STR),
+        ("--n-new", 8, _INT),
+        ("--repeats", 5, _INT),
+        ("--model-name", "toy-decoder", _STR),
+    )),
+    "attack": (cmd_attack, (
+        ("--method", None, {"choices": ["brute", "random", "hill"]}),
+        ("--corpus", None, _STR),
+        ("--vocab-size", None, _INT),
+        ("--out", None, _STR),
+        ("--lambda-uni", 0.0, _FLOAT),
+        ("--lambda-bi", 0.0, _FLOAT),
+        ("--lambda-cons", 0.0, _FLOAT),
+        ("--ref-unigram", None, _STR),
+        ("--ref-bigram", None, _STR),
+        ("--oracle-model", None, _STR),
+        ("--seed", 0, _INT),
+        ("--budget", 1000, _INT),
+        ("--restarts", 1, _INT),
+        ("--samples", None, _INT),
+    )),
+    "shard-sim": (cmd_shard_sim, (
+        ("--model", None, _STR),
+        ("--key", None, _STR),
+        ("--prompt", None, _STR),
+        ("--shards", None, _INT),
+        ("--n-new", 8, _INT),
+        ("--seed", 0, _INT),
+        ("--latency-lo", 0.0, _FLOAT),
+        ("--latency-hi", 0.0, _FLOAT),
+        ("--fail", (), {"action": "append", "metavar": "NODE:STEP"}),
+        ("--spares", 0, _INT),
+        ("--out", None, _STR),
+    )),
+    "make-corpus": (cmd_make_corpus, (
+        ("--model", None, _STR),
+        ("--key", None, _STR),
+        ("--n-pairs", None, _INT),
+        ("--prompt-len", None, _INT),
+        ("--n-new", None, _INT),
+        ("--seed", None, _INT),
+        ("--out", None, _STR),
+        ("--refs-out", None, _STR),
+    )),
+    "make-prompts": (cmd_make_prompts, (
+        ("--model", None, _STR),
+        ("--n", None, _INT),
+        ("--length", None, _INT),
+        ("--seed", None, _INT),
+        ("--out", None, _STR),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,140 +508,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Blind transformer inference with equivariant encryption.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, defaults: dict, flags):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file of flag values")
-        for flag, kwargs in flags:
-            p.add_argument(flag, default=_S, **kwargs)
-        p.set_defaults(_func=func, _defaults=defaults)
-        return p
-
-    add(
-        "init-model",
-        cmd_init_model,
-        {
-            "vocab_size": None, "d_model": None, "n_layers": None, "n_heads": None,
-            "d_ff": None, "max_seq_len": None, "d_head": None,
-            "norm_kind": "layernorm", "act_kind": "gelu", "seed": None,
-            "out": None, "config_out": None,
-        },
-        [
-            ("--vocab-size", dict(type=int)), ("--d-model", dict(type=int)),
-            ("--n-layers", dict(type=int)), ("--n-heads", dict(type=int)),
-            ("--d-ff", dict(type=int)), ("--max-seq-len", dict(type=int)),
-            ("--d-head", dict(type=int)), ("--norm-kind", dict()),
-            ("--act-kind", dict()), ("--seed", dict(type=int)),
-            ("--out", dict()), ("--config-out", dict()),
-        ],
-    )
-    add(
-        "keygen",
-        cmd_keygen,
-        {"model_config": None, "seed": None, "out": None, "identity": False},
-        [
-            ("--model-config", dict()), ("--seed", dict(type=int)),
-            ("--out", dict()), ("--identity", dict(action="store_true")),
-        ],
-    )
-    add(
-        "encrypt-model",
-        cmd_encrypt_model,
-        {"model": None, "key": None, "out": None},
-        [("--model", dict()), ("--key", dict()), ("--out", dict())],
-    )
-    add(
-        "infer",
-        cmd_infer,
-        {"model": None, "key": None, "prompt": None, "n_new": None},
-        [
-            ("--model", dict()), ("--key", dict()),
-            ("--prompt", dict()), ("--n-new", dict(type=int)),
-        ],
-    )
-    add(
-        "fidelity",
-        cmd_fidelity,
-        {
-            "vi_model": None, "ee_model": None, "key": None, "prompts": None,
-            "out": None, "n_new": 8, "repeats": 5, "model_name": "toy-decoder",
-        },
-        [
-            ("--vi-model", dict()), ("--ee-model", dict()), ("--key", dict()),
-            ("--prompts", dict()), ("--out", dict()),
-            ("--n-new", dict(type=int)), ("--repeats", dict(type=int)),
-            ("--model-name", dict()),
-        ],
-    )
-    add(
-        "attack",
-        cmd_attack,
-        {
-            "method": None, "corpus": None, "vocab_size": None, "out": None,
-            "lambda_uni": 0.0, "lambda_bi": 0.0, "lambda_cons": 0.0,
-            "ref_unigram": None, "ref_bigram": None, "oracle_model": None,
-            "seed": 0, "budget": 1000, "restarts": 1, "samples": None,
-        },
-        [
-            ("--method", dict(choices=["brute", "random", "hill"])),
-            ("--corpus", dict()), ("--vocab-size", dict(type=int)),
-            ("--out", dict()), ("--lambda-uni", dict(type=float)),
-            ("--lambda-bi", dict(type=float)), ("--lambda-cons", dict(type=float)),
-            ("--ref-unigram", dict()), ("--ref-bigram", dict()),
-            ("--oracle-model", dict()), ("--seed", dict(type=int)),
-            ("--budget", dict(type=int)), ("--restarts", dict(type=int)),
-            ("--samples", dict(type=int)),
-        ],
-    )
-    add(
-        "shard-sim",
-        cmd_shard_sim,
-        {
-            "model": None, "key": None, "prompt": None, "shards": None,
-            "n_new": 8, "seed": 0, "latency_lo": 0.0, "latency_hi": 0.0,
-            "fail": (), "spares": 0, "out": None,
-        },
-        [
-            ("--model", dict()), ("--key", dict()), ("--prompt", dict()),
-            ("--shards", dict(type=int)), ("--n-new", dict(type=int)),
-            ("--seed", dict(type=int)), ("--latency-lo", dict(type=float)),
-            ("--latency-hi", dict(type=float)),
-            ("--fail", dict(action="append", metavar="NODE:STEP")),
-            ("--spares", dict(type=int)), ("--out", dict()),
-        ],
-    )
-    add(
-        "make-corpus",
-        cmd_make_corpus,
-        {
-            "model": None, "key": None, "n_pairs": None, "prompt_len": None,
-            "n_new": None, "seed": None, "out": None, "refs_out": None,
-        },
-        [
-            ("--model", dict()), ("--key", dict()), ("--n-pairs", dict(type=int)),
-            ("--prompt-len", dict(type=int)), ("--n-new", dict(type=int)),
-            ("--seed", dict(type=int)), ("--out", dict()), ("--refs-out", dict()),
-        ],
-    )
-    add(
-        "make-prompts",
-        cmd_make_prompts,
-        {"model": None, "n": None, "length": None, "seed": None, "out": None},
-        [
-            ("--model", dict()), ("--n", dict(type=int)),
-            ("--length", dict(type=int)), ("--seed", dict(type=int)),
-            ("--out", dict()),
-        ],
-    )
+        for flag, _, kwargs in flags:
+            # absent flags stay out of the namespace so --config values can fill them
+            p.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> tuple:
     ns = vars(args).copy()
-    func = ns.pop("_func")
-    defaults = ns.pop("_defaults")
     command = ns.pop("command")
     config_path = ns.pop("config", None)
+    func, flags = COMMANDS[command]
+    defaults = {flag[2:].replace("-", "_"): default for flag, default, _ in flags}
     file_values = {}
     if config_path:
         try:

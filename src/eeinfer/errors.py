@@ -49,18 +49,6 @@ class VersionError(EEError):
     """A container declares a format version this build does not understand."""
 
 
-class RemoteError(EEError):
-    """A remote endpoint stayed unreachable. Carries the retry count."""
-
-    def __init__(self, message: str, retries: int = 0) -> None:
-        super().__init__(f"{message} (after {retries} retries)")
-        self.retries = retries
-
-
-class ProtocolError(EEError):
-    """A remote endpoint answered, but not in the agreed format."""
-
-
 class PipelineError(EEError):
     """The sharded pipeline cannot make progress (no replacement node left)."""
 

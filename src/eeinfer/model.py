@@ -32,14 +32,13 @@ from .errors import (
     ShapeError,
     VersionError,
 )
-from .tensor_ops import activate, layer_norm, matmul, rms_norm, softmax_rows
+from .tensor_ops import ACTIVATION_KINDS, activate, layer_norm, matmul, rms_norm, softmax_rows
 
 PLAINTEXT = "plaintext"
 CIPHERTEXT = "ciphertext"
 DOMAINS = (PLAINTEXT, CIPHERTEXT)
 
 NORM_KINDS = ("layernorm", "rmsnorm")
-ACT_KINDS = ("relu", "gelu", "silu")
 POS_KINDS = ("learned-absolute",)
 
 MODEL_MAGIC = b"EEMODEL1"
@@ -82,8 +81,8 @@ class ModelConfig:
             )
         if self.norm_kind not in NORM_KINDS:
             raise ConfigError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
-        if self.act_kind not in ACT_KINDS:
-            raise ConfigError(f"act_kind must be one of {ACT_KINDS}, got {self.act_kind!r}")
+        if self.act_kind not in ACTIVATION_KINDS:
+            raise ConfigError(f"act_kind must be one of {ACTIVATION_KINDS}, got {self.act_kind!r}")
         if self.pos_kind not in POS_KINDS:
             raise ConfigError(f"pos_kind must be one of {POS_KINDS}, got {self.pos_kind!r}")
         if self.norm_eps is not None and not (self.norm_eps > 0):

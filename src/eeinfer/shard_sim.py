@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import socket
 import struct
 import zlib
 from collections import deque
@@ -208,35 +207,6 @@ class InProcessTransport:
 
     def close(self) -> None:
         self._queue.clear()
-
-
-class SocketTransport:
-    """Optional binding: the same length-prefixed frames over a local socket pair."""
-
-    def __init__(self) -> None:
-        self._tx, self._rx = socket.socketpair()
-
-    def send(self, data: bytes) -> None:
-        self._tx.sendall(struct.pack("<I", len(data)) + data)
-
-    def recv(self) -> bytes:
-        length = struct.unpack("<I", self._read_exact(4))[0]
-        return self._read_exact(length)
-
-    def _read_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._rx.recv(remaining)
-            if not chunk:
-                raise PipelineError("socket transport closed mid-message")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def close(self) -> None:
-        self._tx.close()
-        self._rx.close()
 
 
 @dataclass(frozen=True)

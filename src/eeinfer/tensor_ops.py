@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf, expit
@@ -171,13 +170,6 @@ class PermTable:
     def inverse(self) -> "PermTable":
         return PermTable(self.inv_map)
 
-    def apply(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Map an index vector elementwise: out[k] = map[indices[k]]."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise ShapeError(f"index out of range for permutation over {self.n} elements")
-        return self.map[idx]
-
     @property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.map, np.arange(self.n)))
@@ -199,13 +191,3 @@ class PermTable:
     def __repr__(self) -> str:
         return f"PermTable(n={self.n})"
 
-
-def permute_sequence(values: Iterable[object], table: PermTable) -> list[object]:
-    """Reorder a flat sequence v so out[table.map[i]] = v[i] (column-vector view)."""
-    vals = list(values)
-    if len(vals) != table.n:
-        raise ShapeError(f"sequence length {len(vals)} does not match permutation size {table.n}")
-    out: list[object] = [None] * table.n
-    for i, v in enumerate(vals):
-        out[int(table.map[i])] = v
-    return out

@@ -1,9 +1,7 @@
 """Tests for the vocabulary-recovery attack framework."""
 from __future__ import annotations
 
-import http.server
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -14,8 +12,6 @@ from eeinfer.attack import (
     AttackConfig,
     AttackState,
     GreedyOracle,
-    JudgeStub,
-    RemoteJudge,
     TranscriptCorpus,
     bigram_loss,
     brute_force,
@@ -24,9 +20,7 @@ from eeinfer.attack import (
     empirical_unigram,
     generate_corpus,
     hill_climb,
-    judge_loss,
     load_corpus,
-    make_judge,
     random_sampling,
     recovery_rate,
     save_attack_result,
@@ -38,10 +32,8 @@ from eeinfer.encryption import decrypt_tokens, keygen
 from eeinfer.errors import (
     ConfigError,
     FormatError,
-    ProtocolError,
     RangeError,
     RefusalError,
-    RemoteError,
     ShapeError,
 )
 from eeinfer.model import PLAINTEXT, TokenSeq, init_model, make_config
@@ -208,101 +200,6 @@ class TestConsistency:
         assert len(oracle._memo) == 1
         oracle.continuation((0, 1), 3)
         assert len(oracle._memo) == 2
-
-
-class _JudgeHandler(http.server.BaseHTTPRequestHandler):
-    reply: bytes = b""
-    status: int = 200
-    seen: list[dict] = []
-
-    def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        type(self).seen.append(json.loads(body))
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(self.reply)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def judge_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _JudgeHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _JudgeHandler.seen = []
-    _JudgeHandler.status = 200
-    yield f"http://127.0.0.1:{server.server_port}", _JudgeHandler
-    server.shutdown()
-    thread.join()
-
-
-class TestJudges:
-    def test_stub_deterministic_in_range(self):
-        stub = JudgeStub(seed=3)
-        ratings = {stub.rate((1, 2), (3,)) for _ in range(5)}
-        assert len(ratings) == 1
-        assert 0 <= ratings.pop() <= 10
-        assert JudgeStub(seed=4).rate((1, 2), (3,)) != stub.rate((1, 2), (3,)) or True
-
-    def test_stub_varies_with_inputs(self):
-        stub = JudgeStub(seed=0)
-        values = {stub.rate((i,), (i + 1,)) for i in range(40)}
-        assert len(values) > 1
-
-    def test_judge_loss_matches_manual(self):
-        corpus = TranscriptCorpus(pairs=(((0,), (1,)), ((1,), (0,))), vocab_size=2)
-        stub = JudgeStub(seed=1)
-        perm = perm_of(1, 0)
-        expected = ((10 - stub.rate([1], [0])) + (10 - stub.rate([0], [1]))) / 20
-        assert judge_loss(perm, corpus, stub) == pytest.approx(expected)
-
-    def test_remote_round_trip(self, judge_server):
-        url, handler = judge_server
-        handler.reply = json.dumps(
-            {"choices": [{"message": {"content": "7"}}]}
-        ).encode()
-        judge = RemoteJudge(url, timeout=5.0, max_retries=0)
-        assert judge.rate((1, 2), (3,)) == 7
-        sent = handler.seen[-1]
-        assert sent["messages"][0]["role"] == "system"
-        assert json.loads(sent["messages"][1]["content"]) == {
-            "input_ids": [1, 2],
-            "output_ids": [3],
-        }
-
-    def test_remote_malformed_content(self, judge_server):
-        url, handler = judge_server
-        handler.reply = json.dumps({"choices": [{"message": {"content": "spam"}}]}).encode()
-        with pytest.raises(ProtocolError):
-            RemoteJudge(url, max_retries=0).rate((1,), (2,))
-
-    def test_remote_rating_out_of_scale(self, judge_server):
-        url, handler = judge_server
-        handler.reply = json.dumps({"choices": [{"message": {"content": "11"}}]}).encode()
-        with pytest.raises(ProtocolError):
-            RemoteJudge(url, max_retries=0).rate((1,), (2,))
-
-    def test_remote_http_error(self, judge_server):
-        url, handler = judge_server
-        handler.status = 500
-        handler.reply = b"{}"
-        with pytest.raises(ProtocolError):
-            RemoteJudge(url, max_retries=0).rate((1,), (2,))
-
-    def test_remote_unreachable_carries_retries(self):
-        judge = RemoteJudge("http://127.0.0.1:1", timeout=0.2, max_retries=2)
-        with pytest.raises(RemoteError) as info:
-            judge.rate((1,), (2,))
-        assert info.value.retries == 2
-
-    def test_make_judge_selection(self):
-        assert isinstance(make_judge(env={}), JudgeStub)
-        remote = make_judge(env={"EE_JUDGE_URL": "http://example.invalid"})
-        assert isinstance(remote, RemoteJudge)
-        assert remote.url == "http://example.invalid"
 
 
 class TestTotalLoss:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from eeinfer.cli import main
+from eeinfer import errors
+from eeinfer.cli import _build_parser, _exit_code, _resolve, main
 from eeinfer.encryption import load_key
 from eeinfer.model import CIPHERTEXT, load_model
 from eeinfer.shard_sim import load_transcript
@@ -340,3 +342,33 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(sub.choices)
+
+
+def test_every_error_class_has_a_specific_exit_code():
+    classes = [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.EEError) and obj is not errors.EEError
+    ]
+    assert len(classes) >= 10
+    for klass in classes:
+        assert _exit_code(klass("boom")) != 1, klass.__name__
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_config_keys_equal_argparse_dests(command, tmp_path):
+    dests = {a.dest for a in _subcommands()[command]._actions} - {"help", "config"}
+    parser = _build_parser()
+    every_key = tmp_path / "every.json"
+    every_key.write_text(json.dumps({dest: None for dest in dests}))
+    _, _, resolved = _resolve(parser.parse_args([command, "--config", str(every_key)]))
+    assert set(resolved) == dests
+    extra_key = tmp_path / "extra.json"
+    extra_key.write_text(json.dumps({"not_a_flag": 1}))
+    with pytest.raises(errors.ConfigError):
+        _resolve(parser.parse_args([command, "--config", str(extra_key)]))

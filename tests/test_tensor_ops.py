@@ -16,7 +16,6 @@ from eeinfer.tensor_ops import (
     as_matrix,
     layer_norm,
     matmul,
-    permute_sequence,
     rms_norm,
     softmax_rows,
 )
@@ -264,7 +263,7 @@ class TestPermTable:
     def test_identity(self):
         p = PermTable.identity(5)
         assert p.is_identity
-        assert np.array_equal(p.apply([3, 0]), [3, 0])
+        assert np.array_equal(p.map[[3, 0]], [3, 0])
 
     def test_double_inverse_is_original(self):
         rng = np.random.default_rng(5)
@@ -275,13 +274,8 @@ class TestPermTable:
         rng = np.random.default_rng(6)
         p = PermTable.random(40, rng)
         v = rng.integers(0, 40, size=100)
-        assert np.array_equal(p.apply(p.inverse().apply(v)), v)
-        assert np.array_equal(p.inverse().apply(p.apply(v)), v)
-
-    def test_apply_range_check(self):
-        p = PermTable.identity(4)
-        with pytest.raises(ShapeError):
-            p.apply([4])
+        assert np.array_equal(p.map[p.inverse().map[v]], v)
+        assert np.array_equal(p.inverse().map[p.map[v]], v)
 
     def test_matrix_convention(self):
         # P[map[i], i] = 1: P @ e_i lands on coordinate map[i]
@@ -295,14 +289,6 @@ class TestPermTable:
         p = PermTable.identity(3)
         with pytest.raises(ValueError):
             p.map[0] = 5
-
-    def test_permute_sequence_scatter(self):
-        p = PermTable(np.array([2, 0, 1]))
-        assert permute_sequence(["a", "b", "c"], p) == ["b", "c", "a"]
-
-    def test_permute_sequence_length_check(self):
-        with pytest.raises(ShapeError):
-            permute_sequence(["a"], PermTable.identity(2))
 
     @settings(derandomize=True, max_examples=100)
     @given(st.permutations(range(9)))
