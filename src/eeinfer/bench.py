@@ -4,7 +4,8 @@ Fidelity compares per-prompt confidence scores (probability of the argmax
 next token) between the plaintext pipeline and the full ciphertext pipeline
 after decryption: 1 - mean relative gap. Latency times both full pipelines
 over the same prompts (token encryption and decryption included on the
-ciphertext arm) and reports median seconds plus the overhead percentage.
+ciphertext arm) and reports median seconds plus the median of the per-repeat
+overhead percentages.
 """
 from __future__ import annotations
 
@@ -92,9 +93,19 @@ class FidelityReport:
         }
 
 
+def _paired_deltas_pct(vi_samples: Sequence[float], ee_samples: Sequence[float]) -> list[float]:
+    """Each repeat's EE-over-VI overhead, in percent."""
+    return [(ee - vi) / vi * 100.0 for vi, ee in zip(vi_samples, ee_samples)]
+
+
 @dataclass(frozen=True)
 class LatencyReport:
-    """Median pipeline seconds per arm plus the overhead percentage."""
+    """Median pipeline seconds per arm plus the overhead percentage.
+
+    ``delta_t_pct`` is the median of the per-repeat paired overheads, so a
+    change in host speed between repeats, which both arms of a repeat share,
+    drops out. A report without samples pairs the two medians.
+    """
 
     vi_seconds: float
     ee_seconds: float
@@ -106,9 +117,13 @@ class LatencyReport:
     ee_samples: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        implied = (self.ee_seconds - self.vi_seconds) / self.vi_seconds * 100.0
+        if self.vi_samples:
+            pairs = (self.vi_samples, self.ee_samples)
+        else:
+            pairs = ((self.vi_seconds,), (self.ee_seconds,))
+        implied = statistics.median(_paired_deltas_pct(*pairs))
         if abs(implied - self.delta_t_pct) > 1e-9:
-            raise ConfigError("delta_t_pct is inconsistent with the stored medians")
+            raise ConfigError("delta_t_pct is inconsistent with the stored samples")
 
     def to_dict(self) -> dict:
         return {
@@ -180,7 +195,8 @@ def measure_latency(
     model, decrypt tokens. One untimed warmup pass per arm precedes
     measurement. Each repeat times every prompt's two arms back to back,
     alternating which arm goes first, and sums them into that repeat's
-    per-arm samples, so drift in host speed lands on both arms alike.
+    per-arm samples, so drift in host speed lands on both arms alike; the
+    reported overhead is the median of the per-repeat paired overheads.
     """
     if repeats < 3:
         raise ConfigError(f"repeats must be >= 3 for a stable median, got {repeats}")
@@ -219,15 +235,11 @@ def measure_latency(
         vi_samples.append(vi_total)
         ee_samples.append(ee_total)
 
-    vi_med = statistics.median(vi_samples)
-    ee_med = statistics.median(ee_samples)
-    per_repeat_delta = [
-        (ee - vi) / vi * 100.0 for vi, ee in zip(vi_samples, ee_samples)
-    ]
+    per_repeat_delta = _paired_deltas_pct(vi_samples, ee_samples)
     return LatencyReport(
-        vi_seconds=vi_med,
-        ee_seconds=ee_med,
-        delta_t_pct=(ee_med - vi_med) / vi_med * 100.0,
+        vi_seconds=statistics.median(vi_samples),
+        ee_seconds=statistics.median(ee_samples),
+        delta_t_pct=statistics.median(per_repeat_delta),
         delta_t_std_pct=float(np.std(per_repeat_delta)),
         repeats=repeats,
         batch_size=1,

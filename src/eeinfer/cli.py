@@ -36,6 +36,7 @@ from .encryption import (
     keygen,
     load_key,
     save_key,
+    verify_equivariance,
 )
 from .errors import (
     ConfigError,
@@ -208,12 +209,18 @@ def cmd_fidelity(resolved: dict) -> int:
     lat = bench_mod.measure_latency(
         vi, ee, key, prompts, n_new=resolved["n_new"], repeats=resolved["repeats"]
     )
+    eq = verify_equivariance(vi, key, prompts, n_new=resolved["n_new"])
     json_path, md_path = bench_mod.emit_report(
         fid, lat, resolved["out"], model_name=resolved["model_name"]
     )
     _record_resolved(resolved["out"], "fidelity", resolved)
     print(f"fidelity {fid.fidelity:.8f} over {fid.n} prompts")
     print(f"delta_t {lat.delta_t_pct:+.2f}% (std {lat.delta_t_std_pct:.2f}%)")
+    print(
+        f"equivariance: max |logit diff| {eq.max_abs_logit_diff:.3g}, tokens "
+        f"{'match' if eq.token_match else 'DIFFER'}, smallest top-2 margin "
+        f"{eq.min_top2_margin:.3g}"
+    )
     print(f"wrote {json_path} and {md_path}")
     return 0
 

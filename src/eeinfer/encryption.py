@@ -18,6 +18,7 @@ products, which are bit-exact because each output element is a single gather.
 """
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -101,11 +102,20 @@ class EEKey:
 
 @dataclass(frozen=True)
 class EquivarianceReport:
+    """Plaintext against decrypted ciphertext inference over a prompt set.
+
+    ``min_top2_margin`` is the smallest gap between the largest and the
+    second-largest plaintext logit over every position whose argmax greedy
+    decoding emitted (``inf`` when n_new is 0). A token match resting on a
+    margin near the logit difference could flip under rounding.
+    """
+
     n_prompts: int
     max_abs_logit_diff: float
     token_match: bool
     recoverability_ok: bool
     tol: float
+    min_top2_margin: float
 
     @property
     def logits_within_tol(self) -> bool:
@@ -264,6 +274,7 @@ def verify_equivariance(
     max_diff = 0.0
     token_match = True
     recoverable = True
+    margin = math.inf
     for prompt in prompts:
         c_prompt = encrypt_tokens(key, prompt)
         recoverable &= decrypt_tokens(key, c_prompt).ids == prompt.ids
@@ -274,12 +285,17 @@ def verify_equivariance(
             plain_out = greedy_decode(m, prompt, n_new)
             cipher_out = decrypt_tokens(key, greedy_decode(enc, c_prompt, n_new))
             token_match &= plain_out.ids == cipher_out.ids
+            # row p of a forward pass is bit-identical to what decoding saw there
+            decided = forward(m, TokenSeq(plain_out.ids[:-1], PLAINTEXT))[len(prompt) - 1 :]
+            top2 = np.sort(decided, axis=1)[:, -2:]
+            margin = min(margin, float(np.min(top2[:, 1] - top2[:, 0])))
     return EquivarianceReport(
         n_prompts=len(prompts),
         max_abs_logit_diff=max_diff,
         token_match=token_match,
         recoverability_ok=recoverable,
         tol=tol,
+        min_top2_margin=margin,
     )
 
 

@@ -6,6 +6,13 @@ same arithmetic as the monolithic path, piece by piece. Every reduction goes
 through the deterministic kernel in tensor_ops, which is what makes
 "bit-identical output" a meaningful contract rather than a hope.
 
+The layer arithmetic lives in one place, KVCache.extend, which runs a layer
+range on the rows for the next positions and keeps their keys and values.
+apply_layer_range is that code run on a fresh cache; greedy decoding fills a
+cache with the prompt and then feeds one row per generated token. Because
+the kernels are row-local, the cached rows equal a full forward pass byte for
+byte.
+
 Sequences carry a domain tag (plaintext or ciphertext) and the model refuses
 to run on the wrong one; that tag is the misuse guard the encryption layer
 relies on.
@@ -274,42 +281,73 @@ def _validate_prompt(model: ModelBundle, tokens: TokenSeq, extra: int = 0) -> No
         )
 
 
-def embed_positions(model: ModelBundle, ids: Sequence[int]) -> np.ndarray:
-    """Token embedding plus learned absolute positional rows."""
+def embed_positions(model: ModelBundle, ids: Sequence[int], start: int = 0) -> np.ndarray:
+    """Token embedding plus learned absolute positional rows; ids[0] sits at
+    position ``start``."""
     idx = np.asarray(ids, dtype=np.int64)
-    return model.tensors["embedding"][idx] + model.tensors["pos_embedding"][: idx.shape[0]]
+    pos = model.tensors["pos_embedding"][start : start + idx.shape[0]]
+    return model.tensors["embedding"][idx] + pos
+
+
+class KVCache:
+    """Keys and values of the positions a layer range has processed so far.
+
+    ``extend`` runs layers first..last on the residual rows of the next
+    positions, attending to every earlier position through the cache, and
+    appends their keys and values. A cache belongs to one model and one
+    request; a fresh cache runs a whole sequence at once.
+    """
+
+    def __init__(self, model: ModelBundle, first: int, last: int) -> None:
+        if not (0 <= first <= last < model.config.n_layers):
+            raise ShapeError(
+                f"layer range ({first}, {last}) invalid for n_layers {model.config.n_layers}"
+            )
+        self.model = model
+        self.layers = range(first, last + 1)
+        empty = np.empty((0, model.config.d_model), dtype=np.float64)
+        self.keys = [empty] * len(self.layers)
+        self.values = [empty] * len(self.layers)
+
+    @property
+    def length(self) -> int:
+        """Number of positions processed so far; the next row's position."""
+        return self.keys[0].shape[0]
+
+    def extend(self, x: np.ndarray) -> np.ndarray:
+        """Run the layer range on rows for positions length.. and return them."""
+        model, cfg = self.model, self.model.config
+        start, rows = self.length, x.shape[0]
+        scale = math.sqrt(cfg.d_head)
+        # row r sits at position start + r and sees positions 0..start + r
+        mask_rows, mask_cols = np.triu_indices(rows, k=start + 1, m=start + rows)
+        for i, li in enumerate(self.layers):
+            p = f"layer{li}"
+            normed = _apply_norm(model, f"{p}.attn_norm", x)
+            q = matmul(normed, model.tensors[f"{p}.attn.Wq"]) + model.tensors[f"{p}.attn.bq"]
+            k = matmul(normed, model.tensors[f"{p}.attn.Wk"]) + model.tensors[f"{p}.attn.bk"]
+            v = matmul(normed, model.tensors[f"{p}.attn.Wv"]) + model.tensors[f"{p}.attn.bv"]
+            k = self.keys[i] = np.concatenate((self.keys[i], k))
+            v = self.values[i] = np.concatenate((self.values[i], v))
+            ctx = np.empty((rows, cfg.d_model), dtype=np.float64)
+            for h in range(cfg.n_heads):
+                cols = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
+                scores = matmul(q[:, cols], k[:, cols].T) / scale
+                scores[mask_rows, mask_cols] = -np.inf  # causal mask
+                ctx[:, cols] = matmul(softmax_rows(scores), v[:, cols])
+            x = x + (matmul(ctx, model.tensors[f"{p}.attn.Wo"]) + model.tensors[f"{p}.attn.bo"])
+            normed = _apply_norm(model, f"{p}.ffn_norm", x)
+            hidden = activate(
+                cfg.act_kind,
+                matmul(normed, model.tensors[f"{p}.ffn.W1"]) + model.tensors[f"{p}.ffn.b1"],
+            )
+            x = x + (matmul(hidden, model.tensors[f"{p}.ffn.W2"]) + model.tensors[f"{p}.ffn.b2"])
+        return x
 
 
 def apply_layer_range(model: ModelBundle, x: np.ndarray, first: int, last: int) -> np.ndarray:
     """Run layers first..last inclusive on a residual-stream state."""
-    if not (0 <= first <= last < model.config.n_layers):
-        raise ShapeError(
-            f"layer range ({first}, {last}) invalid for n_layers {model.config.n_layers}"
-        )
-    cfg = model.config
-    seq_len = x.shape[0]
-    scale = math.sqrt(cfg.d_head)
-    mask_rows, mask_cols = np.triu_indices(seq_len, k=1)
-    for li in range(first, last + 1):
-        p = f"layer{li}"
-        normed = _apply_norm(model, f"{p}.attn_norm", x)
-        q = matmul(normed, model.tensors[f"{p}.attn.Wq"]) + model.tensors[f"{p}.attn.bq"]
-        k = matmul(normed, model.tensors[f"{p}.attn.Wk"]) + model.tensors[f"{p}.attn.bk"]
-        v = matmul(normed, model.tensors[f"{p}.attn.Wv"]) + model.tensors[f"{p}.attn.bv"]
-        ctx = np.empty((seq_len, cfg.d_model), dtype=np.float64)
-        for h in range(cfg.n_heads):
-            cols = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
-            scores = matmul(q[:, cols], k[:, cols].T) / scale
-            scores[mask_rows, mask_cols] = -np.inf  # causal mask
-            ctx[:, cols] = matmul(softmax_rows(scores), v[:, cols])
-        x = x + (matmul(ctx, model.tensors[f"{p}.attn.Wo"]) + model.tensors[f"{p}.attn.bo"])
-        normed = _apply_norm(model, f"{p}.ffn_norm", x)
-        hidden = activate(
-            cfg.act_kind,
-            matmul(normed, model.tensors[f"{p}.ffn.W1"]) + model.tensors[f"{p}.ffn.b1"],
-        )
-        x = x + (matmul(hidden, model.tensors[f"{p}.ffn.W2"]) + model.tensors[f"{p}.ffn.b2"])
-    return x
+    return KVCache(model, first, last).extend(x)
 
 
 def final_logits(model: ModelBundle, x: np.ndarray) -> np.ndarray:
@@ -326,14 +364,22 @@ def forward(model: ModelBundle, tokens: TokenSeq) -> np.ndarray:
 
 
 def greedy_decode(model: ModelBundle, prompt: TokenSeq, n_new: int) -> TokenSeq:
-    """Append argmax tokens one at a time; ties go to the lowest index."""
+    """Append argmax tokens one at a time; ties go to the lowest index.
+
+    The prompt fills a KV cache in one pass; each later step feeds only the
+    token chosen last.
+    """
     if n_new < 0:
         raise RangeError(f"n_new must be >= 0, got {n_new}")
     _validate_prompt(model, prompt, extra=n_new)
     ids = list(prompt.ids)
+    cache = KVCache(model, 0, model.config.n_layers - 1)
+    fresh = ids
     for _ in range(n_new):
-        logits = forward(model, TokenSeq(tuple(ids), model.domain))
-        ids.append(int(np.argmax(logits[-1])))
+        x = cache.extend(embed_positions(model, fresh, start=cache.length))
+        # final_logits is row-local, so the last row alone gives the same bytes
+        ids.append(int(np.argmax(final_logits(model, x[-1:])[0])))
+        fresh = ids[-1:]
     return TokenSeq(tuple(ids), model.domain)
 
 

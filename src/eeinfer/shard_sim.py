@@ -1,17 +1,24 @@
 """Deterministic simulator for sharded ciphertext inference.
 
 The encrypted model is split into contiguous layer ranges hosted on simulated
-worker nodes. Per generated token the client sends ciphertext token ids to
-the first shard; encrypted residual activations travel shard to shard as
-checksummed binary frames; the last shard computes logits and returns the
-argmax token id, still in ciphertext. A seeded virtual clock assigns each
-delivery a latency draw, so a run is a pure function of (model, plan, broker
-config, prompt) and replays bit-for-bit.
+worker nodes, and every shard keeps a KV cache of its layers for the request.
+The client sends the ciphertext prompt to the first shard once, then per
+generated token only the id chosen last. Encrypted residual activations
+travel shard to shard as checksummed binary frames that carry only the rows
+of the positions the next shard has not seen: the whole prompt at the first
+step, one row per step after it. In every message of step t the rows end at
+position P + t, P being the prompt length. The last shard computes logits
+and returns the argmax token id, still in ciphertext. A seeded virtual clock
+assigns each delivery a latency draw, so a run is a pure function of (model,
+plan, broker config, prompt) and replays bit-for-bit.
 
 Failure injection marks a node crashed once the global delivery counter
 reaches the configured step; the next message bound for it triggers
 reassignment of its shard to the lowest-numbered idle spare, or a pipeline
-error when no spare is left.
+error when no spare is left. The spare starts with an empty cache, so the
+hop into it resends the whole prefix (every token id for the first shard,
+every row the upstream shard has emitted for later ones) and the spare
+prefills from that.
 
 The transcript records every exchange (token fields verbatim, activation
 payloads as SHA-256 hashes) and is the input to the blindness audit, which
@@ -42,6 +49,7 @@ from .errors import (
 )
 from .model import (
     CIPHERTEXT,
+    KVCache,
     ModelBundle,
     ModelConfig,
     TokenSeq,
@@ -52,7 +60,8 @@ from .model import (
 )
 
 FRAME_MAGIC = b"EEFR"
-FRAME_VERSION = 1
+# version 2: a frame carries only the rows its receiver has not cached
+FRAME_VERSION = 2
 _FRAME_HEADER = struct.Struct("<4sBQHII")
 _CRC = struct.Struct("<I")
 
@@ -111,7 +120,8 @@ def _plan_matches(plan: ShardPlan, config: ModelConfig) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ActivationFrame:
-    """One hop's encrypted residual activations (seq_len x d_model, f64)."""
+    """One hop's encrypted residual activations (seq_len x d_model, f64): the
+    rows of the positions the receiving shard has not cached yet."""
 
     request_id: int
     shard_index: int
@@ -168,10 +178,11 @@ def decode_frame(data: bytes) -> ActivationFrame:
     magic, version, request_id, shard_index, seq_len, d_model = _FRAME_HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise FormatError(f"bad frame magic {magic!r}", offset=0)
-    if version != FRAME_VERSION:
-        raise VersionError(f"unsupported frame version {version}")
+    # every version so far shares this header, and none allows an empty payload
     if seq_len == 0 or d_model == 0:
         raise FormatError("frame declares an empty payload")
+    if version != FRAME_VERSION:
+        raise VersionError(f"unsupported frame version {version}")
     expected = _FRAME_HEADER.size + seq_len * d_model * 8 + _CRC.size
     if len(data) < expected:
         raise FormatError(
@@ -294,8 +305,9 @@ def run_pipeline(
     """Greedy-decode n_new tokens through the shard pipeline.
 
     Bit-identical to monolithic ciphertext-domain decoding: shards apply the
-    same layer loop in the same order, and frame serialization round-trips
-    f64 activations exactly.
+    same layer code to the same rows, the kernels are row-local so a cached
+    step equals a full pass, and frame serialization round-trips f64
+    activations exactly.
     """
     if enc_model.domain != CIPHERTEXT:
         raise DomainError("the shard pipeline runs the encrypted model only")
@@ -310,6 +322,9 @@ def run_pipeline(
     n_shards = plan.n_shards
     n_nodes = max(plan.placement) + 1 + broker.spares
     assignment = list(plan.placement)
+    caches = [KVCache(enc_model, first, last) for first, last in plan.ranges]
+    # every row each shard has sent downstream, for a downstream spare to prefill from
+    emitted = [np.empty((0, enc_model.config.d_model))] * (n_shards - 1)
     clock = 0.0
     deliveries = 0
     failed_logged: set[int] = set()
@@ -335,6 +350,8 @@ def run_pipeline(
                 kind="reassign", shard=shard, from_node=node, to_node=candidates[0], time=clock
             )
             assignment[shard] = candidates[0]
+            # the cache died with the node
+            caches[shard] = KVCache(enc_model, *plan.ranges[shard])
         deliveries += 1
         clock += float(rng.uniform(broker.latency_lo, broker.latency_hi))
         return assignment[shard]
@@ -347,7 +364,10 @@ def run_pipeline(
     ids = list(prompt.ids)
     for token_index in range(n_new):
         node = deliver_to_shard(0)
-        transport.send(json.dumps({"request_id": request_id, "token_ids": ids}).encode())
+        cache = caches[0]
+        transport.send(
+            json.dumps({"request_id": request_id, "token_ids": ids[cache.length :]}).encode()
+        )
         msg = json.loads(transport.recv())
         transcript.add(
             kind="tokens_in",
@@ -358,13 +378,17 @@ def run_pipeline(
             token_index=token_index,
             token_ids=list(msg["token_ids"]),
         )
-        x = embed_positions(enc_model, msg["token_ids"])
-        first, last = plan.ranges[0]
-        x = apply_layer_range(enc_model, x, first, last)
+        x = cache.extend(embed_positions(enc_model, msg["token_ids"], start=cache.length))
         prev_node = node
         for s in range(1, n_shards):
+            # x holds the rows that end at position len(ids); a spare upstream
+            # recomputed all of them
+            emitted[s - 1] = np.concatenate((emitted[s - 1][: len(ids) - x.shape[0]], x))
             node = deliver_to_shard(s)
-            transport.send(encode_frame(ActivationFrame(request_id, s, x)))
+            cache = caches[s]
+            transport.send(
+                encode_frame(ActivationFrame(request_id, s, emitted[s - 1][cache.length :]))
+            )
             frame = decode_frame(transport.recv())
             transcript.add(
                 kind="frame",
@@ -377,11 +401,10 @@ def run_pipeline(
                 seq_len=frame.seq_len,
                 payload_sha256=_payload_hash(frame.payload),
             )
-            first, last = plan.ranges[s]
-            x = apply_layer_range(enc_model, frame.payload, first, last)
+            x = cache.extend(frame.payload)
             prev_node = node
-        logits = final_logits(enc_model, x)
-        next_id = int(np.argmax(logits[-1]))
+        logits = final_logits(enc_model, x[-1:])
+        next_id = int(np.argmax(logits[0]))
         tick()
         transport.send(json.dumps({"request_id": request_id, "token_id": next_id}).encode())
         out_msg = json.loads(transport.recv())
@@ -426,10 +449,18 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     """Scan a transcript for plaintext leakage.
 
     Checks: (a) neither the plaintext prompt nor the plaintext continuation
-    appears as a contiguous subsequence in any token-bearing field; (b) the
-    first shard's first input differs from the plaintext prompt; (c) when the
-    plaintext model and plan are provided, no frame payload hash equals the
-    hash of the corresponding plaintext boundary activation.
+    appears as a contiguous subsequence of the first shard's token stream or
+    of the token_out stream; (b) the first shard's first input differs from
+    the plaintext prompt; (c) when the plaintext model and plan are provided,
+    no frame payload hash equals the hash of the same rows of the matching
+    plaintext boundary activation.
+
+    Every message of step t carries token ids or rows that end at position
+    P + t, P being the prompt length, so the token stream is rebuilt from the
+    tokens_in entries and each frame is compared with its own rows of one
+    plaintext pass over the output. Transcripts whose steps resent the whole
+    prefix follow the same rule. Entries that do not fit it are reported as
+    warnings and not compared.
     """
     if not transcript.entries:
         return AuditResult(
@@ -441,8 +472,11 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     prompt_ids = ctx.prompt.ids
     full_out = ctx.output.ids
     gen_ids = full_out[len(prompt_ids) :] if full_out[: len(prompt_ids)] == prompt_ids else full_out
+    n_prompt = len(prompt_ids)
 
     failures: list[str] = []
+    warnings: list[str] = []
+    stream: list[int | None] = []  # the first shard's input, by position
     token_out_stream: list[int] = []
     first_tokens_in: list[int] | None = None
     checked = 0
@@ -453,11 +487,12 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
             ids = [int(t) for t in entry["token_ids"]]
             if first_tokens_in is None:
                 first_tokens_in = ids
-            for name, needle in (("prompt", prompt_ids), ("output", gen_ids)):
-                if _contains(ids, needle):
-                    failures.append(
-                        f"entry {idx}: plaintext {name} appears in a tokens_in field"
-                    )
+            end = n_prompt + int(entry["token_index"])
+            if end < len(ids):
+                warnings.append(f"entry {idx}: {len(ids)} token ids cannot end at position {end}")
+                continue
+            stream.extend([None] * (end - len(stream)))
+            stream[end - len(ids) : end] = ids
         elif kind == "token_out":
             checked += 1
             token_out_stream.append(int(entry["token_id"]))
@@ -465,17 +500,28 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
             checked += 1
 
     for name, needle in (("prompt", prompt_ids), ("output", gen_ids)):
+        if _contains(stream, needle):
+            failures.append(f"plaintext {name} appears in the first shard's token stream")
         if _contains(token_out_stream, needle):
             failures.append(f"plaintext {name} appears in the token_out stream")
 
     if first_tokens_in is not None and tuple(first_tokens_in) == prompt_ids:
         failures.append("first-shard input token ids equal the plaintext prompt")
 
-    warnings: list[str] = []
     if ctx.model is not None and ctx.plan is not None:
-        plain_hashes = _plaintext_boundary_hashes(ctx)
+        boundaries, rows = _plaintext_boundaries(ctx)
         for idx, entry in enumerate(transcript.entries):
-            if entry.get("kind") == "frame" and entry.get("payload_sha256") in plain_hashes:
+            if entry.get("kind") != "frame":
+                continue
+            shard = int(entry["shard"])
+            end = n_prompt + int(entry["token_index"])
+            start = end - int(entry["seq_len"])
+            if not (1 <= shard <= len(boundaries) and 0 <= start and end <= rows):
+                warnings.append(
+                    f"entry {idx}: frame rows {start}..{end} into shard {shard} are outside "
+                    "the plaintext run; not compared"
+                )
+            elif _payload_hash(boundaries[shard - 1][start:end]) == entry.get("payload_sha256"):
                 failures.append(
                     f"entry {idx}: frame payload equals a plaintext boundary activation"
                 )
@@ -490,17 +536,16 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     )
 
 
-def _plaintext_boundary_hashes(ctx: PlaintextContext) -> set[str]:
-    """Hashes of activations a plaintext run would put on the wire."""
-    hashes: set[str] = set()
-    n_gen = len(ctx.output.ids) - len(ctx.prompt.ids)
-    for token_index in range(max(n_gen, 1)):
-        ids = list(ctx.output.ids[: len(ctx.prompt.ids) + token_index])
-        if not ids:
-            continue
-        x = embed_positions(ctx.model, ids)
-        for s, (first, last) in enumerate(ctx.plan.ranges):
-            x = apply_layer_range(ctx.model, x, first, last)
-            if s + 1 < ctx.plan.n_shards:
-                hashes.add(_payload_hash(x))
-    return hashes
+def _plaintext_boundaries(ctx: PlaintextContext) -> tuple[list[np.ndarray], int]:
+    """What a plaintext run would send into shards 1.. at every position it
+    processed (the whole output but its last token), from one pass through
+    the plan; and the number of positions."""
+    ids = ctx.output.ids[: max(len(ctx.output.ids) - 1, len(ctx.prompt.ids))]
+    if not ids:
+        return [], 0
+    x = embed_positions(ctx.model, ids)
+    boundaries = []
+    for first, last in ctx.plan.ranges[:-1]:
+        x = apply_layer_range(ctx.model, x, first, last)
+        boundaries.append(x)
+    return boundaries, len(ids)

@@ -1,12 +1,17 @@
 """Dense float64 kernel with a fixed reduction order, plus permutation tables.
 
-Everything downstream leans on two properties of this module:
+Everything downstream leans on three properties of this module:
 
 * ``matmul`` reduces over the inner dimension in ascending index order, always.
   BLAS and einsum were measured to break that order (blocked/SIMD partial
-  sums), so the product is built as an explicit ascending-k sum of outer
-  products. That keeps repeated runs, and pipelines that split a computation
-  across workers, bit-identical.
+  sums), so the product is built as an explicit ascending-k fold. That keeps
+  repeated runs, and pipelines that split a computation across workers,
+  bit-identical.
+* Every kernel is row-local: row i of the output depends only on row i of the
+  inputs, bit for bit, however many rows there are and however many masked
+  (``-inf``) softmax entries follow the row's last live one. That is what
+  lets a decoder feed one new row at a time against cached keys and values
+  and still reproduce a full forward pass byte for byte.
 * The nonlinear operators (relu/gelu/silu, layer_norm, rms_norm, row softmax)
   commute with permutations of the feature axis. The encryption layer is built
   entirely on that fact, and the property suite pins it down.
@@ -45,12 +50,23 @@ def _as_vector(x: object, length: int, name: str) -> np.ndarray:
     return arr
 
 
+# Outputs with at most this many entries are folded in one np.add.accumulate
+# over an (m, n, k+1) tensor of products; larger ones take the per-k loop, whose
+# Python overhead is then small next to the memory the product tensor needs.
+# On a 2-core x86-64 VM the two take about the same time near 512 entries at
+# k = 32 and near 256 at k = 8-16; one row of the toy config's lm_head (128
+# entries) takes 41 us folded against 132 us looped.
+_ACCUMULATE_MAX_ENTRIES = 256
+
+
 def matmul(a: object, b: object) -> np.ndarray:
     """Matrix product with the inner sum taken in ascending index order.
 
-    out[i, j] = (((a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...) exactly as a
-    left-to-right fold; the test suite holds this bit-identical to a scalar
-    reference loop.
+    out[i, j] = ((((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...) exactly as a
+    left-to-right fold from +0.0, whichever of the two methods below runs;
+    the test suite holds both bit-identical to a scalar reference loop. The
+    leading +0.0 means a sum is never -0.0, so trailing zero terms (masked
+    attention weights) leave it unchanged.
     """
     av = as_matrix(a, "left operand")
     bv = as_matrix(b, "right operand")
@@ -59,11 +75,19 @@ def matmul(a: object, b: object) -> np.ndarray:
             f"matmul dimension mismatch: {av.shape[0]}x{av.shape[1]} times "
             f"{bv.shape[0]}x{bv.shape[1]}"
         )
-    out = np.zeros((av.shape[0], bv.shape[1]), dtype=np.float64)
-    for k in range(av.shape[1]):
+    m, k = av.shape
+    n = bv.shape[1]
+    if m * n <= _ACCUMULATE_MAX_ENTRIES:
+        # accumulate is a sequential running sum, unlike np.add.reduce, which
+        # sums pairwise along a contiguous axis
+        terms = np.zeros((m, n, k + 1), dtype=np.float64)
+        np.multiply(av[:, None, :], bv.T[None, :, :], out=terms[:, :, 1:])
+        return np.add.accumulate(terms, axis=2, out=terms)[:, :, -1].copy()
+    out = np.zeros((m, n), dtype=np.float64)
+    for kk in range(k):
         # one term per k, added in order; elementwise add keeps each out[i, j]
         # a strict sequential accumulation
-        out += av[:, k : k + 1] * bv[k : k + 1, :]
+        out += av[:, kk : kk + 1] * bv[kk : kk + 1, :]
     return out
 
 
@@ -85,7 +109,9 @@ def softmax_rows(a: object) -> np.ndarray:
     if np.isneginf(row_max).any():
         raise NumericsError("softmax row is fully masked (all -inf)")
     e = np.exp(x - row_max)
-    return e / np.sum(e, axis=1, keepdims=True)
+    # a sequential fold: np.sum adds pairwise once a row has 8 or more
+    # entries, so its rounding would depend on how many masked zeros follow
+    return e / np.cumsum(e, axis=1)[:, -1:]
 
 
 def activate(kind: str, x: object) -> np.ndarray:

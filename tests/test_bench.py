@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -171,8 +172,9 @@ class TestLatency:
         assert report.repeats == 3 and report.batch_size == 1
         assert len(report.vi_samples) == 3 and len(report.ee_samples) == 3
         assert report.vi_seconds > 0 and report.ee_seconds > 0
-        implied = (report.ee_seconds - report.vi_seconds) / report.vi_seconds * 100
-        assert report.delta_t_pct == pytest.approx(implied)
+        # the median of the per-repeat paired overheads, not the gap of the medians
+        paired = [(ee - vi) / vi * 100 for vi, ee in zip(report.vi_samples, report.ee_samples)]
+        assert report.delta_t_pct == pytest.approx(statistics.median(paired))
         assert report.delta_t_std_pct >= 0
 
     def test_identity_twin_overhead_small(self, micro_model):
@@ -194,6 +196,16 @@ class TestLatency:
                 repeats=3,
                 batch_size=1,
             )
+
+
+    def test_invariant_uses_paired_samples(self):
+        # the overhead is the median of the repeats' paired overheads (+50%,
+        # -5%, +10% here), not the gap between the medians (-5%)
+        fields = dict(vi_seconds=2.0, ee_seconds=1.9, delta_t_std_pct=0.0, repeats=3,
+                      batch_size=1, vi_samples=(1.0, 2.0, 4.0), ee_samples=(1.5, 1.9, 4.4))
+        LatencyReport(delta_t_pct=10.0, **fields)
+        with pytest.raises(ConfigError):
+            LatencyReport(delta_t_pct=-5.0, **fields)
 
 
 class TestReportEmission:

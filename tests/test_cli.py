@@ -176,6 +176,7 @@ class TestFidelityCommand:
         ) == 0
         printed = capsys.readouterr().out
         assert "fidelity 1.00000000" in printed
+        assert "max |logit diff| 0, tokens match, smallest top-2 margin" in printed
         doc = json.loads((ws["dir"] / "fid_id.report.json").read_text())
         assert doc["fidelity"]["fidelity"] == 1.0
         md = (ws["dir"] / "fid_id.report.md").read_text()

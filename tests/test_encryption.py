@@ -4,6 +4,7 @@ permutation matmul only ever gathers single elements."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -247,6 +248,17 @@ class TestEquivariance:
         assert rep.logits_within_tol
         assert rep.token_match and rep.recoverability_ok
         assert rep.n_prompts == 10
+
+    def test_min_top2_margin_over_decoded_positions(self, tiny_model, tiny_key):
+        prompt = TokenSeq((4, 9, 1), PLAINTEXT)
+        rep = verify_equivariance(tiny_model, tiny_key, [prompt], n_new=4)
+        out = greedy_decode(tiny_model, prompt, 4)
+        margins = []
+        for pos in range(2, 6):  # the rows that chose tokens 3..6
+            row = np.sort(forward(tiny_model, TokenSeq(out.ids[: pos + 1], PLAINTEXT))[-1])
+            margins.append(row[-1] - row[-2])
+        assert rep.min_top2_margin == min(margins) > 0
+        assert verify_equivariance(tiny_model, tiny_key, [prompt], n_new=0).min_top2_margin == math.inf
 
     def test_identity_key_exact_zero(self, tiny_model, tiny_config):
         key = keygen(tiny_config, 0, identity=True)

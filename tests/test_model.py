@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eeinfer.encryption import encrypt_model, keygen
 from eeinfer.errors import (
     ConfigError,
     DomainError,
@@ -23,11 +24,15 @@ from eeinfer.model import (
     CIPHERTEXT,
     MODEL_MAGIC,
     PLAINTEXT,
+    KVCache,
     ModelBundle,
     ModelConfig,
     TokenSeq,
+    apply_layer_range,
     config_fingerprint,
+    embed_positions,
     expected_tensor_shapes,
+    final_logits,
     first_token_confidence,
     forward,
     greedy_decode,
@@ -237,6 +242,41 @@ class TestGreedy:
     def test_confidence_in_unit_interval(self, tiny_model):
         c = first_token_confidence(tiny_model, TokenSeq((3, 1), PLAINTEXT))
         assert 0.0 < c <= 1.0
+
+
+class TestIncremental:
+    @pytest.mark.parametrize("kinds", [("layernorm", "gelu"), ("rmsnorm", "silu")])
+    @pytest.mark.parametrize("encrypted", [False, True])
+    def test_cached_steps_equal_forward_bytes(self, kinds, encrypted):
+        # 40 positions, so attention rows are long enough for a pairwise
+        # sum to round differently from a sequential one
+        config = make_config(48, 16, 2, 2, 32, 40, norm_kind=kinds[0], act_kind=kinds[1])
+        model = init_model(config, 5)
+        if encrypted:
+            model = encrypt_model(keygen(config, 6), model)
+        prompt = TokenSeq(tuple(range(3, 15)), model.domain)
+        out = greedy_decode(model, prompt, 28)
+        full = forward(model, out)
+        cache = KVCache(model, 0, config.n_layers - 1)
+        steps = [final_logits(model, cache.extend(embed_positions(model, prompt.ids)))]
+        for pos in range(len(prompt), len(out)):
+            x = cache.extend(embed_positions(model, out.ids[pos : pos + 1], start=pos))
+            steps.append(final_logits(model, x))
+        cached = np.concatenate(steps)
+        for pos in range(len(out)):
+            assert cached[pos].tobytes() == full[pos].tobytes(), pos
+        # greedy decoding picked the argmax of the full pass at every step
+        assert out.ids[len(prompt) :] == tuple(int(t) for t in np.argmax(full[len(prompt) - 1 : -1], axis=1))
+
+    def test_fresh_cache_is_apply_layer_range(self, tiny_model):
+        x = embed_positions(tiny_model, (1, 2, 3, 4))
+        cache = KVCache(tiny_model, 1, 1)
+        assert cache.extend(x).tobytes() == apply_layer_range(tiny_model, x, 1, 1).tobytes()
+        assert cache.length == 4
+
+    def test_layer_range_checked(self, tiny_model):
+        with pytest.raises(ShapeError):
+            KVCache(tiny_model, 1, 2)
 
 
 class TestContainer:

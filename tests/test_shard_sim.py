@@ -1,6 +1,9 @@
 """Tests for the sharded ciphertext pipeline simulator."""
 from __future__ import annotations
 
+import hashlib
+import struct
+import zlib
 from collections import deque
 
 import numpy as np
@@ -23,12 +26,15 @@ from eeinfer.model import (
     CIPHERTEXT,
     PLAINTEXT,
     TokenSeq,
+    apply_layer_range,
+    embed_positions,
     greedy_decode,
     init_model,
     make_config,
 )
 from eeinfer.shard_sim import (
     FRAME_MAGIC,
+    FRAME_VERSION,
     ActivationFrame,
     AuditResult,
     BrokerConfig,
@@ -143,6 +149,14 @@ class TestFrames:
         blob[4] = 9
         with pytest.raises(VersionError):
             decode_frame(bytes(blob))
+
+    def test_version_1_frame_rejected(self):
+        # version 1 frames carried every position; a version 2 receiver
+        # would read them as new rows
+        assert FRAME_VERSION == 2
+        body = struct.pack("<4sBQHII", b"EEFR", 1, 7, 2, 1, 3) + struct.pack("<3d", 1.0, 2.0, 3.0)
+        with pytest.raises(VersionError):
+            decode_frame(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_zero_length_payload_declared(self):
         import struct as _struct
@@ -269,6 +283,32 @@ class TestPipeline:
         ]
         assert later and all(e["to_node"] == 4 for e in later)
 
+    @pytest.mark.parametrize("failures", [((2, 8),), ((0, 9),), ((1, 6), (3, 20))])
+    def test_failover_equals_monolithic_and_resends_only_to_spares(
+        self, deep_enc, enc_prompt, failures
+    ):
+        plan = plan_shards(deep_enc.config, 4)
+        broker = BrokerConfig(seed=6, latency_lo=0.001, latency_hi=0.01, failures=failures,
+                              spares=len(failures))
+        out, transcript = run_pipeline(deep_enc, plan, broker, enc_prompt, 7)
+        assert out == greedy_decode(deep_enc, enc_prompt, 7)
+        # rows sent end at position P + t: the whole prefix at the first step
+        # and into a shard whose node was just replaced, else one row
+        n_prompt = len(enc_prompt)
+        replaced = set()
+        resent = 0
+        for e in transcript.entries:
+            if e["kind"] == "reassign":
+                replaced.add(e["shard"])
+            elif e["kind"] in ("tokens_in", "frame"):
+                t = e["token_index"]
+                full = t == 0 or e["shard"] in replaced
+                resent += full and t > 0
+                replaced.discard(e["shard"])
+                sent = len(e["token_ids"]) if e["kind"] == "tokens_in" else e["seq_len"]
+                assert sent == (n_prompt + t if full else 1), e
+        assert resent == len(failures)
+
     def test_failure_without_spare_raises(self, deep_enc, enc_prompt):
         plan = plan_shards(deep_enc.config, 4)
         broker = BrokerConfig(seed=6, failures=((2, 8),), spares=0)
@@ -352,6 +392,62 @@ class TestAudit:
         assert "first-shard input" in text
         assert "prompt appears" in text
         assert "boundary activation" in text
+
+    def test_identity_key_flags_every_one_row_frame(self, deep_model):
+        key = keygen(deep_model.config, seed=0, identity=True)
+        transcript, ctx = self.run_for_audit(deep_model, key, n_shards=4, n_new=6)
+        frames = [e for e in transcript.entries if e["kind"] == "frame"]
+        assert {e["seq_len"] for e in frames if e["token_index"] > 0} == {1}
+        result = audit_blindness(transcript, ctx)
+        flagged = [f for f in result.failures if "boundary activation" in f]
+        assert len(flagged) == len(frames)
+        assert "plaintext prompt appears in the first shard's token stream" in result.failures
+        assert result.warnings == ()
+
+    @staticmethod
+    def full_prefix_transcript(model, plan, prompt, n_new):
+        """The schedule of frame version 1: every step resends every token id
+        and a frame over every position."""
+        out = greedy_decode(model, prompt, n_new)
+        transcript = Transcript()
+        for t in range(n_new):
+            ids = list(out.ids[: len(prompt) + t])
+            transcript.add(kind="tokens_in", shard=0, token_index=t, token_ids=ids)
+            x = embed_positions(model, ids)
+            for s, (first, last) in enumerate(plan.ranges):
+                if s:
+                    digest = hashlib.sha256(x.astype("<f8").tobytes()).hexdigest()
+                    transcript.add(kind="frame", shard=s, token_index=t, seq_len=len(ids),
+                                   payload_sha256=digest)
+                x = apply_layer_range(model, x, first, last)
+            transcript.add(kind="token_out", token_index=t, token_id=out.ids[len(prompt) + t])
+        return transcript
+
+    @pytest.mark.parametrize("identity", [True, False])
+    def test_full_prefix_transcript(self, deep_model, identity):
+        key = keygen(deep_model.config, seed=0 if identity else 55, identity=identity)
+        plan = plan_shards(deep_model.config, 4)
+        prompt = TokenSeq((5, 1, 9, 12, 7), PLAINTEXT)
+        transcript = self.full_prefix_transcript(
+            encrypt_model(key, deep_model), plan, encrypt_tokens(key, prompt), 5
+        )
+        ctx = PlaintextContext(prompt, greedy_decode(deep_model, prompt, 5), deep_model, plan)
+        result = audit_blindness(transcript, ctx)
+        assert result.warnings == ()
+        flagged = [f for f in result.failures if "boundary activation" in f]
+        if identity:
+            assert len(flagged) == 5 * 3
+            assert "first-shard input token ids equal the plaintext prompt" in result.failures
+        else:
+            assert result.passed
+
+    def test_entries_off_the_schedule_warn(self, deep_model, deep_key):
+        transcript, ctx = self.run_for_audit(deep_model, deep_key)
+        transcript.add(kind="tokens_in", shard=0, token_index=0, token_ids=list(range(9)))
+        transcript.add(kind="frame", shard=1, token_index=40, seq_len=1, payload_sha256="")
+        result = audit_blindness(transcript, ctx)
+        assert result.passed
+        assert len(result.warnings) == 2 and "not compared" in result.warnings[1]
 
     def test_empty_transcript_vacuous(self, deep_model):
         prompt = TokenSeq((1, 2), PLAINTEXT)

@@ -70,11 +70,23 @@ class TestMatmul:
 
     def test_bit_exact_against_scalar_fold(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            m, k, n = rng.integers(1, 12, size=3)
+        shapes = [tuple(rng.integers(1, 12, size=3)) for _ in range(50)]
+        # both sides of the switch between the accumulate and loop methods
+        # (output sizes 256 and 257 and far beyond), with one row or column
+        shapes += [(1, 32, 256), (1, 32, 257), (256, 5, 1), (257, 5, 1), (16, 32, 16),
+                   (16, 32, 17), (1, 64, 1), (1, 1, 1), (48, 32, 128), (300, 3, 1), (1, 7, 600)]
+        for m, k, n in shapes:
             a = rng.normal(0, 10, (m, k))
             b = rng.normal(0, 10, (k, n))
-            assert matmul(a, b).tobytes() == scalar_matmul(a, b).tobytes()
+            # signed zeros: a fold from +0.0 never yields -0.0
+            a[0, 0] = -0.0
+            a[-1, -1] = 0.0
+            b[0, -1] = -0.0
+            got = matmul(a, b)
+            assert got.tobytes() == scalar_matmul(a, b).tobytes(), (m, k, n)
+            zeros = matmul(np.full((m, k), -0.0), b)
+            assert not np.signbit(zeros).any() and zeros.tobytes() == scalar_matmul(
+                np.full((m, k), -0.0), b).tobytes()
 
     def test_repeat_runs_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -149,6 +161,17 @@ class TestSoftmax:
     def test_pos_inf_raises(self):
         with pytest.raises(NumericsError):
             softmax_rows([[0.0, np.inf]])
+
+    def test_masked_tail_leaves_row_bit_identical(self):
+        # a causal row followed by j masked entries, as in a full forward
+        # pass, must equal the same row fed alone, as in a cached step
+        rng = np.random.default_rng(21)
+        for length in range(1, 65):
+            row = rng.normal(0, 3, (1, length))
+            alone = softmax_rows(row).tobytes()
+            for j in (1, 7, 8, 64 - length + 1):
+                padded = np.concatenate((row, np.full((1, j), -np.inf)), axis=1)
+                assert softmax_rows(padded)[:, :length].tobytes() == alone, (length, j)
 
     @settings(derandomize=True, max_examples=100)
     @given(matrix_and_col_perm())
