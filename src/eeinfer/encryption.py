@@ -278,17 +278,20 @@ def verify_equivariance(
     for prompt in prompts:
         c_prompt = encrypt_tokens(key, prompt)
         recoverable &= decrypt_tokens(key, c_prompt).ids == prompt.ids
-        plain_logits = forward(m, prompt)
-        cipher_logits = decrypt_logits(key, forward(enc, c_prompt))
-        max_diff = max(max_diff, float(np.max(np.abs(plain_logits - cipher_logits))))
-        if n_new > 0:
+        if n_new == 0:
+            plain_logits = forward(m, prompt)
+        else:
             plain_out = greedy_decode(m, prompt, n_new)
             cipher_out = decrypt_tokens(key, greedy_decode(enc, c_prompt, n_new))
             token_match &= plain_out.ids == cipher_out.ids
-            # row p of a forward pass is bit-identical to what decoding saw there
-            decided = forward(m, TokenSeq(plain_out.ids[:-1], PLAINTEXT))[len(prompt) - 1 :]
-            top2 = np.sort(decided, axis=1)[:, -2:]
+            # forward is row-local: its rows equal what decoding saw at each position,
+            # and its first len(prompt) rows equal a pass over the prompt alone
+            plain_logits = forward(m, TokenSeq(plain_out.ids[:-1], PLAINTEXT))
+            top2 = np.sort(plain_logits[len(prompt) - 1 :], axis=1)[:, -2:]
             margin = min(margin, float(np.min(top2[:, 1] - top2[:, 0])))
+        cipher_logits = decrypt_logits(key, forward(enc, c_prompt))
+        diff = plain_logits[: len(prompt)] - cipher_logits
+        max_diff = max(max_diff, float(np.max(np.abs(diff))))
     return EquivarianceReport(
         n_prompts=len(prompts),
         max_abs_logit_diff=max_diff,

@@ -6,10 +6,11 @@ same arithmetic as the monolithic path, piece by piece. Every reduction goes
 through the deterministic kernel in tensor_ops, which is what makes
 "bit-identical output" a meaningful contract rather than a hope.
 
-The layer arithmetic lives in one place, KVCache.extend, which runs a layer
-range on the rows for the next positions and keeps their keys and values.
-apply_layer_range is that code run on a fresh cache; greedy decoding fills a
-cache with the prompt and then feeds one row per generated token. Because
+The layer arithmetic lives in one place, apply_layer_range. Given a KVCache
+in place of the model it runs the rows of the next positions against the
+cached keys and values and appends theirs; given the model it runs a whole
+sequence on a fresh cache. forward takes a cache the same way, and greedy
+decoding fills one with the prompt and then feeds one token per step. Because
 the kernels are row-local, the cached rows equal a full forward pass byte for
 byte.
 
@@ -292,10 +293,10 @@ def embed_positions(model: ModelBundle, ids: Sequence[int], start: int = 0) -> n
 class KVCache:
     """Keys and values of the positions a layer range has processed so far.
 
-    ``extend`` runs layers first..last on the residual rows of the next
-    positions, attending to every earlier position through the cache, and
-    appends their keys and values. A cache belongs to one model and one
-    request; a fresh cache runs a whole sequence at once.
+    Passed to apply_layer_range (or, over every layer, to forward) in place
+    of the model, it makes the rows given there the next positions of one
+    request: they attend to every cached position as well, and their keys
+    and values are appended. A cache belongs to one model and one request.
     """
 
     def __init__(self, model: ModelBundle, first: int, last: int) -> None:
@@ -314,40 +315,49 @@ class KVCache:
         """Number of positions processed so far; the next row's position."""
         return self.keys[0].shape[0]
 
-    def extend(self, x: np.ndarray) -> np.ndarray:
-        """Run the layer range on rows for positions length.. and return them."""
-        model, cfg = self.model, self.model.config
-        start, rows = self.length, x.shape[0]
-        scale = math.sqrt(cfg.d_head)
-        # row r sits at position start + r and sees positions 0..start + r
-        mask_rows, mask_cols = np.triu_indices(rows, k=start + 1, m=start + rows)
-        for i, li in enumerate(self.layers):
-            p = f"layer{li}"
-            normed = _apply_norm(model, f"{p}.attn_norm", x)
-            q = matmul(normed, model.tensors[f"{p}.attn.Wq"]) + model.tensors[f"{p}.attn.bq"]
-            k = matmul(normed, model.tensors[f"{p}.attn.Wk"]) + model.tensors[f"{p}.attn.bk"]
-            v = matmul(normed, model.tensors[f"{p}.attn.Wv"]) + model.tensors[f"{p}.attn.bv"]
-            k = self.keys[i] = np.concatenate((self.keys[i], k))
-            v = self.values[i] = np.concatenate((self.values[i], v))
-            ctx = np.empty((rows, cfg.d_model), dtype=np.float64)
-            for h in range(cfg.n_heads):
-                cols = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
-                scores = matmul(q[:, cols], k[:, cols].T) / scale
-                scores[mask_rows, mask_cols] = -np.inf  # causal mask
-                ctx[:, cols] = matmul(softmax_rows(scores), v[:, cols])
-            x = x + (matmul(ctx, model.tensors[f"{p}.attn.Wo"]) + model.tensors[f"{p}.attn.bo"])
-            normed = _apply_norm(model, f"{p}.ffn_norm", x)
-            hidden = activate(
-                cfg.act_kind,
-                matmul(normed, model.tensors[f"{p}.ffn.W1"]) + model.tensors[f"{p}.ffn.b1"],
-            )
-            x = x + (matmul(hidden, model.tensors[f"{p}.ffn.W2"]) + model.tensors[f"{p}.ffn.b2"])
-        return x
 
+def apply_layer_range(
+    model: ModelBundle | KVCache, x: np.ndarray, first: int, last: int
+) -> np.ndarray:
+    """Run layers first..last inclusive on a residual-stream state.
 
-def apply_layer_range(model: ModelBundle, x: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Run layers first..last inclusive on a residual-stream state."""
-    return KVCache(model, first, last).extend(x)
+    With a ModelBundle, x holds a whole sequence from position 0. With a
+    KVCache of exactly that layer range, x holds the rows of the positions
+    after the cached ones, and the cache grows by them.
+    """
+    cache = model if isinstance(model, KVCache) else KVCache(model, first, last)
+    if cache.layers != range(first, last + 1):
+        raise ShapeError(
+            f"cache holds layers {cache.layers.start}..{cache.layers.stop - 1}, "
+            f"not {first}..{last}"
+        )
+    model, cfg = cache.model, cache.model.config
+    start, rows = cache.length, x.shape[0]
+    scale = math.sqrt(cfg.d_head)
+    # row r sits at position start + r and sees positions 0..start + r
+    mask_rows, mask_cols = np.triu_indices(rows, k=start + 1, m=start + rows)
+    for i, li in enumerate(cache.layers):
+        p = f"layer{li}"
+        normed = _apply_norm(model, f"{p}.attn_norm", x)
+        q = matmul(normed, model.tensors[f"{p}.attn.Wq"]) + model.tensors[f"{p}.attn.bq"]
+        k = matmul(normed, model.tensors[f"{p}.attn.Wk"]) + model.tensors[f"{p}.attn.bk"]
+        v = matmul(normed, model.tensors[f"{p}.attn.Wv"]) + model.tensors[f"{p}.attn.bv"]
+        k = cache.keys[i] = np.concatenate((cache.keys[i], k))
+        v = cache.values[i] = np.concatenate((cache.values[i], v))
+        ctx = np.empty((rows, cfg.d_model), dtype=np.float64)
+        for h in range(cfg.n_heads):
+            cols = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
+            scores = matmul(q[:, cols], k[:, cols].T) / scale
+            scores[mask_rows, mask_cols] = -np.inf  # causal mask
+            ctx[:, cols] = matmul(softmax_rows(scores), v[:, cols])
+        x = x + (matmul(ctx, model.tensors[f"{p}.attn.Wo"]) + model.tensors[f"{p}.attn.bo"])
+        normed = _apply_norm(model, f"{p}.ffn_norm", x)
+        hidden = activate(
+            cfg.act_kind,
+            matmul(normed, model.tensors[f"{p}.ffn.W1"]) + model.tensors[f"{p}.ffn.b1"],
+        )
+        x = x + (matmul(hidden, model.tensors[f"{p}.ffn.W2"]) + model.tensors[f"{p}.ffn.b2"])
+    return x
 
 
 def final_logits(model: ModelBundle, x: np.ndarray) -> np.ndarray:
@@ -355,31 +365,35 @@ def final_logits(model: ModelBundle, x: np.ndarray) -> np.ndarray:
     return matmul(x, model.tensors["lm_head.W"]) + model.tensors["lm_head.b"]
 
 
-def forward(model: ModelBundle, tokens: TokenSeq) -> np.ndarray:
-    """Per-position logits, shape (len(tokens), vocab_size)."""
-    _validate_prompt(model, tokens)
-    x = embed_positions(model, tokens.ids)
-    x = apply_layer_range(model, x, 0, model.config.n_layers - 1)
+def forward(model: ModelBundle | KVCache, tokens: TokenSeq) -> np.ndarray:
+    """Per-position logits, shape (len(tokens), vocab_size).
+
+    With a KVCache over every layer in place of the model, the tokens
+    continue the cached sequence and the cache grows by them.
+    """
+    cache = model if isinstance(model, KVCache) else KVCache(model, 0, model.config.n_layers - 1)
+    model = cache.model
+    _validate_prompt(model, tokens, extra=cache.length)
+    x = embed_positions(model, tokens.ids, start=cache.length)
+    x = apply_layer_range(cache, x, 0, model.config.n_layers - 1)
     return final_logits(model, x)
 
 
 def greedy_decode(model: ModelBundle, prompt: TokenSeq, n_new: int) -> TokenSeq:
     """Append argmax tokens one at a time; ties go to the lowest index.
 
-    The prompt fills a KV cache in one pass; each later step feeds only the
-    token chosen last.
+    The prompt fills a KV cache in one forward pass; each later pass feeds
+    only the token chosen last.
     """
     if n_new < 0:
         raise RangeError(f"n_new must be >= 0, got {n_new}")
     _validate_prompt(model, prompt, extra=n_new)
     ids = list(prompt.ids)
     cache = KVCache(model, 0, model.config.n_layers - 1)
-    fresh = ids
+    fresh = prompt
     for _ in range(n_new):
-        x = cache.extend(embed_positions(model, fresh, start=cache.length))
-        # final_logits is row-local, so the last row alone gives the same bytes
-        ids.append(int(np.argmax(final_logits(model, x[-1:])[0])))
-        fresh = ids[-1:]
+        ids.append(int(np.argmax(forward(cache, fresh)[-1])))
+        fresh = TokenSeq(ids[-1:], model.domain)
     return TokenSeq(tuple(ids), model.domain)
 
 

@@ -378,7 +378,8 @@ def run_pipeline(
             token_index=token_index,
             token_ids=list(msg["token_ids"]),
         )
-        x = cache.extend(embed_positions(enc_model, msg["token_ids"], start=cache.length))
+        x = embed_positions(enc_model, msg["token_ids"], start=cache.length)
+        x = apply_layer_range(cache, x, *plan.ranges[0])
         prev_node = node
         for s in range(1, n_shards):
             # x holds the rows that end at position len(ids); a spare upstream
@@ -401,7 +402,7 @@ def run_pipeline(
                 seq_len=frame.seq_len,
                 payload_sha256=_payload_hash(frame.payload),
             )
-            x = cache.extend(frame.payload)
+            x = apply_layer_range(cache, frame.payload, *plan.ranges[s])
             prev_node = node
         logits = final_logits(enc_model, x[-1:])
         next_id = int(np.argmax(logits[0]))
@@ -449,18 +450,19 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     """Scan a transcript for plaintext leakage.
 
     Checks: (a) neither the plaintext prompt nor the plaintext continuation
-    appears as a contiguous subsequence of the first shard's token stream or
-    of the token_out stream; (b) the first shard's first input differs from
-    the plaintext prompt; (c) when the plaintext model and plan are provided,
-    no frame payload hash equals the hash of the same rows of the matching
-    plaintext boundary activation.
+    appears as a contiguous subsequence of any tokens_in field, of the first
+    shard's token stream rebuilt from those fields, or of the token_out
+    stream; (b) the first shard's first input differs from the plaintext
+    prompt; (c) when the plaintext model and plan are provided, no frame
+    payload hash equals the hash of any run of as many consecutive rows of a
+    plaintext boundary activation, from one plaintext pass through the plan.
 
-    Every message of step t carries token ids or rows that end at position
-    P + t, P being the prompt length, so the token stream is rebuilt from the
-    tokens_in entries and each frame is compared with its own rows of one
-    plaintext pass over the output. Transcripts whose steps resent the whole
-    prefix follow the same rule. Entries that do not fit it are reported as
-    warnings and not compared.
+    The tokens_in field of step t holds the ids that end at position P + t,
+    P being the prompt length: one id per step after the first, or the whole
+    prefix in transcripts that resend it. A field that cannot end there, or
+    that disagrees with ids already placed at its positions, is a failure,
+    since the stream the first shard saw is then not one the audit can
+    rebuild.
     """
     if not transcript.entries:
         return AuditResult(
@@ -472,10 +474,9 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     prompt_ids = ctx.prompt.ids
     full_out = ctx.output.ids
     gen_ids = full_out[len(prompt_ids) :] if full_out[: len(prompt_ids)] == prompt_ids else full_out
-    n_prompt = len(prompt_ids)
+    needles = (("prompt", prompt_ids), ("output", gen_ids))
 
     failures: list[str] = []
-    warnings: list[str] = []
     stream: list[int | None] = []  # the first shard's input, by position
     token_out_stream: list[int] = []
     first_tokens_in: list[int] | None = None
@@ -487,19 +488,28 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
             ids = [int(t) for t in entry["token_ids"]]
             if first_tokens_in is None:
                 first_tokens_in = ids
-            end = n_prompt + int(entry["token_index"])
-            if end < len(ids):
-                warnings.append(f"entry {idx}: {len(ids)} token ids cannot end at position {end}")
-                continue
+            for name, needle in needles:
+                if _contains(ids, needle):
+                    failures.append(f"entry {idx}: plaintext {name} appears in a tokens_in field")
+            end = len(prompt_ids) + int(entry["token_index"])
+            start = end - len(ids)
             stream.extend([None] * (end - len(stream)))
-            stream[end - len(ids) : end] = ids
+            if start < 0:
+                failures.append(f"entry {idx}: {len(ids)} token ids cannot end at position {end}")
+            elif any(old not in (None, new) for old, new in zip(stream[start:end], ids)):
+                failures.append(
+                    f"entry {idx}: token ids for positions {start}..{end - 1} disagree "
+                    "with those sent before"
+                )
+            else:
+                stream[start:end] = ids
         elif kind == "token_out":
             checked += 1
             token_out_stream.append(int(entry["token_id"]))
         elif kind == "frame":
             checked += 1
 
-    for name, needle in (("prompt", prompt_ids), ("output", gen_ids)):
+    for name, needle in needles:
         if _contains(stream, needle):
             failures.append(f"plaintext {name} appears in the first shard's token stream")
         if _contains(token_out_stream, needle):
@@ -508,20 +518,19 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     if first_tokens_in is not None and tuple(first_tokens_in) == prompt_ids:
         failures.append("first-shard input token ids equal the plaintext prompt")
 
+    warnings: list[str] = []
     if ctx.model is not None and ctx.plan is not None:
-        boundaries, rows = _plaintext_boundaries(ctx)
+        boundaries = _plaintext_boundaries(ctx)
+        windows: dict[int, set[str]] = {}  # hashes of every run of n rows, by n
         for idx, entry in enumerate(transcript.entries):
             if entry.get("kind") != "frame":
                 continue
-            shard = int(entry["shard"])
-            end = n_prompt + int(entry["token_index"])
-            start = end - int(entry["seq_len"])
-            if not (1 <= shard <= len(boundaries) and 0 <= start and end <= rows):
-                warnings.append(
-                    f"entry {idx}: frame rows {start}..{end} into shard {shard} are outside "
-                    "the plaintext run; not compared"
-                )
-            elif _payload_hash(boundaries[shard - 1][start:end]) == entry.get("payload_sha256"):
+            n = int(entry["seq_len"])
+            if n not in windows:
+                windows[n] = {
+                    _payload_hash(b[i : i + n]) for b in boundaries for i in range(len(b) - n + 1)
+                }
+            if entry.get("payload_sha256") in windows[n]:
                 failures.append(
                     f"entry {idx}: frame payload equals a plaintext boundary activation"
                 )
@@ -536,16 +545,16 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     )
 
 
-def _plaintext_boundaries(ctx: PlaintextContext) -> tuple[list[np.ndarray], int]:
+def _plaintext_boundaries(ctx: PlaintextContext) -> list[np.ndarray]:
     """What a plaintext run would send into shards 1.. at every position it
     processed (the whole output but its last token), from one pass through
-    the plan; and the number of positions."""
+    the plan."""
     ids = ctx.output.ids[: max(len(ctx.output.ids) - 1, len(ctx.prompt.ids))]
     if not ids:
-        return [], 0
+        return []
     x = embed_positions(ctx.model, ids)
     boundaries = []
     for first, last in ctx.plan.ranges[:-1]:
         x = apply_layer_range(ctx.model, x, first, last)
         boundaries.append(x)
-    return boundaries, len(ids)
+    return boundaries

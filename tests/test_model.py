@@ -32,7 +32,6 @@ from eeinfer.model import (
     config_fingerprint,
     embed_positions,
     expected_tensor_shapes,
-    final_logits,
     first_token_confidence,
     forward,
     greedy_decode,
@@ -258,25 +257,30 @@ class TestIncremental:
         out = greedy_decode(model, prompt, 28)
         full = forward(model, out)
         cache = KVCache(model, 0, config.n_layers - 1)
-        steps = [final_logits(model, cache.extend(embed_positions(model, prompt.ids)))]
+        steps = [forward(cache, prompt)]
         for pos in range(len(prompt), len(out)):
-            x = cache.extend(embed_positions(model, out.ids[pos : pos + 1], start=pos))
-            steps.append(final_logits(model, x))
+            steps.append(forward(cache, TokenSeq(out.ids[pos : pos + 1], model.domain)))
         cached = np.concatenate(steps)
         for pos in range(len(out)):
             assert cached[pos].tobytes() == full[pos].tobytes(), pos
         # greedy decoding picked the argmax of the full pass at every step
         assert out.ids[len(prompt) :] == tuple(int(t) for t in np.argmax(full[len(prompt) - 1 : -1], axis=1))
 
-    def test_fresh_cache_is_apply_layer_range(self, tiny_model):
+    def test_rows_split_over_a_cache_equal_one_pass(self, tiny_model):
         x = embed_positions(tiny_model, (1, 2, 3, 4))
         cache = KVCache(tiny_model, 1, 1)
-        assert cache.extend(x).tobytes() == apply_layer_range(tiny_model, x, 1, 1).tobytes()
+        parts = [apply_layer_range(cache, x[:3], 1, 1), apply_layer_range(cache, x[3:], 1, 1)]
+        assert np.concatenate(parts).tobytes() == apply_layer_range(tiny_model, x, 1, 1).tobytes()
         assert cache.length == 4
 
     def test_layer_range_checked(self, tiny_model):
         with pytest.raises(ShapeError):
             KVCache(tiny_model, 1, 2)
+        x = embed_positions(tiny_model, (1, 2))
+        with pytest.raises(ShapeError):
+            apply_layer_range(KVCache(tiny_model, 0, 0), x, 0, 1)
+        with pytest.raises(ShapeError):
+            forward(KVCache(tiny_model, 1, 1), TokenSeq((1, 2), PLAINTEXT))
 
 
 class TestContainer:

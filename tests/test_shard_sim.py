@@ -441,13 +441,44 @@ class TestAudit:
         else:
             assert result.passed
 
-    def test_entries_off_the_schedule_warn(self, deep_model, deep_key):
-        transcript, ctx = self.run_for_audit(deep_model, deep_key)
-        transcript.add(kind="tokens_in", shard=0, token_index=0, token_ids=list(range(9)))
-        transcript.add(kind="frame", shard=1, token_index=40, seq_len=1, payload_sha256="")
+    def test_frames_compared_with_every_run_of_rows(self, deep_model):
+        # a plaintext row is flagged wherever the frame claims to sit
+        key = keygen(deep_model.config, seed=0, identity=True)
+        transcript, ctx = self.run_for_audit(deep_model, key, n_shards=4, n_new=6)
+        frames = [e for e in transcript.entries if e["kind"] == "frame"]
+        for e in frames:
+            e["token_index"] = 40
         result = audit_blindness(transcript, ctx)
-        assert result.passed
-        assert len(result.warnings) == 2 and "not compared" in result.warnings[1]
+        assert len([f for f in result.failures if "boundary activation" in f]) == len(frames)
+
+    def test_tokens_in_field_that_cannot_end_at_its_position_fails(self, deep_model, deep_key):
+        transcript, ctx = self.run_for_audit(deep_model, deep_key)
+        leak = [0, *ctx.prompt.ids]
+        transcript.add(kind="tokens_in", shard=0, token_index=0, token_ids=leak)
+        result = audit_blindness(transcript, ctx)
+        idx = len(transcript) - 1
+        assert f"entry {idx}: plaintext prompt appears in a tokens_in field" in result.failures
+        assert f"entry {idx}: 6 token ids cannot end at position 5" in result.failures
+
+    def test_leak_overwritten_by_a_later_prefix_fails(self, deep_model):
+        key = keygen(deep_model.config, seed=55)
+        plan = plan_shards(deep_model.config, 4)
+        prompt = TokenSeq((5, 1, 9, 12, 7), PLAINTEXT)
+        plain_out = greedy_decode(deep_model, prompt, 5)
+        transcript = self.full_prefix_transcript(
+            encrypt_model(key, deep_model), plan, encrypt_tokens(key, prompt), 5
+        )
+        ctx = PlaintextContext(prompt, plain_out, deep_model, plan)
+        assert audit_blindness(transcript, ctx).passed
+        # step 1 leaks the plaintext prefix; step 2 resends the ciphertext one
+        idx, step1 = next(
+            (i, e) for i, e in enumerate(transcript.entries)
+            if e["kind"] == "tokens_in" and e["token_index"] == 1
+        )
+        step1["token_ids"] = list(plain_out.ids[:6])
+        result = audit_blindness(transcript, ctx)
+        assert f"entry {idx}: plaintext prompt appears in a tokens_in field" in result.failures
+        assert any(f.startswith(f"entry {idx}: token ids for positions 0..5 disagree") for f in result.failures)
 
     def test_empty_transcript_vacuous(self, deep_model):
         prompt = TokenSeq((1, 2), PLAINTEXT)
