@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .encryption import EEKey, check_pairing, decrypt_logits, decrypt_tokens, encrypt_tokens
-from .errors import ConfigError, DomainError, FormatError, RangeError, ShapeError
+from .encryption import EEKey, decrypt_logits, decrypt_tokens, encrypt_model, encrypt_tokens
+from .errors import ConfigError, DomainError, FormatError, PairingError, RangeError, ShapeError
 from .model import (
     CIPHERTEXT,
     PLAINTEXT,
@@ -151,12 +151,16 @@ def ee_first_token_confidence(model_ee: ModelBundle, key: EEKey, prompt: TokenSe
 
 
 def _check_arms(model_vi: ModelBundle, model_ee: ModelBundle, key: EEKey) -> None:
+    """The EE arm must be the VI arm encrypted under the key, byte for byte."""
     if model_vi.domain != PLAINTEXT:
         raise DomainError("the VI arm needs a plaintext model")
     if model_ee.domain != CIPHERTEXT:
         raise DomainError("the EE arm needs a ciphertext model")
-    check_pairing(key, model_vi.config)
-    check_pairing(key, model_ee.config)
+    expected = encrypt_model(key, model_vi).tensors
+    if model_ee.config != model_vi.config or any(
+        model_ee.tensors[name].tobytes() != t.tobytes() for name, t in expected.items()
+    ):
+        raise PairingError("the EE arm is not the VI arm encrypted under this key")
 
 
 def run_fidelity_suite(

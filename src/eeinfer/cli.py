@@ -127,19 +127,11 @@ def _require(resolved: dict, *names: str) -> None:
 def cmd_init_model(resolved: dict) -> int:
     _require(resolved, "vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
              "max_seq_len", "seed", "out")
-    kinds = {"norm_kind": resolved["norm_kind"], "act_kind": resolved["act_kind"]}
-    if resolved["d_head"] is None:
-        config = make_config(
-            resolved["vocab_size"], resolved["d_model"], resolved["n_layers"],
-            resolved["n_heads"], resolved["d_ff"], resolved["max_seq_len"], **kinds,
-        )
-    else:
-        config = ModelConfig(
-            vocab_size=resolved["vocab_size"], d_model=resolved["d_model"],
-            n_layers=resolved["n_layers"], n_heads=resolved["n_heads"],
-            d_head=resolved["d_head"], d_ff=resolved["d_ff"],
-            max_seq_len=resolved["max_seq_len"], **kinds,
-        )
+    config = make_config(
+        resolved["vocab_size"], resolved["d_model"], resolved["n_layers"],
+        resolved["n_heads"], resolved["d_ff"], resolved["max_seq_len"],
+        norm_kind=resolved["norm_kind"], act_kind=resolved["act_kind"],
+    )
     model = init_model(config, resolved["seed"])
     Path(resolved["out"]).parent.mkdir(parents=True, exist_ok=True)
     save_model(model, resolved["out"])
@@ -426,7 +418,6 @@ COMMANDS: dict[str, tuple] = {
         ("--n-heads", None, _INT),
         ("--d-ff", None, _INT),
         ("--max-seq-len", None, _INT),
-        ("--d-head", None, _INT),
         ("--norm-kind", "layernorm", _STR),
         ("--act-kind", "gelu", _STR),
         ("--seed", None, _INT),

@@ -12,18 +12,21 @@ no-op. The encrypted model then runs the completely unmodified forward pass:
 same operation count, same layer order, same shapes.
 
 Weights are stored (in_dim, out_dim); in that orientation the column-vector
-rule W' = A W B^T becomes stored' = stored[inv_B rows][:, inv_A cols]. The
-test suite cross-checks every family against explicit permutation-matrix
-products, which are bit-exact because each output element is a single gather.
+rule W' = A W B^T becomes stored' = stored[inv_B rows][:, inv_A cols]: each
+axis is gathered with the inverse of the table of its kind in
+model.TENSOR_LAYOUT. The test suite cross-checks every tensor against
+explicit permutation-matrix products, which are bit-exact because each output
+element is a single gather.
 """
 from __future__ import annotations
 
 import math
 import struct
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,14 +49,17 @@ from .model import (
     config_fingerprint,
     forward,
     greedy_decode,
+    tensor_layout,
 )
 from .tensor_ops import PermTable, as_matrix
 
 KEY_MAGIC = b"EEKEY001"
 KEY_FORMAT_VERSION = 1
+# the fields of the .eekey header's "layout" object, which key_layout reads
+LAYOUT_FIELDS = ("vocab_n", "resid_n", "n_layers", "n_heads", "ffn_n", "head_n")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EEKey:
     """A full permutation bundle bound to one model configuration."""
 
@@ -79,25 +85,23 @@ class EEKey:
         return len(self.ffn_perms)
 
     @property
-    def is_identity(self) -> bool:
-        tables = [self.vocab_perm, self.resid_perm, *self.ffn_perms]
-        for layer_tables in (*self.qk_perms, *self.v_perms):
-            tables.extend(layer_tables)
-        return all(t.is_identity for t in tables)
+    def layout(self) -> dict[str, int]:
+        """The LAYOUT_FIELDS of the key's .eekey header. n_heads is the most
+        heads any layer holds, so key_layout(layout) names every layer's head
+        tables; check_pairing rejects a key whose layers differ in it."""
+        heads = [t for layer in self.qk_perms for t in layer]
+        return {
+            "vocab_n": self.vocab_perm.n,
+            "resid_n": self.resid_perm.n,
+            "n_layers": self.n_layers,
+            "n_heads": max(map(len, self.qk_perms), default=0),
+            "ffn_n": self.ffn_perms[0].n if self.ffn_perms else 0,
+            "head_n": heads[0].n if heads else 0,
+        }
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EEKey):
-            return NotImplemented
-        return (
-            self.version == other.version
-            and self.seed == other.seed
-            and self.model_fingerprint == other.model_fingerprint
-            and self.vocab_perm == other.vocab_perm
-            and self.resid_perm == other.resid_perm
-            and self.ffn_perms == other.ffn_perms
-            and self.qk_perms == other.qk_perms
-            and self.v_perms == other.v_perms
-        )
+    @property
+    def is_identity(self) -> bool:
+        return all(t.is_identity for _, _, t in _key_entries(self))
 
 
 @dataclass(frozen=True)
@@ -122,58 +126,86 @@ class EquivarianceReport:
         return self.max_abs_logit_diff <= self.tol
 
 
-def keygen(config: ModelConfig, seed: int, identity: bool = False) -> EEKey:
-    """Draw every table with a seeded generator (Fisher-Yates shuffles).
-
-    Draw order is fixed: vocabulary, residual, then per layer the FFN table,
-    the per-head Q/K tables, and the per-head V tables. identity=True is the
-    reserved mode that yields the do-nothing key (seed is still recorded).
+def key_layout(layout: Mapping[str, int]) -> list[tuple[str, int | None, int]]:
+    """The key's tables in canonical flat order, as (axis kind, layer, size):
+    vocabulary, residual, then per layer the FFN table, the n_heads Q/K tables
+    and the n_heads V tables. Layer is None for the tables all layers share.
+    ``layout`` holds the LAYOUT_FIELDS of a .eekey header (EEKey.layout).
     """
-    rng = np.random.default_rng(seed)
+    entries = [("vocab", None, layout["vocab_n"]), ("resid", None, layout["resid_n"])]
+    for i in range(layout["n_layers"]):
+        entries.append(("ffn", i, layout["ffn_n"]))
+        entries.extend([("qk", i, layout["head_n"])] * layout["n_heads"])
+        entries.extend([("v", i, layout["head_n"])] * layout["n_heads"])
+    return entries
 
-    def draw(n: int) -> PermTable:
-        if identity:
-            return PermTable.identity(n)
-        return PermTable.random(n, rng)
 
-    vocab = draw(config.vocab_size)
-    resid = draw(config.d_model)
-    ffn: list[PermTable] = []
-    qk: list[tuple[PermTable, ...]] = []
-    v: list[tuple[PermTable, ...]] = []
-    for _ in range(config.n_layers):
-        ffn.append(draw(config.d_ff))
-        qk.append(tuple(draw(config.d_head) for _ in range(config.n_heads)))
-        v.append(tuple(draw(config.d_head) for _ in range(config.n_heads)))
+def _config_layout(config: ModelConfig) -> dict[str, int]:
+    sizes = (config.vocab_size, config.d_model, config.n_layers, config.n_heads,
+             config.d_ff, config.d_head)
+    return dict(zip(LAYOUT_FIELDS, sizes))
+
+
+def _key_groups(key: EEKey) -> dict[tuple[str, int | None], tuple[PermTable, ...]]:
+    """The key's tables by (axis kind, layer), heads in order."""
+    groups = {("vocab", None): (key.vocab_perm,), ("resid", None): (key.resid_perm,)}
+    for i in range(key.n_layers):
+        groups["ffn", i] = (key.ffn_perms[i],)
+        groups["qk", i] = key.qk_perms[i]
+        groups["v", i] = key.v_perms[i]
+    return groups
+
+
+def _key_entries(key: EEKey) -> list[tuple[str, int | None, PermTable]]:
+    """Every table of the key with its (axis kind, layer), in key_layout order."""
+    groups = _key_groups(key)
+    labels = dict.fromkeys((kind, layer) for kind, layer, _ in key_layout(key.layout))
+    return [(kind, layer, t) for kind, layer in labels for t in groups[kind, layer]]
+
+
+def _assemble(seed: int, fingerprint: str, layout: dict, tables: list[PermTable]) -> EEKey:
+    """The key whose tables, in key_layout(layout) order, are ``tables``."""
+    groups: dict[tuple[str, int | None], tuple[PermTable, ...]] = defaultdict(tuple)
+    for (kind, layer, _), table in zip(key_layout(layout), tables):
+        groups[kind, layer] += (table,)
+    layers = range(layout["n_layers"])
     return EEKey(
         version=KEY_FORMAT_VERSION,
-        seed=int(seed),
-        model_fingerprint=config_fingerprint(config),
-        vocab_perm=vocab,
-        resid_perm=resid,
-        ffn_perms=tuple(ffn),
-        qk_perms=tuple(qk),
-        v_perms=tuple(v),
+        seed=seed,
+        model_fingerprint=fingerprint,
+        vocab_perm=groups["vocab", None][0],
+        resid_perm=groups["resid", None][0],
+        ffn_perms=tuple(groups["ffn", i][0] for i in layers),
+        qk_perms=tuple(groups["qk", i] for i in layers),
+        v_perms=tuple(groups["v", i] for i in layers),
     )
 
 
+def keygen(config: ModelConfig, seed: int, identity: bool = False) -> EEKey:
+    """Draw every table with a seeded generator (Fisher-Yates shuffles).
+
+    Draw order is key_layout's order. identity=True is the reserved mode that
+    yields the do-nothing key (seed is still recorded).
+    """
+    rng = np.random.default_rng(seed)
+    layout = _config_layout(config)
+    tables = [
+        PermTable.identity(n) if identity else PermTable.random(n, rng)
+        for _, _, n in key_layout(layout)
+    ]
+    return _assemble(int(seed), config_fingerprint(config), layout, tables)
+
+
 def check_pairing(key: EEKey, config: ModelConfig) -> None:
-    """Key/model binding: fingerprint first, then structural sizes."""
+    """Key/model binding: fingerprint first, then the key's tables against
+    the config's key_layout, kind, layer and size."""
     if key.model_fingerprint != config_fingerprint(config):
         raise PairingError(
             "key fingerprint does not match this model config; "
             "generate the key for the exact config it will encrypt"
         )
-    ok = (
-        key.vocab_perm.n == config.vocab_size
-        and key.resid_perm.n == config.d_model
-        and key.n_layers == config.n_layers
-        and all(t.n == config.d_ff for t in key.ffn_perms)
-        and all(len(layer) == config.n_heads for layer in key.qk_perms)
-        and all(t.n == config.d_head for layer in key.qk_perms for t in layer)
-        and all(t.n == config.d_head for layer in key.v_perms for t in layer)
-    )
-    if not ok:
+    found = [(kind, layer, t.n) for kind, layer, t in _key_entries(key)]
+    if found != key_layout(_config_layout(config)):
         raise PairingError("key table sizes do not fit the model config")
 
 
@@ -205,48 +237,25 @@ def _block_table(per_head: Sequence[PermTable], d_head: int) -> PermTable:
 
 
 def encrypt_model(key: EEKey, m: ModelBundle) -> ModelBundle:
-    """Offline one-time transform; every rewrite is an integer gather."""
+    """Offline one-time transform; every rewrite is an integer gather. A Q/K
+    or V axis takes its layer's head tables glued into one; pos axes stay."""
     if m.domain != PLAINTEXT:
         raise DomainError("model is already in the ciphertext domain")
     check_pairing(key, m.config)
-    cfg = m.config
-    inv_v = key.vocab_perm.inv_map
-    inv_r = key.resid_perm.inv_map
-    src = m.tensors
-    out: dict[str, np.ndarray] = {
-        "embedding": src["embedding"][np.ix_(inv_v, inv_r)],
-        "pos_embedding": src["pos_embedding"][:, inv_r],
+    inverse = {
+        label: _block_table(tables, m.config.d_head).inv_map
+        for label, tables in _key_groups(key).items()
     }
-    has_offset = cfg.norm_kind == "layernorm"
-    for i in range(cfg.n_layers):
-        p = f"layer{i}"
-        inv_qk = _block_table(key.qk_perms[i], cfg.d_head).inv_map
-        inv_vv = _block_table(key.v_perms[i], cfg.d_head).inv_map
-        inv_f = key.ffn_perms[i].inv_map
-        out[f"{p}.attn_norm.gain"] = src[f"{p}.attn_norm.gain"][inv_r]
-        if has_offset:
-            out[f"{p}.attn_norm.offset"] = src[f"{p}.attn_norm.offset"][inv_r]
-        out[f"{p}.attn.Wq"] = src[f"{p}.attn.Wq"][np.ix_(inv_r, inv_qk)]
-        out[f"{p}.attn.Wk"] = src[f"{p}.attn.Wk"][np.ix_(inv_r, inv_qk)]
-        out[f"{p}.attn.Wv"] = src[f"{p}.attn.Wv"][np.ix_(inv_r, inv_vv)]
-        out[f"{p}.attn.Wo"] = src[f"{p}.attn.Wo"][np.ix_(inv_vv, inv_r)]
-        out[f"{p}.attn.bq"] = src[f"{p}.attn.bq"][inv_qk]
-        out[f"{p}.attn.bk"] = src[f"{p}.attn.bk"][inv_qk]
-        out[f"{p}.attn.bv"] = src[f"{p}.attn.bv"][inv_vv]
-        out[f"{p}.attn.bo"] = src[f"{p}.attn.bo"][inv_r]
-        out[f"{p}.ffn_norm.gain"] = src[f"{p}.ffn_norm.gain"][inv_r]
-        if has_offset:
-            out[f"{p}.ffn_norm.offset"] = src[f"{p}.ffn_norm.offset"][inv_r]
-        out[f"{p}.ffn.W1"] = src[f"{p}.ffn.W1"][np.ix_(inv_r, inv_f)]
-        out[f"{p}.ffn.b1"] = src[f"{p}.ffn.b1"][inv_f]
-        out[f"{p}.ffn.W2"] = src[f"{p}.ffn.W2"][np.ix_(inv_f, inv_r)]
-        out[f"{p}.ffn.b2"] = src[f"{p}.ffn.b2"][inv_r]
-    out["final_norm.gain"] = src["final_norm.gain"][inv_r]
-    if has_offset:
-        out["final_norm.offset"] = src["final_norm.offset"][inv_r]
-    out["lm_head.W"] = src["lm_head.W"][np.ix_(inv_r, inv_v)]
-    out["lm_head.b"] = src["lm_head.b"][inv_v]
-    return ModelBundle(cfg, CIPHERTEXT, out)
+    out: dict[str, np.ndarray] = {}
+    for name, layer, axes in tensor_layout(m.config):
+        t = m.tensors[name]
+        for axis, kind in enumerate(axes):
+            if kind != "pos":
+                # vocab and resid tables are shared by every layer
+                label = (kind, None) if (kind, None) in inverse else (kind, layer)
+                t = np.take(t, inverse[label], axis=axis)
+        out[name] = t
+    return ModelBundle(m.config, CIPHERTEXT, out)
 
 
 def decrypt_logits(key: EEKey, logits: object) -> np.ndarray:
@@ -269,7 +278,6 @@ def verify_equivariance(
     """Run the plaintext and ciphertext pipelines side by side and compare."""
     if m.domain != PLAINTEXT:
         raise DomainError("verify_equivariance expects the plaintext model")
-    check_pairing(key, m.config)
     enc = encrypt_model(key, m)
     max_diff = 0.0
     token_match = True
@@ -302,32 +310,14 @@ def verify_equivariance(
     )
 
 
-def _key_tables(key: EEKey) -> list[PermTable]:
-    """Canonical flat order: vocab, resid, then per layer ffn, qk heads, v heads."""
-    tables = [key.vocab_perm, key.resid_perm]
-    for i in range(key.n_layers):
-        tables.append(key.ffn_perms[i])
-        tables.extend(key.qk_perms[i])
-        tables.extend(key.v_perms[i])
-    return tables
-
-
 def save_key(key: EEKey, path: str | Path) -> None:
-    n_heads = len(key.qk_perms[0]) if key.qk_perms else 0
     header = {
         "format_version": key.version,
         "seed": key.seed,
         "model_fingerprint": key.model_fingerprint,
-        "layout": {
-            "vocab_n": key.vocab_perm.n,
-            "resid_n": key.resid_perm.n,
-            "n_layers": key.n_layers,
-            "n_heads": n_heads,
-            "ffn_n": key.ffn_perms[0].n if key.ffn_perms else 0,
-            "head_n": key.qk_perms[0][0].n if n_heads else 0,
-        },
+        "layout": key.layout,
     }
-    payload = b"".join(t.map.astype("<u4").tobytes() for t in _key_tables(key))
+    payload = b"".join(t.map.astype("<u4").tobytes() for _, _, t in _key_entries(key))
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     write_container(path, KEY_MAGIC, header, payload)
 
@@ -338,21 +328,12 @@ def load_key(path: str | Path) -> EEKey:
     if version != KEY_FORMAT_VERSION:
         raise VersionError(f"unsupported key format version {version!r}")
     try:
-        layout = header["layout"]
         seed = int(header["seed"])
         fingerprint = str(header["model_fingerprint"])
-        vocab_n = int(layout["vocab_n"])
-        resid_n = int(layout["resid_n"])
-        n_layers = int(layout["n_layers"])
-        n_heads = int(layout["n_heads"])
-        ffn_n = int(layout["ffn_n"])
-        head_n = int(layout["head_n"])
+        layout = {field: int(header["layout"][field]) for field in LAYOUT_FIELDS}
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"key header is malformed: {exc}") from exc
-    sizes = [vocab_n, resid_n]
-    for _ in range(n_layers):
-        sizes.append(ffn_n)
-        sizes.extend([head_n] * (2 * n_heads))
+    sizes = [n for _, _, n in key_layout(layout)]
     expected_len = 4 * sum(sizes) + 4  # tables plus trailing checksum
     if len(payload) != expected_len:
         raise FormatError(
@@ -362,31 +343,6 @@ def load_key(path: str | Path) -> EEKey:
     body, (crc,) = payload[:-4], struct.unpack("<I", payload[-4:])
     if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
         raise IntegrityError("key table payload failed its CRC32 check")
-    tables: list[PermTable] = []
-    at = 0
-    for n in sizes:
-        chunk = np.frombuffer(body, dtype="<u4", count=n, offset=at * 4)
-        tables.append(PermTable(chunk.astype(np.int64)))
-        at += n
-    vocab, resid = tables[0], tables[1]
-    ffn: list[PermTable] = []
-    qk: list[tuple[PermTable, ...]] = []
-    v: list[tuple[PermTable, ...]] = []
-    cursor = 2
-    for _ in range(n_layers):
-        ffn.append(tables[cursor])
-        cursor += 1
-        qk.append(tuple(tables[cursor : cursor + n_heads]))
-        cursor += n_heads
-        v.append(tuple(tables[cursor : cursor + n_heads]))
-        cursor += n_heads
-    return EEKey(
-        version=version,
-        seed=seed,
-        model_fingerprint=fingerprint,
-        vocab_perm=vocab,
-        resid_perm=resid,
-        ffn_perms=tuple(ffn),
-        qk_perms=tuple(qk),
-        v_perms=tuple(v),
-    )
+    flat = np.frombuffer(body, dtype="<u4").astype(np.int64)
+    tables = [PermTable(part) for part in np.split(flat, np.cumsum(sizes)[:-1])]
+    return _assemble(seed, fingerprint, layout, tables)

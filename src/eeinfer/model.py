@@ -24,6 +24,7 @@ import hashlib
 import math
 import zlib
 from dataclasses import asdict, dataclass, fields
+from itertools import groupby
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -167,36 +168,59 @@ class TokenSeq:
         return len(self.ids)
 
 
+# The tensor directory: each tensor's name and what each of its axes indexes.
+# Every axis kind but "pos" has key tables (encryption.key_layout); "qk" and
+# "v" are the Q/K and V heads side by side. Rows named layer{i}. repeat for
+# every layer, in place; norm offsets exist for layernorm only. Row order is
+# the directory order and init_model's draw order.
+TENSOR_LAYOUT: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("embedding", ("vocab", "resid")),
+    ("pos_embedding", ("pos", "resid")),
+    ("layer{i}.attn_norm.gain", ("resid",)),
+    ("layer{i}.attn_norm.offset", ("resid",)),
+    ("layer{i}.attn.Wq", ("resid", "qk")),
+    ("layer{i}.attn.Wk", ("resid", "qk")),
+    ("layer{i}.attn.Wv", ("resid", "v")),
+    ("layer{i}.attn.Wo", ("v", "resid")),
+    ("layer{i}.attn.bq", ("qk",)),
+    ("layer{i}.attn.bk", ("qk",)),
+    ("layer{i}.attn.bv", ("v",)),
+    ("layer{i}.attn.bo", ("resid",)),
+    ("layer{i}.ffn_norm.gain", ("resid",)),
+    ("layer{i}.ffn_norm.offset", ("resid",)),
+    ("layer{i}.ffn.W1", ("resid", "ffn")),
+    ("layer{i}.ffn.b1", ("ffn",)),
+    ("layer{i}.ffn.W2", ("ffn", "resid")),
+    ("layer{i}.ffn.b2", ("resid",)),
+    ("final_norm.gain", ("resid",)),
+    ("final_norm.offset", ("resid",)),
+    ("lm_head.W", ("resid", "vocab")),
+    ("lm_head.b", ("vocab",)),
+)
+
+
+def tensor_layout(config: ModelConfig) -> list[tuple[str, int | None, tuple[str, ...]]]:
+    """TENSOR_LAYOUT spelled out for one config, in directory order, as
+    (name, layer, axis kinds); layer is None outside the layer{i}. rows."""
+    entries: list[tuple[str, int | None, tuple[str, ...]]] = []
+    for per_layer, block in groupby(TENSOR_LAYOUT, key=lambda row: "{i}" in row[0]):
+        rows = [row for row in block if config.norm_kind == "layernorm" or ".offset" not in row[0]]
+        for layer in range(config.n_layers) if per_layer else (None,):
+            entries.extend((name.format(i=layer), layer, axes) for name, axes in rows)
+    return entries
+
+
 def expected_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical tensor directory: names, shapes, and (for init) draw order."""
-    d, v = config.d_model, config.vocab_size
-    shapes: dict[str, tuple[int, ...]] = {
-        "embedding": (v, d),
-        "pos_embedding": (config.max_seq_len, d),
+    size = {
+        "vocab": config.vocab_size,
+        "pos": config.max_seq_len,
+        "resid": config.d_model,
+        "qk": config.n_heads * config.d_head,
+        "v": config.n_heads * config.d_head,
+        "ffn": config.d_ff,
     }
-    has_offset = config.norm_kind == "layernorm"
-    for i in range(config.n_layers):
-        p = f"layer{i}"
-        shapes[f"{p}.attn_norm.gain"] = (d,)
-        if has_offset:
-            shapes[f"{p}.attn_norm.offset"] = (d,)
-        for w in ("Wq", "Wk", "Wv", "Wo"):
-            shapes[f"{p}.attn.{w}"] = (d, d)
-        for b in ("bq", "bk", "bv", "bo"):
-            shapes[f"{p}.attn.{b}"] = (d,)
-        shapes[f"{p}.ffn_norm.gain"] = (d,)
-        if has_offset:
-            shapes[f"{p}.ffn_norm.offset"] = (d,)
-        shapes[f"{p}.ffn.W1"] = (d, config.d_ff)
-        shapes[f"{p}.ffn.b1"] = (config.d_ff,)
-        shapes[f"{p}.ffn.W2"] = (config.d_ff, d)
-        shapes[f"{p}.ffn.b2"] = (d,)
-    shapes["final_norm.gain"] = (d,)
-    if has_offset:
-        shapes["final_norm.offset"] = (d,)
-    shapes["lm_head.W"] = (d, v)
-    shapes["lm_head.b"] = (v,)
-    return shapes
+    return {name: tuple(size[kind] for kind in axes) for name, _, axes in tensor_layout(config)}
 
 
 class ModelBundle:

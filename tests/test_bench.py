@@ -146,6 +146,15 @@ class TestFidelitySuite:
         report = run_fidelity_suite(vi, encrypt_model(other, vi), other, prompts)
         assert report.fidelity >= 1.0 - 1e-6
 
+    def test_arm_encrypted_under_another_key_pairing_error(self, bench_setup):
+        vi, _, key = bench_setup
+        other = encrypt_model(keygen(vi.config, seed=1000), vi)
+        prompts = random_prompts(vi.config, 2, 4, seed=4)
+        with pytest.raises(PairingError):
+            run_fidelity_suite(vi, other, key, prompts)
+        with pytest.raises(PairingError):
+            measure_latency(vi, other, key, prompts, n_new=2, repeats=3)
+
     def test_domain_guards(self, bench_setup):
         vi, ee, key = bench_setup
         prompts = random_prompts(vi.config, 2, 4, seed=5)

@@ -90,6 +90,16 @@ class TestSetupCommands:
         ) == 0
         assert twin.read_bytes() == ws["model"].read_bytes()
 
+    def test_d_head_flag_is_gone(self, tmp_path):
+        # d_head is always d_model / n_heads, which make_config derives
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "init-model", "--vocab-size", 32, "--d-model", 16, "--n-layers", 2,
+                "--n-heads", 2, "--d-ff", 32, "--max-seq-len", 16, "--seed", 42,
+                "--d-head", 8, "--out", tmp_path / "m.eem",
+            )
+        assert exc.value.code == 2
+
     def test_keygen_deterministic(self, ws, tmp_path):
         twin = tmp_path / "twin.eekey"
         assert run_cli(
@@ -191,6 +201,17 @@ class TestFidelityCommand:
         ) == 0
         doc = json.loads((ws["dir"] / "fid_rand.report.json").read_text())
         assert doc["fidelity"]["fidelity"] >= 1 - 1e-6
+
+    def test_model_encrypted_under_another_key_is_pairing_error(self, ws, tmp_path, capsys):
+        # same config, but --ee-model was encrypted under --idkey, not --key
+        out = tmp_path / "fid_mismatch"
+        assert run_cli(
+            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["idenc"],
+            "--key", ws["key"], "--prompts", ws["prompts"], "--out", out,
+            "--n-new", 2, "--repeats", 3,
+        ) == 5
+        assert "fidelity" not in capsys.readouterr().out
+        assert not (tmp_path / "fid_mismatch.report.json").exists()
 
 
 class TestAttackCommand:

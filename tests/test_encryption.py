@@ -3,6 +3,8 @@ against explicit permutation-matrix products, which are bit-exact because a
 permutation matmul only ever gathers single elements."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -37,16 +39,37 @@ from eeinfer.errors import (
 from eeinfer.model import (
     CIPHERTEXT,
     PLAINTEXT,
+    ModelBundle,
     TokenSeq,
     forward,
     greedy_decode,
     init_model,
     make_config,
+    save_model,
 )
 from eeinfer.tensor_ops import PermTable, matmul
 
 # first seed whose initial 5-element draw is [2, 0, 1, 4, 3], found by search
 SEED_FOR_20143 = 178
+
+# SHA-256 of save_key(key) and of save_model(encrypt_model(key, model)) bytes,
+# recorded before key tables and tensor rewrites were read from the layout
+# tables: (config kwargs, model seed, key seed, key digest, model digest)
+GOLDEN_FILES = [
+    (
+        dict(vocab_size=32, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq_len=8),
+        42, 1234,
+        "8adf3789734c1916f6a0c5b7e662c6b55a90d9f3d5cb28b718bd61feb9ab8931",
+        "41f6caeff05a2ac5b431f2cdb53351c0e9e60e91fb6b76f3382bd18a7db69547",
+    ),
+    (
+        dict(vocab_size=16, d_model=8, n_layers=1, n_heads=1, d_ff=16, max_seq_len=6,
+             norm_kind="rmsnorm", act_kind="relu"),
+        7, 5,
+        "679de5d96978b718db4406ea9b21d39a8d5b02184fb637264a9f5bb27b88a6a7",
+        "d5bed8c361b5d50d0ce13c6a064c08a3fd41f0f742eff42487f6905c0794fe35",
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -161,10 +184,47 @@ class TestEncryptModel:
             != tiny_model.tensors["embedding"].tobytes()
         )
 
+    def test_check_pairing_rejects_regrouped_tables(self):
+        """Tables regrouped so that the flat stream of sizes still lines up
+        (d_ff == d_head) must not pair: layers with different head counts, and
+        layer 1's head tables moved into layer 0, which puts a V table where
+        layer 1's FFN table belongs."""
+
+        def flat_sizes(k):
+            sizes = [k.vocab_perm.n, k.resid_perm.n]
+            for ffn, qk, v in zip(k.ffn_perms, k.qk_perms, k.v_perms):
+                sizes += [ffn.n] + [t.n for t in qk + v]
+            return sizes
+
+        two_heads = make_config(vocab_size=9, d_model=8, n_layers=2, n_heads=2, d_ff=4, max_seq_len=4)
+        key2 = keygen(two_heads, 3)
+        qk, v = key2.qk_perms, key2.v_perms
+        uneven = dataclasses.replace(
+            key2, qk_perms=(qk[0] + qk[1][:1], qk[1][1:]), v_perms=(v[0] + v[1][:1], v[1][1:])
+        )
+        one_head = make_config(vocab_size=9, d_model=4, n_layers=2, n_heads=1, d_ff=4, max_seq_len=4)
+        key1 = keygen(one_head, 3)
+        qk, v = key1.qk_perms, key1.v_perms
+        moved = dataclasses.replace(key1, qk_perms=(qk[0] + qk[1], ()), v_perms=(v[0] + v[1], ()))
+        for forged, key, cfg in ((uneven, key2, two_heads), (moved, key1, one_head)):
+            assert flat_sizes(forged) == flat_sizes(key)
+            with pytest.raises(PairingError):
+                check_pairing(forged, cfg)
+            with pytest.raises(PairingError):
+                encrypt_model(forged, init_model(cfg, 1))
+
     def test_matrix_form_oracle_bit_exact(self):
-        """Every transform family must equal the explicit matrix conjugation."""
-        cfg = make_config(vocab_size=11, d_model=8, n_layers=2, n_heads=2, d_ff=10, max_seq_len=5)
+        """Every tensor must equal the explicit matrix conjugation."""
+        for norm_kind, act_kind in (("layernorm", "gelu"), ("rmsnorm", "silu")):
+            self._check_matrix_form(norm_kind, act_kind)
+
+    def _check_matrix_form(self, norm_kind, act_kind):
+        cfg = make_config(vocab_size=11, d_model=8, n_layers=2, n_heads=2, d_ff=10, max_seq_len=5,
+                          norm_kind=norm_kind, act_kind=act_kind)
+        # random values everywhere, so that permuted norm gains and offsets differ
+        rng = np.random.default_rng(5)
         m = init_model(cfg, 31)
+        m = ModelBundle(cfg, PLAINTEXT, {n: rng.normal(size=a.shape) for n, a in m.tensors.items()})
         key = keygen(cfg, 77)
         enc = encrypt_model(key, m)
         pv = key.vocab_perm.matrix()
@@ -178,33 +238,39 @@ class TestEncryptModel:
             return matmul(b[None, :], p_out.T)[0]
 
         t = m.tensors
-        e = enc.tensors
-        assert e["embedding"].tobytes() == conj(t["embedding"], pv, pr).tobytes()
-        assert e["pos_embedding"].tobytes() == matmul(t["pos_embedding"], pr.T).tobytes()
-        assert e["lm_head.W"].tobytes() == conj(t["lm_head.W"], pr, pv).tobytes()
-        assert e["lm_head.b"].tobytes() == vec(t["lm_head.b"], pv).tobytes()
-        assert e["final_norm.gain"].tobytes() == vec(t["final_norm.gain"], pr).tobytes()
+        expected = {
+            "embedding": conj(t["embedding"], pv, pr),
+            "pos_embedding": matmul(t["pos_embedding"], pr.T),
+            "lm_head.W": conj(t["lm_head.W"], pr, pv),
+            "lm_head.b": vec(t["lm_head.b"], pv),
+        }
+        norms = ["final_norm"]
         for i in range(cfg.n_layers):
             p = f"layer{i}"
             pqk = _block_table(key.qk_perms[i], cfg.d_head).matrix()
             pvv = _block_table(key.v_perms[i], cfg.d_head).matrix()
             pf = key.ffn_perms[i].matrix()
-            assert e[f"{p}.attn.Wq"].tobytes() == conj(t[f"{p}.attn.Wq"], pr, pqk).tobytes()
-            assert e[f"{p}.attn.Wk"].tobytes() == conj(t[f"{p}.attn.Wk"], pr, pqk).tobytes()
-            assert e[f"{p}.attn.Wv"].tobytes() == conj(t[f"{p}.attn.Wv"], pr, pvv).tobytes()
-            assert e[f"{p}.attn.Wo"].tobytes() == conj(t[f"{p}.attn.Wo"], pvv, pr).tobytes()
-            assert e[f"{p}.attn.bq"].tobytes() == vec(t[f"{p}.attn.bq"], pqk).tobytes()
-            assert e[f"{p}.attn.bv"].tobytes() == vec(t[f"{p}.attn.bv"], pvv).tobytes()
-            assert e[f"{p}.attn.bo"].tobytes() == vec(t[f"{p}.attn.bo"], pr).tobytes()
-            assert e[f"{p}.ffn.W1"].tobytes() == conj(t[f"{p}.ffn.W1"], pr, pf).tobytes()
-            assert e[f"{p}.ffn.b1"].tobytes() == vec(t[f"{p}.ffn.b1"], pf).tobytes()
-            assert e[f"{p}.ffn.W2"].tobytes() == conj(t[f"{p}.ffn.W2"], pf, pr).tobytes()
-            assert e[f"{p}.ffn.b2"].tobytes() == vec(t[f"{p}.ffn.b2"], pr).tobytes()
-            assert e[f"{p}.attn_norm.gain"].tobytes() == vec(t[f"{p}.attn_norm.gain"], pr).tobytes()
-            assert (
-                e[f"{p}.attn_norm.offset"].tobytes()
-                == vec(t[f"{p}.attn_norm.offset"], pr).tobytes()
-            )
+            expected[f"{p}.attn.Wq"] = conj(t[f"{p}.attn.Wq"], pr, pqk)
+            expected[f"{p}.attn.Wk"] = conj(t[f"{p}.attn.Wk"], pr, pqk)
+            expected[f"{p}.attn.Wv"] = conj(t[f"{p}.attn.Wv"], pr, pvv)
+            expected[f"{p}.attn.Wo"] = conj(t[f"{p}.attn.Wo"], pvv, pr)
+            expected[f"{p}.attn.bq"] = vec(t[f"{p}.attn.bq"], pqk)
+            expected[f"{p}.attn.bk"] = vec(t[f"{p}.attn.bk"], pqk)
+            expected[f"{p}.attn.bv"] = vec(t[f"{p}.attn.bv"], pvv)
+            expected[f"{p}.attn.bo"] = vec(t[f"{p}.attn.bo"], pr)
+            expected[f"{p}.ffn.W1"] = conj(t[f"{p}.ffn.W1"], pr, pf)
+            expected[f"{p}.ffn.b1"] = vec(t[f"{p}.ffn.b1"], pf)
+            expected[f"{p}.ffn.W2"] = conj(t[f"{p}.ffn.W2"], pf, pr)
+            expected[f"{p}.ffn.b2"] = vec(t[f"{p}.ffn.b2"], pr)
+            norms += [f"{p}.attn_norm", f"{p}.ffn_norm"]
+        for norm in norms:
+            expected[f"{norm}.gain"] = vec(t[f"{norm}.gain"], pr)
+            if norm_kind == "layernorm":
+                expected[f"{norm}.offset"] = vec(t[f"{norm}.offset"], pr)
+        assert set(expected) == set(enc.tensors)
+        for name, want in expected.items():
+            assert enc.tensors[name].tobytes() == want.tobytes(), (norm_kind, name)
+        assert (enc.tensors["final_norm.gain"] != t["final_norm.gain"]).any()
 
 
 class TestDecryptLogits:
@@ -281,6 +347,16 @@ class TestKeyContainer:
         p = tmp_path / "k.eekey"
         save_key(tiny_key, p)
         assert load_key(p) == tiny_key
+
+    @pytest.mark.parametrize("cfg_kwargs,model_seed,key_seed,key_sha,model_sha", GOLDEN_FILES)
+    def test_golden_file_bytes(self, cfg_kwargs, model_seed, key_seed, key_sha, model_sha, tmp_path):
+        cfg = make_config(**cfg_kwargs)
+        key = keygen(cfg, key_seed)
+        save_key(key, tmp_path / "k.eekey")
+        save_model(encrypt_model(key, init_model(cfg, model_seed)), tmp_path / "m.eem")
+        assert hashlib.sha256((tmp_path / "k.eekey").read_bytes()).hexdigest() == key_sha
+        assert hashlib.sha256((tmp_path / "m.eem").read_bytes()).hexdigest() == model_sha
+        assert load_key(tmp_path / "k.eekey") == key
 
     def test_same_key_same_bytes(self, tiny_key, tmp_path):
         a, b = tmp_path / "a.eekey", tmp_path / "b.eekey"
