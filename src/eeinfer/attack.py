@@ -34,7 +34,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, RangeError, RefusalError, ShapeError
+from .containers import read_jsonl, write_jsonl
+from .errors import ConfigError, RangeError, RefusalError, ShapeError
 from .model import PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
 from .tensor_ops import PermTable
 
@@ -71,24 +72,13 @@ class TranscriptCorpus:
 
 
 def save_corpus(corpus: TranscriptCorpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for pair_in, pair_out in corpus.pairs:
-            f.write(json.dumps({"input_ids": list(pair_in), "output_ids": list(pair_out)}))
-            f.write("\n")
+    write_jsonl(path, ({"input_ids": list(i), "output_ids": list(o)} for i, o in corpus.pairs))
 
 
 def load_corpus(path: str | Path, vocab_size: int) -> TranscriptCorpus:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                pairs.append((tuple(obj["input_ids"]), tuple(obj["output_ids"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"corpus line {lineno} is malformed: {exc}") from exc
+    pairs = read_jsonl(
+        path, "corpus", lambda obj: (tuple(obj["input_ids"]), tuple(obj["output_ids"]))
+    )
     return TranscriptCorpus(pairs=tuple(pairs), vocab_size=vocab_size)
 
 
@@ -431,6 +421,42 @@ def total_loss(perm: PermTable, cfg: AttackConfig) -> tuple[float, dict[str, flo
     return value, breakdown
 
 
+class _Search:
+    """One search's evaluation count, best fully evaluated candidate and
+    improvement trace."""
+
+    def __init__(self, cfg: AttackConfig) -> None:
+        self._ev = _Evaluator(cfg)
+        self.evals = 0
+        self.loss = float("inf")
+        self.map: np.ndarray | None = None
+        self.breakdown: dict[str, float] = {}
+        self.trace: list[tuple[int, float]] = []
+
+    def evaluate(
+        self, cand: np.ndarray, bound: float | None = None
+    ) -> tuple[float, dict[str, float] | None, bool]:
+        """Count and evaluate one candidate (see ``_Evaluator.loss``). A
+        complete evaluation strictly below the best so far becomes the best
+        and extends the trace."""
+        self.evals += 1
+        value, breakdown, complete = self._ev.loss(cand, bound)
+        if complete and value < self.loss:
+            self.loss, self.map, self.breakdown = value, cand.copy(), breakdown
+            self.trace.append((self.evals, value))
+        return value, breakdown, complete
+
+    def state(self, terminated: str) -> AttackState:
+        return AttackState(
+            perm=PermTable(self.map),
+            loss=self.loss,
+            component_breakdown=self.breakdown,
+            evals_used=self.evals,
+            trace=tuple(self.trace),
+            terminated=terminated,
+        )
+
+
 def brute_force(cfg: AttackConfig) -> AttackState:
     """Exact minimizer by lexicographic enumeration of all n! candidates.
 
@@ -443,30 +469,12 @@ def brute_force(cfg: AttackConfig) -> AttackState:
             f"brute force over a {n}-token vocabulary means {n}! candidate "
             f"permutations; enumeration is capped at {BRUTE_FORCE_MAX_VOCAB}"
         )
-    ev = _Evaluator(cfg)
-    best_loss = float("inf")
-    best_map: np.ndarray | None = None
-    best_breakdown: dict[str, float] = {}
-    trace: list[tuple[int, float]] = []
-    evals = 0
+    search = _Search(cfg)
     buf = np.empty(n, dtype=np.int64)
     for cand in itertools.permutations(range(n)):
-        evals += 1
         buf[:] = cand
-        value, breakdown, _ = ev.loss(buf)
-        if value < best_loss:
-            best_loss = value
-            best_map = buf.copy()
-            best_breakdown = breakdown
-            trace.append((evals, value))
-    return AttackState(
-        perm=PermTable(best_map),
-        loss=best_loss,
-        component_breakdown=best_breakdown,
-        evals_used=evals,
-        trace=tuple(trace),
-        terminated="exhaustive",
-    )
+        search.evaluate(buf)
+    return search.state("exhaustive")
 
 
 def random_sampling(cfg: AttackConfig, M: int) -> AttackState:
@@ -474,29 +482,12 @@ def random_sampling(cfg: AttackConfig, M: int) -> AttackState:
     if M < 1:
         raise ConfigError(f"M must be >= 1, got {M}")
     n = cfg.corpus.vocab_size
-    ev = _Evaluator(cfg)
+    search = _Search(cfg)
     rng = np.random.default_rng(cfg.seed)
-    best_loss = float("inf")
-    best_map: np.ndarray | None = None
-    best_breakdown: dict[str, float] = {}
-    trace: list[tuple[int, float]] = []
-    for i in range(1, M + 1):
+    for _ in range(M):
         cand = rng.permutation(n).astype(np.int64)
-        bound = best_loss if best_map is not None else None
-        value, breakdown, complete = ev.loss(cand, bound=bound)
-        if complete and value < best_loss:
-            best_loss = value
-            best_map = cand
-            best_breakdown = breakdown
-            trace.append((i, value))
-    return AttackState(
-        perm=PermTable(best_map),
-        loss=best_loss,
-        component_breakdown=best_breakdown,
-        evals_used=M,
-        trace=tuple(trace),
-        terminated="completed",
-    )
+        search.evaluate(cand, bound=search.loss if search.map is not None else None)
+    return search.state("completed")
 
 
 def hill_climb(
@@ -516,68 +507,47 @@ def hill_climb(
     if initial is not None:
         _check_perm(initial, cfg.corpus.vocab_size)
     n = cfg.corpus.vocab_size
-    ev = _Evaluator(cfg)
+    search = _Search(cfg)
     swaps = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(restarts)
     budget = cfg.budget
 
-    evals = 0
-    global_best = float("inf")
-    trace: list[tuple[int, float]] = []
     results: list[tuple[float, tuple[int, ...], dict[str, float], bool]] = []
 
     for r in range(restarts):
-        if evals >= budget:
+        if search.evals >= budget:
             break
         rng = np.random.default_rng(seeds[r])
         if r == 0 and initial is not None:
             cur = initial.map.astype(np.int64).copy()
         else:
             cur = rng.permutation(n).astype(np.int64)
-        evals += 1
-        cur_loss, cur_breakdown, _ = ev.loss(cur)
-        if cur_loss < global_best:
-            global_best = cur_loss
-            trace.append((evals, cur_loss))
+        cur_loss, cur_breakdown, _ = search.evaluate(cur)
         certified = cur_loss == 0.0
 
-        while not certified and evals < budget:
-            improved = False
-            budget_cut = False
+        while not certified and search.evals < budget:
             for si in rng.permutation(len(swaps)):
-                if evals >= budget:
-                    budget_cut = True
+                if search.evals >= budget:
                     break
                 i, j = swaps[si]
                 cand = cur.copy()
                 cand[i], cand[j] = cand[j], cand[i]
-                evals += 1
-                value, breakdown, complete = ev.loss(cand, bound=cur_loss)
+                value, breakdown, complete = search.evaluate(cand, bound=cur_loss)
                 if complete and value < cur_loss:
                     cur, cur_loss, cur_breakdown = cand, value, breakdown
-                    improved = True
-                    if value < global_best:
-                        global_best = value
-                        trace.append((evals, value))
+                    certified = cur_loss == 0.0
                     break
-            if cur_loss == 0.0:
-                certified = True
-            elif not improved:
-                if not budget_cut:
-                    certified = True  # full clean sweep
-                break
+            else:
+                certified = True  # full clean sweep
 
         results.append((cur_loss, tuple(int(t) for t in cur), cur_breakdown, certified))
 
-    best = min(results, key=lambda item: (item[0], item[1]))
-    return AttackState(
-        perm=PermTable(np.asarray(best[1], dtype=np.int64)),
-        loss=best[0],
-        component_breakdown=best[2],
-        evals_used=evals,
-        trace=tuple(trace),
-        terminated="certified" if best[3] else "budget_exhausted",
+    # the best restart, not the first to reach the best loss
+    search.loss, ids, search.breakdown, certified = min(
+        results, key=lambda item: (item[0], item[1])
     )
+    search.map = np.asarray(ids, dtype=np.int64)
+    return search.state("certified" if certified else "budget_exhausted")
 
 
 def recovery_rate(perm: PermTable, true_perm: PermTable, corpus: TranscriptCorpus) -> float:

@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .containers import read_jsonl, write_jsonl
 from .encryption import EEKey, decrypt_logits, decrypt_tokens, encrypt_model, encrypt_tokens
-from .errors import ConfigError, DomainError, FormatError, PairingError, RangeError, ShapeError
+from .errors import ConfigError, DomainError, PairingError, RangeError, ShapeError
 from .model import (
     CIPHERTEXT,
     PLAINTEXT,
@@ -302,22 +303,8 @@ def random_prompts(config: ModelConfig, n: int, length: int, seed: int) -> list[
 
 
 def save_prompts(prompts: Sequence[TokenSeq], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for p in prompts:
-            f.write(json.dumps({"input_ids": list(p.ids)}))
-            f.write("\n")
+    write_jsonl(path, ({"input_ids": list(p.ids)} for p in prompts))
 
 
 def load_prompts(path: str | Path, domain: str = PLAINTEXT) -> list[TokenSeq]:
-    prompts = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                prompts.append(TokenSeq(tuple(obj["input_ids"]), domain))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"prompt line {lineno} is malformed: {exc}") from exc
-    return prompts
+    return read_jsonl(path, "prompt", lambda obj: TokenSeq(tuple(obj["input_ids"]), domain))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -286,14 +287,12 @@ def cmd_attack(resolved: dict) -> int:
 def _parse_failures(raw) -> tuple[tuple[int, int], ...]:
     pairs = []
     for item in raw:
-        if isinstance(item, str):
-            parts = item.split(":")
-            if len(parts) != 2:
-                raise _Usage(f"--fail takes node:step, got {item!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
-        else:
-            node, step = item
-            pairs.append((int(node), int(step)))
+        try:
+            node, step = item.split(":") if isinstance(item, str) else item
+            # through str, so a config's 1.5 or true is refused, not truncated
+            pairs.append((int(str(node)), int(str(step))))
+        except (TypeError, ValueError) as exc:
+            raise _Usage(f"--fail takes node:step, got {item!r}") from exc
     return tuple(pairs)
 
 
@@ -332,19 +331,7 @@ def cmd_shard_sim(resolved: dict) -> int:
         )
         audit = shard_mod.audit_blindness(transcript, ctx)
         audit_path = base.with_name(base.name + ".audit.json")
-        audit_path.write_text(
-            json.dumps(
-                {
-                    "passed": audit.passed,
-                    "failures": list(audit.failures),
-                    "warnings": list(audit.warnings),
-                    "checked_entries": audit.checked_entries,
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        audit_path.write_text(json.dumps(asdict(audit), indent=2) + "\n", encoding="utf-8")
         print(f"audit {'passed' if audit.passed else 'FAILED'}; wrote {audit_path}")
         print(" ".join(str(t) for t in plain_out.ids))
     else:
@@ -515,12 +502,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fits(kwargs: dict, value: object) -> bool:
+    """Whether a --config value has the type the flag's own parsing gives."""
+    if kwargs.get("action") == "store_true":
+        return isinstance(value, bool)
+    if kwargs.get("action") == "append":
+        return isinstance(value, list)
+    if isinstance(value, bool):
+        return False
+    if kwargs.get("type") is int:
+        return isinstance(value, int)
+    if kwargs.get("type") is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, str) and value in kwargs.get("choices", (value,))
+
+
 def _resolve(args: argparse.Namespace) -> tuple:
     ns = vars(args).copy()
     command = ns.pop("command")
     config_path = ns.pop("config", None)
     func, flags = COMMANDS[command]
-    defaults = {flag[2:].replace("-", "_"): default for flag, default, _ in flags}
+    rows = {row[0][2:].replace("-", "_"): row for row in flags}
+    defaults = {dest: default for dest, (_, default, _) in rows.items()}
     file_values = {}
     if config_path:
         try:
@@ -535,6 +538,10 @@ def _resolve(args: argparse.Namespace) -> tuple:
             raise ConfigError(
                 f"config file has unknown keys for {command}: {', '.join(sorted(unknown))}"
             )
+        for dest, value in file_values.items():
+            flag, _, kwargs = rows[dest]
+            if value is not None and not _fits(kwargs, value):
+                raise ConfigError(f"config file value {value!r} does not fit {flag}")
     resolved = {**defaults, **file_values, **ns}
     return func, command, resolved
 

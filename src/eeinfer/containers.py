@@ -1,15 +1,17 @@
-"""Shared low-level layout for binary containers.
+"""Shared low-level layout for on-disk files.
 
-Both on-disk formats (.eem models, .eekey keys) use the same envelope:
+Both binary formats (.eem models, .eekey keys) use the same envelope:
 magic bytes, a u32 little-endian header length, a UTF-8 JSON header, then a
-format-specific payload. This module owns the envelope; payload semantics
-stay with the owning module.
+format-specific payload. Prompts, corpora and transcripts are JSON lines.
+This module owns the envelope and the line codec; payload and record
+semantics stay with the owning module.
 """
 from __future__ import annotations
 
 import json
 import struct
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .errors import FormatError
 
@@ -50,3 +52,29 @@ def read_container(path: str | Path, magic: bytes) -> tuple[dict, bytes, int]:
     if not isinstance(header, dict):
         raise FormatError("header JSON is not an object", offset=header_start)
     return header, data[header_end:], header_end
+
+
+def jsonl_text(objects: Iterable[object]) -> str:
+    """One JSON object per line, keys sorted; empty for no objects."""
+    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)
+
+
+def write_jsonl(path: str | Path, objects: Iterable[object]) -> None:
+    Path(path).write_text(jsonl_text(objects), encoding="utf-8")
+
+
+def read_jsonl(path: str | Path, what: str, record: Callable[[object], object]) -> list:
+    """``record`` of each non-blank line's JSON value. A line that is not
+    JSON, or that ``record`` rejects with KeyError or TypeError, is a
+    FormatError naming ``what`` and the line number."""
+    records = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(record(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise FormatError(f"{what} line {lineno} is malformed: {exc}") from exc
+    return records

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .containers import jsonl_text, read_jsonl, write_jsonl
 from .errors import (
     ConfigError,
     DomainError,
@@ -259,34 +260,23 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_jsonl(self) -> str:
-        if not self.entries:
-            return ""
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.entries) + "\n"
-
     def hash(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+        """SHA-256 of the bytes ``save_transcript`` writes."""
+        return hashlib.sha256(jsonl_text(self.entries).encode("utf-8")).hexdigest()
 
 
 def save_transcript(transcript: Transcript, path: str | Path) -> None:
-    Path(path).write_text(transcript.to_jsonl(), encoding="utf-8")
+    write_jsonl(path, transcript.entries)
+
+
+def _entry(obj: object) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError("entry is not an object")
+    return obj
 
 
 def load_transcript(path: str | Path) -> Transcript:
-    entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError("entry is not an object")
-                entries.append(obj)
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise FormatError(f"transcript line {lineno} is malformed: {exc}") from exc
-    return Transcript(entries)
+    return Transcript(read_jsonl(path, "transcript", _entry))
 
 
 def _payload_hash(x: np.ndarray) -> str:
@@ -319,12 +309,9 @@ def run_pipeline(
     rng = np.random.default_rng(broker.seed)
     transport = transport if transport is not None else InProcessTransport()
     transcript = Transcript()
-    n_shards = plan.n_shards
     n_nodes = max(plan.placement) + 1 + broker.spares
     assignment = list(plan.placement)
     caches = [KVCache(enc_model, first, last) for first, last in plan.ranges]
-    # every row each shard has sent downstream, for a downstream spare to prefill from
-    emitted = [np.empty((0, enc_model.config.d_model))] * (n_shards - 1)
     clock = 0.0
     deliveries = 0
     failed_logged: set[int] = set()
@@ -332,9 +319,11 @@ def run_pipeline(
     def is_dead(node: int) -> bool:
         return any(node == fn and deliveries >= fs for fn, fs in broker.failures)
 
-    def deliver_to_shard(shard: int) -> int:
+    def deliver(shard: int | None = None) -> None:
+        """Advance the clock and the delivery counter for one message; one
+        bound for a shard whose node is dead first moves it to a spare."""
         nonlocal clock, deliveries
-        while is_dead(assignment[shard]):
+        while shard is not None and is_dead(assignment[shard]):
             node = assignment[shard]
             if node not in failed_logged:
                 failed_logged.add(node)
@@ -354,70 +343,51 @@ def run_pipeline(
             caches[shard] = KVCache(enc_model, *plan.ranges[shard])
         deliveries += 1
         clock += float(rng.uniform(broker.latency_lo, broker.latency_hi))
-        return assignment[shard]
 
-    def tick() -> None:
-        nonlocal clock, deliveries
-        deliveries += 1
-        clock += float(rng.uniform(broker.latency_lo, broker.latency_hi))
+    def log(entry: dict) -> None:
+        # a dict merge, not keyword arguments: this runs for every message
+        transcript.entries.append(
+            {"step": deliveries, "time": clock, "token_index": token_index, **entry}
+        )
 
     ids = list(prompt.ids)
+    # sent[s]: everything hop s has offered shard s so far, for a spare to
+    # prefill from: the token ids (the list decoding appends to) for shard 0,
+    # the rows shard s - 1 has emitted for later shards
+    sent: list = [ids] + [np.empty((0, enc_model.config.d_model))] * (plan.n_shards - 1)
     for token_index in range(n_new):
-        node = deliver_to_shard(0)
-        cache = caches[0]
-        transport.send(
-            json.dumps({"request_id": request_id, "token_ids": ids[cache.length :]}).encode()
-        )
-        msg = json.loads(transport.recv())
-        transcript.add(
-            kind="tokens_in",
-            step=deliveries,
-            time=clock,
-            to_node=node,
-            shard=0,
-            token_index=token_index,
-            token_ids=list(msg["token_ids"]),
-        )
-        x = embed_positions(enc_model, msg["token_ids"], start=cache.length)
-        x = apply_layer_range(cache, x, *plan.ranges[0])
-        prev_node = node
-        for s in range(1, n_shards):
-            # x holds the rows that end at position len(ids); a spare upstream
-            # recomputed all of them
-            emitted[s - 1] = np.concatenate((emitted[s - 1][: len(ids) - x.shape[0]], x))
-            node = deliver_to_shard(s)
+        for s, (first, last) in enumerate(plan.ranges):
+            deliver(s)
             cache = caches[s]
-            transport.send(
-                encode_frame(ActivationFrame(request_id, s, emitted[s - 1][cache.length :]))
-            )
-            frame = decode_frame(transport.recv())
-            transcript.add(
-                kind="frame",
-                step=deliveries,
-                time=clock,
-                from_node=prev_node,
-                to_node=node,
-                shard=s,
-                token_index=token_index,
-                seq_len=frame.seq_len,
-                payload_sha256=_payload_hash(frame.payload),
-            )
-            x = apply_layer_range(cache, frame.payload, *plan.ranges[s])
-            prev_node = node
+            rows = sent[s][cache.length :]
+            if s == 0:
+                transport.send(json.dumps({"request_id": request_id, "token_ids": rows}).encode())
+                token_ids = json.loads(transport.recv())["token_ids"]
+                entry = {"kind": "tokens_in", "token_ids": list(token_ids)}
+                x = embed_positions(enc_model, token_ids, start=cache.length)
+            else:
+                transport.send(encode_frame(ActivationFrame(request_id, s, rows)))
+                frame = decode_frame(transport.recv())
+                entry = {
+                    "kind": "frame",
+                    "from_node": assignment[s - 1],
+                    "seq_len": frame.seq_len,
+                    "payload_sha256": _payload_hash(frame.payload),
+                }
+                x = frame.payload
+            log({"to_node": assignment[s], "shard": s, **entry})
+            x = apply_layer_range(cache, x, first, last)
+            if s + 1 < len(sent):
+                # x holds the rows that end at position len(ids); a spare
+                # recomputed all of them
+                sent[s + 1] = np.concatenate((sent[s + 1][: len(ids) - x.shape[0]], x))
         logits = final_logits(enc_model, x[-1:])
         next_id = int(np.argmax(logits[0]))
-        tick()
+        deliver()
         transport.send(json.dumps({"request_id": request_id, "token_id": next_id}).encode())
-        out_msg = json.loads(transport.recv())
-        transcript.add(
-            kind="token_out",
-            step=deliveries,
-            time=clock,
-            from_node=prev_node,
-            token_index=token_index,
-            token_id=int(out_msg["token_id"]),
-        )
-        ids.append(int(out_msg["token_id"]))
+        token_id = int(json.loads(transport.recv())["token_id"])
+        log({"kind": "token_out", "from_node": assignment[-1], "token_id": token_id})
+        ids.append(token_id)
     return TokenSeq(tuple(ids), CIPHERTEXT), transcript
 
 
@@ -456,6 +426,7 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     prompt; (c) when the plaintext model and plan are provided, no frame
     payload hash equals the hash of any run of as many consecutive rows of a
     plaintext boundary activation, from one plaintext pass through the plan.
+    Without both the model and the plan, (c) is skipped with a warning.
 
     The tokens_in field of step t holds the ids that end at position P + t,
     P being the prompt length: one id per step after the first, or the whole
@@ -519,7 +490,9 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
         failures.append("first-shard input token ids equal the plaintext prompt")
 
     warnings: list[str] = []
-    if ctx.model is not None and ctx.plan is not None:
+    if ctx.model is None or ctx.plan is None:
+        warnings.append("need both model and plan to check boundary activations; skipped")
+    else:
         boundaries = _plaintext_boundaries(ctx)
         windows: dict[int, set[str]] = {}  # hashes of every run of n rows, by n
         for idx, entry in enumerate(transcript.entries):
@@ -534,8 +507,6 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
                 failures.append(
                     f"entry {idx}: frame payload equals a plaintext boundary activation"
                 )
-    elif ctx.model is not None or ctx.plan is not None:
-        warnings.append("need both model and plan to check boundary activations; skipped")
 
     return AuditResult(
         passed=not failures,

@@ -1,6 +1,7 @@
 """Tests for the vocabulary-recovery attack framework."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -90,6 +91,12 @@ class TestCorpus:
         save_corpus(small_corpus, path)
         loaded = load_corpus(path, vocab_size=small_corpus.vocab_size)
         assert loaded == small_corpus
+
+    def test_golden_file_bytes(self, tmp_path, small_corpus):
+        # computed before corpora were written through containers.write_jsonl
+        save_corpus(small_corpus, tmp_path / "corpus.jsonl")
+        digest = hashlib.sha256((tmp_path / "corpus.jsonl").read_bytes()).hexdigest()
+        assert digest == "b201f2ae6a54e90c9e22f23645447da6fc61b66a358fa50a4196311a5c3d19fa"
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -443,6 +450,47 @@ class TestHillClimb:
         ref = empirical_unigram(small_corpus, perm_of(*range(6)))
         with pytest.raises(ConfigError):
             hill_climb(_uni_cfg(small_corpus, ref), restarts=0)
+
+
+# (perm map, loss, breakdown, evals_used, trace, terminated), computed before
+# the searches shared one best-so-far tracker
+GOLDEN_SEARCHES = {
+    "random_sampling": (
+        [5, 4, 0, 3, 2, 1],
+        0.6751804009892245,
+        {"unigram": 0.14666666666666667, "bigram": 0.5236941353117823,
+         "consistency": 0.26666666666666666},
+        40,
+        ((1, 1.917939557204263), (2, 1.7804014308426073), (3, 1.7298853449037273),
+         (6, 1.6088382132132133), (11, 0.693755189012542), (17, 0.6751804009892245)),
+        "completed",
+    ),
+    "hill_climb": (
+        [2, 5, 4, 3, 0, 1],
+        0.4368386217099453,
+        {"unigram": 0.1866666666666667, "bigram": 0.5003439100865572, "consistency": 0.0},
+        94,
+        ((1, 1.6648778373962196), (4, 1.5563888336866278), (6, 0.5973079513336866),
+         (9, 0.4368386217099453)),
+        "certified",
+    ),
+}
+
+
+@pytest.mark.parametrize("search", sorted(GOLDEN_SEARCHES))
+def test_golden_search_results(small_model, small_key, small_corpus, small_oracle, search):
+    # references from another corpus, so no candidate scores 0
+    other = generate_corpus(small_model, small_key, n_pairs=30, prompt_len=3, n_new=2, seed=6)
+    truth = small_key.vocab_perm.inverse()
+    cfg = AttackConfig(
+        corpus=small_corpus, lambda_uni=1.0, lambda_bi=0.5, lambda_cons=1.0,
+        ref_unigram=empirical_unigram(other, truth), ref_bigram=empirical_bigram(other, truth),
+        oracle=small_oracle, seed=4, budget=120,
+    )
+    state = random_sampling(cfg, 40) if search == "random_sampling" else hill_climb(cfg, 3)
+    got = (state.perm.map.tolist(), state.loss, dict(state.component_breakdown),
+           state.evals_used, state.trace, state.terminated)
+    assert got == GOLDEN_SEARCHES[search]
 
 
 class TestRecoveryAndResults:

@@ -1,6 +1,7 @@
 """Tests for the fidelity and latency benchmark harness."""
 from __future__ import annotations
 
+import hashlib
 import json
 import statistics
 
@@ -250,6 +251,12 @@ class TestPromptIO:
         path = tmp_path / "prompts.jsonl"
         save_prompts(prompts, path)
         assert load_prompts(path) == prompts
+
+    def test_golden_file_bytes(self, tmp_path, tiny_config):
+        # computed before prompts were written through containers.write_jsonl
+        save_prompts(random_prompts(tiny_config, 5, 6, seed=10), tmp_path / "p.jsonl")
+        digest = hashlib.sha256((tmp_path / "p.jsonl").read_bytes()).hexdigest()
+        assert digest == "7c1a2a3110a68166a2c95c11838520226c6f25f505720c233a9f5c0fb78b4aa7"
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -305,7 +305,10 @@ class TestShardSimCommand:
         kinds = [e["kind"] for e in transcript.entries]
         assert "reassign" in kinds
         audit = json.loads((ws["dir"] / "shard_run.audit.json").read_text())
+        assert list(audit) == ["passed", "failures", "warnings", "checked_entries"]
         assert audit["passed"] is True
+        # without the plaintext model the CLI audit compares no frame, and says so
+        assert audit["warnings"]
 
     def test_identity_key_audit_fails(self, ws, capsys):
         out = ws["dir"] / "shard_id"
@@ -332,11 +335,16 @@ class TestShardSimCommand:
         ) == 13
 
     def test_bad_fail_flag(self, ws, tmp_path):
-        assert run_cli(
-            "shard-sim", "--model", ws["enc"], "--key", ws["key"],
-            "--prompt", "1,2,3", "--n-new", 2, "--shards", 2,
-            "--fail", "nonsense", "--out", tmp_path / "x",
-        ) == 2
+        short, fractional = tmp_path / "short.json", tmp_path / "fractional.json"
+        short.write_text(json.dumps({"fail": [[1]]}))
+        fractional.write_text(json.dumps({"fail": [[1.5, 2]], "spares": 1}))
+        for bad in (("--fail", "nonsense"), ("--fail", "a:b"),
+                    ("--config", short), ("--config", fractional)):
+            assert run_cli(
+                "shard-sim", "--model", ws["enc"], "--key", ws["key"],
+                "--prompt", "1,2,3", "--n-new", 2, "--shards", 2,
+                *bad, "--out", tmp_path / "x",
+            ) == 2
 
 
 class TestCorpusRefs:
@@ -380,6 +388,27 @@ def test_every_error_class_has_a_specific_exit_code():
     assert len(classes) >= 10
     for klass in classes:
         assert _exit_code(klass("boom")) != 1, klass.__name__
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("keygen", {"identity": "no", "seed": 1}),
+        ("keygen", {"seed": "3"}),
+        ("infer", {"n_new": 2.5, "prompt": "1 2"}),
+    ],
+    ids=["identity-string", "seed-string", "n_new-float"],
+)
+def test_config_value_of_the_wrong_type_is_config_error(ws, tmp_path, command, values):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(values))
+    out = tmp_path / "k.eekey"
+    flags = {
+        "keygen": ["--model-config", ws["config"], "--out", out],
+        "infer": ["--model", ws["model"]],
+    }
+    assert run_cli(command, *flags[command], "--config", config) == 7
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(_subcommands()))

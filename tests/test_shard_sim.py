@@ -309,6 +309,22 @@ class TestPipeline:
                 assert sent == (n_prompt + t if full else 1), e
         assert resent == len(failures)
 
+    def test_golden_failover_run(self, deep_enc, enc_prompt, tmp_path):
+        # values computed before the pipeline's hop loop was rewritten; the
+        # transcript file's SHA-256 is its hash
+        plan = plan_shards(deep_enc.config, 4)
+        broker = BrokerConfig(
+            seed=3, latency_lo=0.001, latency_hi=0.01, failures=((2, 8),), spares=1
+        )
+        out, transcript = run_pipeline(deep_enc, plan, broker, enc_prompt, 6)
+        assert out.ids == (9, 13, 10, 11, 20, 17, 16, 16, 27, 27, 27, 27)
+        assert [e["kind"] for e in transcript.entries].count("reassign") == 1
+        golden = "690f5a91046779b8cef413da4186161213a99fb197cfc28d4e3129c78d32dd7c"
+        assert transcript.hash() == golden
+        path = tmp_path / "run.transcript.jsonl"
+        save_transcript(transcript, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
+
     def test_failure_without_spare_raises(self, deep_enc, enc_prompt):
         plan = plan_shards(deep_enc.config, 4)
         broker = BrokerConfig(seed=6, failures=((2, 8),), spares=0)
