@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from eeinfer.bench import emit_report, measure_latency, random_prompts, run_fidelity_suite
+from eeinfer.bench import compare_arms, emit_report, measure_latency, random_prompts
 from eeinfer.encryption import encrypt_model, keygen
 from eeinfer.model import init_model, make_config
 
@@ -36,7 +36,7 @@ def main() -> None:
         ("identity-key", keygen(config, seed=0, identity=True)),
     ):
         enc = encrypt_model(key, model)
-        fid = run_fidelity_suite(model, enc, key, prompts)
+        fid, _ = compare_arms(model, enc, key, prompts, n_new=0)
         lat = measure_latency(
             model, enc, key, prompts[:10], n_new=args.n_new, repeats=args.repeats
         )

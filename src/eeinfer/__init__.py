@@ -9,12 +9,13 @@ alone can undo the permutation on the way out. Submodules:
 * ``model`` - toy decoder-only transformer, greedy decoding, .eem container
 * ``encryption`` - key generation, token/model/logit transforms, .eekey container
 * ``attack`` - transcript losses and the three permutation-recovery baselines
-* ``bench`` - fidelity and latency harness with report emission
+* ``bench`` - one-pass fidelity and equivariance check, latency harness, reports
 * ``shard_sim`` - deterministic sharded-pipeline simulator and blindness audit
 * ``cli`` - the ``eeinfer`` command
 """
 from __future__ import annotations
 
+from eeinfer.bench import compare_arms
 from eeinfer.encryption import (
     EEKey,
     decrypt_logits,
@@ -24,7 +25,6 @@ from eeinfer.encryption import (
     keygen,
     load_key,
     save_key,
-    verify_equivariance,
 )
 from eeinfer.model import (
     CIPHERTEXT,
@@ -50,6 +50,7 @@ __all__ = [
     "PLAINTEXT",
     "TokenSeq",
     "__version__",
+    "compare_arms",
     "decrypt_logits",
     "decrypt_tokens",
     "encrypt_model",
@@ -63,5 +64,4 @@ __all__ = [
     "make_config",
     "save_key",
     "save_model",
-    "verify_equivariance",
 ]

@@ -3,15 +3,15 @@
 An eavesdropper sees ciphertext (input, output) pairs and tries to find the
 mapping ciphertext -> plaintext. Losses score a candidate mapping:
 
-* unigram_loss / bigram_loss: L1 distance between the decrypted corpus
-  statistics and reference statistics (frequency cues).
-* consistency_penalty: fraction of pairs where replaying the decrypted input
+* unigram / bigram: L1 distance between the decrypted corpus statistics
+  and reference statistics (frequency cues).
+* consistency: fraction of pairs where replaying the decrypted input
   through a plaintext oracle model does not reproduce the decrypted output.
   The true mapping scores 0 on a greedy-generated corpus.
 
 Each loss component is computed by one private function over statistics of
-the ciphertext corpus; the public losses and the optimizers' evaluator both
-call it, so a candidate map only relabels precomputed counts.
+the ciphertext corpus; one evaluator weighs them, for total_loss and for the
+optimizers alike, so a candidate map only relabels precomputed counts.
 
 Optimizers search permutation space: exhaustive enumeration (tiny
 vocabularies only), best-of-M random draws, and 2-swap hill climbing with
@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .containers import read_jsonl, write_jsonl
+from .containers import json_ids, read_jsonl, write_jsonl
 from .errors import ConfigError, RangeError, RefusalError, ShapeError
 from .model import PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
 from .tensor_ops import PermTable
@@ -77,7 +77,7 @@ def save_corpus(corpus: TranscriptCorpus, path: str | Path) -> None:
 
 def load_corpus(path: str | Path, vocab_size: int) -> TranscriptCorpus:
     pairs = read_jsonl(
-        path, "corpus", lambda obj: (tuple(obj["input_ids"]), tuple(obj["output_ids"]))
+        path, "corpus", lambda obj: (json_ids(obj["input_ids"]), json_ids(obj["output_ids"]))
     )
     return TranscriptCorpus(pairs=tuple(pairs), vocab_size=vocab_size)
 
@@ -135,13 +135,6 @@ def _bigram_counts(corpus: TranscriptCorpus) -> list[tuple[int, int, dict[int, i
             row = rows.setdefault(a, {})
             row[b] = row.get(b, 0) + 1
     return [(ctx, sum(row.values()), row) for ctx, row in rows.items()]
-
-
-def _pair_arrays(corpus: TranscriptCorpus) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    return [
-        (np.asarray(pi, dtype=np.int64), np.asarray(po, dtype=np.int64), len(po))
-        for pi, po in corpus.pairs
-    ]
 
 
 def empirical_unigram(corpus: TranscriptCorpus, perm: PermTable) -> np.ndarray:
@@ -239,47 +232,6 @@ def _mismatches(
     return mismatches, True
 
 
-def unigram_loss(perm: PermTable, corpus: TranscriptCorpus, ref_unigram) -> float:
-    """L1 distance between decrypted token frequencies and the reference."""
-    if ref_unigram is None:
-        raise ConfigError("unigram loss needs a reference distribution")
-    _check_perm(perm, corpus.vocab_size)
-    ref = np.asarray(ref_unigram, dtype=np.float64)
-    if ref.shape != (corpus.vocab_size,):
-        raise ShapeError(
-            f"reference unigram has shape {ref.shape}, expected ({corpus.vocab_size},)"
-        )
-    return _unigram_l1(_token_freq(corpus), perm.map, ref)
-
-
-def bigram_loss(
-    perm: PermTable,
-    corpus: TranscriptCorpus,
-    ref_bigram: Mapping[int, Mapping[int, float]] | None,
-) -> float:
-    """Frequency-weighted mean L1 between decrypted and reference bigram rows.
-
-    Weighted over contexts observed in the decrypted corpus; a context the
-    reference has never seen counts as maximally wrong (L1 = 2).
-    """
-    if ref_bigram is None:
-        raise ConfigError("bigram loss needs a reference table")
-    _check_perm(perm, corpus.vocab_size)
-    return _bigram_l1(_bigram_counts(corpus), perm.map, ref_bigram)
-
-
-def consistency_penalty(
-    perm: PermTable, corpus: TranscriptCorpus, oracle: GreedyOracle | None
-) -> float:
-    """Fraction of pairs where the oracle's continuation of the decrypted
-    input is not the decrypted output."""
-    if oracle is None:
-        raise ConfigError("consistency penalty needs a plaintext oracle model")
-    _check_perm(perm, corpus.vocab_size)
-    mismatches, _ = _mismatches(_pair_arrays(corpus), perm.map, oracle)
-    return mismatches / len(corpus.pairs)
-
-
 @dataclass
 class AttackConfig:
     """Loss landscape definition plus the optimizer budget and seed."""
@@ -374,7 +326,10 @@ class _Evaluator:
     def __init__(self, cfg: AttackConfig) -> None:
         self.cfg = cfg
         self._enc_freq = _token_freq(cfg.corpus)
-        self._pairs = _pair_arrays(cfg.corpus)
+        self._pairs = [
+            (np.asarray(pi, dtype=np.int64), np.asarray(po, dtype=np.int64), len(po))
+            for pi, po in cfg.corpus.pairs
+        ]
         if cfg.lambda_bi > 0:
             self._bigrams = _bigram_counts(cfg.corpus)
 

@@ -1,24 +1,27 @@
-"""Fidelity and latency comparison of plaintext vs ciphertext inference.
+"""Fidelity, equivariance and latency of plaintext vs ciphertext inference.
 
-Fidelity compares per-prompt confidence scores (probability of the argmax
-next token) between the plaintext pipeline and the full ciphertext pipeline
-after decryption: 1 - mean relative gap. Latency times both full pipelines
-over the same prompts (token encryption and decryption included on the
-ciphertext arm) and reports median seconds plus the median of the per-repeat
-overhead percentages.
+compare_arms runs both arms once per prompt and reads two reports from the
+same logits. Fidelity compares per-prompt confidence scores (probability of
+the argmax next token) between the plaintext pipeline and the full
+ciphertext pipeline after decryption: 1 - mean relative gap. Equivariance
+compares the logits themselves, the decoded tokens and the token round trip.
+Latency times both full pipelines over the same prompts (token encryption
+and decryption included on the ciphertext arm) and reports median seconds
+plus the median of the per-repeat overhead percentages.
 """
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .containers import read_jsonl, write_jsonl
+from .containers import json_ids, read_jsonl, write_jsonl
 from .encryption import EEKey, decrypt_logits, decrypt_tokens, encrypt_model, encrypt_tokens
 from .errors import ConfigError, DomainError, PairingError, RangeError, ShapeError
 from .model import (
@@ -27,7 +30,6 @@ from .model import (
     ModelBundle,
     ModelConfig,
     TokenSeq,
-    first_token_confidence,
     forward,
     greedy_decode,
 )
@@ -84,14 +86,22 @@ class FidelityReport:
         if abs(value - self.fidelity) > _CONSISTENCY_TOL or skipped != self.skipped_zero_pairs:
             raise ConfigError("stored fidelity is inconsistent with the stored scores")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "scores_vi": list(self.scores_vi),
-            "scores_ee": list(self.scores_ee),
-            "fidelity": self.fidelity,
-            "skipped_zero_pairs": self.skipped_zero_pairs,
-        }
+
+@dataclass(frozen=True)
+class EquivarianceReport:
+    """Plaintext against decrypted ciphertext inference over a prompt set.
+
+    ``min_top2_margin`` is the smallest gap between the largest and the
+    second-largest plaintext logit over every position whose argmax greedy
+    decoding emitted (``inf`` when n_new is 0). A token match resting on a
+    margin near the logit difference could flip under rounding.
+    """
+
+    n_prompts: int
+    max_abs_logit_diff: float
+    token_match: bool
+    recoverability_ok: bool
+    min_top2_margin: float
 
 
 def _paired_deltas_pct(vi_samples: Sequence[float], ee_samples: Sequence[float]) -> list[float]:
@@ -126,30 +136,6 @@ class LatencyReport:
         if abs(implied - self.delta_t_pct) > 1e-9:
             raise ConfigError("delta_t_pct is inconsistent with the stored samples")
 
-    def to_dict(self) -> dict:
-        return {
-            "vi_seconds": self.vi_seconds,
-            "ee_seconds": self.ee_seconds,
-            "delta_t_pct": self.delta_t_pct,
-            "delta_t_std_pct": self.delta_t_std_pct,
-            "repeats": self.repeats,
-            "batch_size": self.batch_size,
-            "vi_samples": list(self.vi_samples),
-            "ee_samples": list(self.ee_samples),
-        }
-
-
-def ee_first_token_confidence(model_ee: ModelBundle, key: EEKey, prompt: TokenSeq) -> float:
-    """Ciphertext-arm analogue of first_token_confidence.
-
-    Encrypts the prompt, runs the encrypted model, decrypts the final-row
-    logits, and reads the argmax probability.
-    """
-    enc = encrypt_tokens(key, prompt)
-    logits = forward(model_ee, enc)
-    dec = decrypt_logits(key, logits[-1:, :])
-    return float(softmax_rows(dec)[0].max())
-
 
 def _check_arms(model_vi: ModelBundle, model_ee: ModelBundle, key: EEKey) -> None:
     """The EE arm must be the VI arm encrypted under the key, byte for byte."""
@@ -164,26 +150,69 @@ def _check_arms(model_vi: ModelBundle, model_ee: ModelBundle, key: EEKey) -> Non
         raise PairingError("the EE arm is not the VI arm encrypted under this key")
 
 
-def run_fidelity_suite(
+def _confidence(row: np.ndarray) -> float:
+    """Softmax probability of the argmax token of one logit row, shape (1, V)."""
+    return float(softmax_rows(row)[0].max())
+
+
+def compare_arms(
     model_vi: ModelBundle,
     model_ee: ModelBundle,
     key: EEKey,
-    corpus: Sequence[TokenSeq],
-) -> FidelityReport:
-    """Confidence fidelity between the two arms over a prompt corpus."""
+    prompts: Sequence[TokenSeq],
+    n_new: int,
+) -> tuple[FidelityReport, EquivarianceReport]:
+    """Plaintext against decrypted ciphertext inference over a prompt set.
+
+    Per prompt, each arm decodes n_new tokens greedily and makes one forward
+    pass. Both reports read those logits: fidelity the argmax probability at
+    the last prompt position, equivariance the prompt rows, the tokens and
+    the plaintext top-2 margin.
+    """
     _check_arms(model_vi, model_ee, key)
-    if not corpus:
+    if not prompts:
         raise DomainError("fidelity needs at least one prompt")
-    scores_vi = [first_token_confidence(model_vi, p) for p in corpus]
-    scores_ee = [ee_first_token_confidence(model_ee, key, p) for p in corpus]
+    scores_vi: list[float] = []
+    scores_ee: list[float] = []
+    max_diff = 0.0
+    token_match = True
+    recoverable = True
+    margin = math.inf
+    for prompt in prompts:
+        c_prompt = encrypt_tokens(key, prompt)
+        recoverable &= decrypt_tokens(key, c_prompt).ids == prompt.ids
+        if n_new == 0:
+            plain_logits = forward(model_vi, prompt)
+        else:
+            plain_out = greedy_decode(model_vi, prompt, n_new)
+            cipher_out = decrypt_tokens(key, greedy_decode(model_ee, c_prompt, n_new))
+            token_match &= plain_out.ids == cipher_out.ids
+            # forward is row-local: its rows equal what decoding saw at each position,
+            # and its first len(prompt) rows equal a pass over the prompt alone
+            plain_logits = forward(model_vi, TokenSeq(plain_out.ids[:-1], PLAINTEXT))
+            top2 = np.sort(plain_logits[len(prompt) - 1 :], axis=1)[:, -2:]
+            margin = min(margin, float(np.min(top2[:, 1] - top2[:, 0])))
+        cipher_logits = decrypt_logits(key, forward(model_ee, c_prompt))
+        scores_vi.append(_confidence(plain_logits[len(prompt) - 1 : len(prompt)]))
+        scores_ee.append(_confidence(cipher_logits[-1:]))
+        diff = plain_logits[: len(prompt)] - cipher_logits
+        max_diff = max(max_diff, float(np.max(np.abs(diff))))
     value, skipped = _fidelity_parts(scores_vi, scores_ee)
-    return FidelityReport(
-        n=len(corpus),
+    fid = FidelityReport(
+        n=len(prompts),
         scores_vi=tuple(scores_vi),
         scores_ee=tuple(scores_ee),
         fidelity=value,
         skipped_zero_pairs=skipped,
     )
+    eq = EquivarianceReport(
+        n_prompts=len(prompts),
+        max_abs_logit_diff=max_diff,
+        token_match=token_match,
+        recoverability_ok=recoverable,
+        min_top2_margin=margin,
+    )
+    return fid, eq
 
 
 def measure_latency(
@@ -265,7 +294,8 @@ def emit_report(
     json_path = base.with_name(base.name + ".report.json")
     md_path = base.with_name(base.name + ".report.md")
 
-    doc = {"model": model_name, "fidelity": fid.to_dict(), "latency": lat.to_dict()}
+    # sort_keys fixes the key order and tuples are written as JSON arrays
+    doc = {"model": model_name, "fidelity": asdict(fid), "latency": asdict(lat)}
     with open(json_path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -307,4 +337,4 @@ def save_prompts(prompts: Sequence[TokenSeq], path: str | Path) -> None:
 
 
 def load_prompts(path: str | Path, domain: str = PLAINTEXT) -> list[TokenSeq]:
-    return read_jsonl(path, "prompt", lambda obj: TokenSeq(tuple(obj["input_ids"]), domain))
+    return read_jsonl(path, "prompt", lambda obj: TokenSeq(json_ids(obj["input_ids"]), domain))

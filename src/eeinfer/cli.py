@@ -37,7 +37,6 @@ from .encryption import (
     keygen,
     load_key,
     save_key,
-    verify_equivariance,
 )
 from .errors import (
     ConfigError,
@@ -105,15 +104,17 @@ def _record_resolved(out: str | Path, command: str, resolved: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_model_config(path: str) -> ModelConfig:
+def _load_json(path: str, what: str, kind: type) -> object:
+    """The JSON value in a file named on the command line, which must be a
+    ``kind`` (dict or list); anything else is a FormatError naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"model config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"model config {path} must be a JSON object")
-    return ModelConfig.from_dict(doc)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, kind):
+        raise FormatError(f"{what} {path} must be a JSON {'object' if kind is dict else 'list'}")
+    return doc
 
 
 def _require(resolved: dict, *names: str) -> None:
@@ -147,7 +148,7 @@ def cmd_init_model(resolved: dict) -> int:
 
 def cmd_keygen(resolved: dict) -> int:
     _require(resolved, "model_config", "seed", "out")
-    config = _load_model_config(resolved["model_config"])
+    config = ModelConfig.from_dict(_load_json(resolved["model_config"], "model config", dict))
     key = keygen(config, resolved["seed"], identity=resolved["identity"])
     Path(resolved["out"]).parent.mkdir(parents=True, exist_ok=True)
     save_key(key, resolved["out"])
@@ -198,11 +199,10 @@ def cmd_fidelity(resolved: dict) -> int:
     ee = load_model(resolved["ee_model"])
     key = load_key(resolved["key"])
     prompts = bench_mod.load_prompts(resolved["prompts"])
-    fid = bench_mod.run_fidelity_suite(vi, ee, key, prompts)
+    fid, eq = bench_mod.compare_arms(vi, ee, key, prompts, resolved["n_new"])
     lat = bench_mod.measure_latency(
         vi, ee, key, prompts, n_new=resolved["n_new"], repeats=resolved["repeats"]
     )
-    eq = verify_equivariance(vi, key, prompts, n_new=resolved["n_new"])
     json_path, md_path = bench_mod.emit_report(
         fid, lat, resolved["out"], model_name=resolved["model_name"]
     )
@@ -218,25 +218,29 @@ def cmd_fidelity(resolved: dict) -> int:
     return 0
 
 
+def _as_number(value: object) -> float:
+    """A JSON number as a float; a string, boolean, null or list raises TypeError."""
+    if not _fits(_FLOAT, value):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _load_ref_unigram(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, list):
-        raise FormatError(f"unigram reference {path} must be a JSON list")
-    return np.asarray(doc, dtype=np.float64)
+    doc = _load_json(path, "unigram reference", list)
+    try:
+        return np.asarray([_as_number(p) for p in doc], dtype=np.float64)
+    except TypeError as exc:
+        raise FormatError(f"unigram reference {path} is malformed: {exc}") from exc
 
 
 def _load_ref_bigram(path: str) -> dict[int, dict[int, float]]:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise FormatError(f"bigram reference {path} must be a JSON object")
+    doc = _load_json(path, "bigram reference", dict)
     try:
         return {
-            int(ctx): {int(nxt): float(p) for nxt, p in row.items()}
+            int(ctx): {int(nxt): _as_number(p) for nxt, p in row.items()}
             for ctx, row in doc.items()
         }
-    except (ValueError, AttributeError) as exc:
+    except (ValueError, AttributeError, TypeError) as exc:
         raise FormatError(f"bigram reference {path} is malformed: {exc}") from exc
 
 
@@ -526,13 +530,7 @@ def _resolve(args: argparse.Namespace) -> tuple:
     defaults = {dest: default for dest, (_, default, _) in rows.items()}
     file_values = {}
     if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as f:
-                file_values = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config file {config_path} is not valid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise FormatError(f"config file {config_path} must be a JSON object")
+        file_values = _load_json(config_path, "config file", dict)
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ConfigError(

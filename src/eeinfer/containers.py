@@ -3,8 +3,8 @@
 Both binary formats (.eem models, .eekey keys) use the same envelope:
 magic bytes, a u32 little-endian header length, a UTF-8 JSON header, then a
 format-specific payload. Prompts, corpora and transcripts are JSON lines.
-This module owns the envelope and the line codec; payload and record
-semantics stay with the owning module.
+This module owns the envelope, the line codec and the rule for a line's
+token ids; payload and record semantics stay with the owning module.
 """
 from __future__ import annotations
 
@@ -61,6 +61,14 @@ def jsonl_text(objects: Iterable[object]) -> str:
 
 def write_jsonl(path: str | Path, objects: Iterable[object]) -> None:
     Path(path).write_text(jsonl_text(objects), encoding="utf-8")
+
+
+def json_ids(value: object) -> tuple[int, ...]:
+    """A JSON list of integer token ids, as a tuple. A float, string, boolean
+    or list among them raises TypeError, which read_jsonl reports."""
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise TypeError("token ids must be a JSON list of integers")
+    return tuple(value)
 
 
 def read_jsonl(path: str | Path, what: str, record: Callable[[object], object]) -> list:

@@ -20,7 +20,6 @@ element is a single gather.
 """
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from collections import defaultdict
@@ -47,8 +46,6 @@ from .model import (
     ModelConfig,
     TokenSeq,
     config_fingerprint,
-    forward,
-    greedy_decode,
     tensor_layout,
 )
 from .tensor_ops import PermTable, as_matrix
@@ -102,28 +99,6 @@ class EEKey:
     @property
     def is_identity(self) -> bool:
         return all(t.is_identity for _, _, t in _key_entries(self))
-
-
-@dataclass(frozen=True)
-class EquivarianceReport:
-    """Plaintext against decrypted ciphertext inference over a prompt set.
-
-    ``min_top2_margin`` is the smallest gap between the largest and the
-    second-largest plaintext logit over every position whose argmax greedy
-    decoding emitted (``inf`` when n_new is 0). A token match resting on a
-    margin near the logit difference could flip under rounding.
-    """
-
-    n_prompts: int
-    max_abs_logit_diff: float
-    token_match: bool
-    recoverability_ok: bool
-    tol: float
-    min_top2_margin: float
-
-    @property
-    def logits_within_tol(self) -> bool:
-        return self.max_abs_logit_diff <= self.tol
 
 
 def key_layout(layout: Mapping[str, int]) -> list[tuple[str, int | None, int]]:
@@ -266,48 +241,6 @@ def decrypt_logits(key: EEKey, logits: object) -> np.ndarray:
             f"logits have {arr.shape[1]} columns, key expects {key.vocab_perm.n}"
         )
     return arr[:, key.vocab_perm.map]
-
-
-def verify_equivariance(
-    m: ModelBundle,
-    key: EEKey,
-    prompts: Sequence[TokenSeq],
-    n_new: int,
-    tol: float = 1e-9,
-) -> EquivarianceReport:
-    """Run the plaintext and ciphertext pipelines side by side and compare."""
-    if m.domain != PLAINTEXT:
-        raise DomainError("verify_equivariance expects the plaintext model")
-    enc = encrypt_model(key, m)
-    max_diff = 0.0
-    token_match = True
-    recoverable = True
-    margin = math.inf
-    for prompt in prompts:
-        c_prompt = encrypt_tokens(key, prompt)
-        recoverable &= decrypt_tokens(key, c_prompt).ids == prompt.ids
-        if n_new == 0:
-            plain_logits = forward(m, prompt)
-        else:
-            plain_out = greedy_decode(m, prompt, n_new)
-            cipher_out = decrypt_tokens(key, greedy_decode(enc, c_prompt, n_new))
-            token_match &= plain_out.ids == cipher_out.ids
-            # forward is row-local: its rows equal what decoding saw at each position,
-            # and its first len(prompt) rows equal a pass over the prompt alone
-            plain_logits = forward(m, TokenSeq(plain_out.ids[:-1], PLAINTEXT))
-            top2 = np.sort(plain_logits[len(prompt) - 1 :], axis=1)[:, -2:]
-            margin = min(margin, float(np.min(top2[:, 1] - top2[:, 0])))
-        cipher_logits = decrypt_logits(key, forward(enc, c_prompt))
-        diff = plain_logits[: len(prompt)] - cipher_logits
-        max_diff = max(max_diff, float(np.max(np.abs(diff))))
-    return EquivarianceReport(
-        n_prompts=len(prompts),
-        max_abs_logit_diff=max_diff,
-        token_match=token_match,
-        recoverability_ok=recoverable,
-        tol=tol,
-        min_top2_margin=margin,
-    )
 
 
 def save_key(key: EEKey, path: str | Path) -> None:

@@ -256,13 +256,6 @@ class ModelBundle:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ModelBundle is immutable")
 
-    @property
-    def fingerprint(self) -> str:
-        return config_fingerprint(self.config)
-
-    def replace_tensors(self, domain: str, tensors: Mapping[str, np.ndarray]) -> "ModelBundle":
-        return ModelBundle(self.config, domain, tensors)
-
 
 def init_model(config: ModelConfig, seed: int) -> ModelBundle:
     """Seeded deterministic init: weights and biases normal(0, 0.02), norm
@@ -419,13 +412,6 @@ def greedy_decode(model: ModelBundle, prompt: TokenSeq, n_new: int) -> TokenSeq:
         ids.append(int(np.argmax(forward(cache, fresh)[-1])))
         fresh = TokenSeq(ids[-1:], model.domain)
     return TokenSeq(tuple(ids), model.domain)
-
-
-def first_token_confidence(model: ModelBundle, prompt: TokenSeq) -> float:
-    """Softmax probability of the argmax token at the last prompt position."""
-    logits = forward(model, prompt)
-    probs = softmax_rows(logits[-1:, :])
-    return float(np.max(probs))
 
 
 def save_model(model: ModelBundle, path: str | Path) -> None:

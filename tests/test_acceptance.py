@@ -19,13 +19,12 @@ from eeinfer.attack import (
     hill_climb,
     random_sampling,
 )
-from eeinfer.bench import measure_latency, random_prompts, run_fidelity_suite
+from eeinfer.bench import compare_arms, measure_latency, random_prompts
 from eeinfer.encryption import (
     decrypt_tokens,
     encrypt_model,
     encrypt_tokens,
     keygen,
-    verify_equivariance,
 )
 from eeinfer.model import PLAINTEXT, TokenSeq, greedy_decode, init_model, make_config
 from eeinfer.shard_sim import (
@@ -64,7 +63,7 @@ def test_criterion_1_equivariance(toy_model, capsys):
     start = time.perf_counter()
     key = keygen(TOY, seed=2024)
     prompts = random_prompts(TOY, 20, 16, seed=7)
-    report = verify_equivariance(toy_model, key, prompts, n_new=0, tol=1e-9)
+    _, report = compare_arms(toy_model, encrypt_model(key, toy_model), key, prompts, n_new=0)
     elapsed = time.perf_counter() - start
     assert not key.is_identity
     assert report.n_prompts == 20
@@ -95,9 +94,9 @@ def test_criterion_2_recoverability(toy_key, capsys):
     )
 
 
-def test_criterion_3_output_consistency(toy_model, toy_key, capsys):
+def test_criterion_3_output_consistency(toy_model, toy_enc, toy_key, capsys):
     prompts = random_prompts(TOY, 20, 16, seed=7)
-    report = verify_equivariance(toy_model, toy_key, prompts, n_new=32, tol=1e-9)
+    _, report = compare_arms(toy_model, toy_enc, toy_key, prompts, n_new=32)
     assert report.token_match
     assert report.recoverability_ok
     announce(
@@ -109,12 +108,12 @@ def test_criterion_3_output_consistency(toy_model, toy_key, capsys):
 
 def test_criterion_4_fidelity(toy_model, toy_enc, toy_key, capsys):
     prompts = random_prompts(TOY, 100, 8, seed=11)
-    random_report = run_fidelity_suite(toy_model, toy_enc, toy_key, prompts)
+    random_report, _ = compare_arms(toy_model, toy_enc, toy_key, prompts, n_new=0)
     assert random_report.fidelity >= 0.999999
 
     id_key = keygen(TOY, seed=0, identity=True)
     id_enc = encrypt_model(id_key, toy_model)
-    id_report = run_fidelity_suite(toy_model, id_enc, id_key, prompts)
+    id_report, _ = compare_arms(toy_model, id_enc, id_key, prompts, n_new=0)
     assert id_report.fidelity == 1.0
     announce(
         capsys,

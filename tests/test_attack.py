@@ -14,9 +14,7 @@ from eeinfer.attack import (
     AttackState,
     GreedyOracle,
     TranscriptCorpus,
-    bigram_loss,
     brute_force,
-    consistency_penalty,
     empirical_bigram,
     empirical_unigram,
     generate_corpus,
@@ -27,7 +25,6 @@ from eeinfer.attack import (
     save_attack_result,
     save_corpus,
     total_loss,
-    unigram_loss,
 )
 from eeinfer.encryption import decrypt_tokens, keygen
 from eeinfer.errors import (
@@ -43,6 +40,18 @@ from eeinfer.tensor_ops import PermTable
 
 def perm_of(*ids: int) -> PermTable:
     return PermTable(np.asarray(ids, dtype=np.int64))
+
+
+def unigram_loss(perm, corpus, ref):
+    return total_loss(perm, AttackConfig(corpus=corpus, lambda_uni=1.0, ref_unigram=ref))[0]
+
+
+def bigram_loss(perm, corpus, ref):
+    return total_loss(perm, AttackConfig(corpus=corpus, lambda_bi=1.0, ref_bigram=ref))[0]
+
+
+def consistency_penalty(perm, corpus, oracle):
+    return total_loss(perm, AttackConfig(corpus=corpus, lambda_cons=1.0, oracle=oracle))[0]
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +111,20 @@ class TestCorpus:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"input_ids": [1], "output_ids": [2]}\n{"input_ids": [1]}\n')
         with pytest.raises(FormatError, match="line 2"):
+            load_corpus(path, vocab_size=4)
+
+    @pytest.mark.parametrize(
+        "ids", ['[1.5]', '["3"]', '[true]', '["x"]', '[[1]]', '"12"', '{"1": 2}', 'null']
+    )
+    @pytest.mark.parametrize("side", ["input_ids", "output_ids"])
+    def test_non_integer_ids_are_malformed(self, tmp_path, side, ids):
+        # a float, string or boolean id used to load as an int, or fail later
+        # with a bare TypeError or ValueError
+        fields = {"input_ids": "[1]", "output_ids": "[2]", side: ids}
+        bad_line = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"input_ids": [1], "output_ids": [2]}\n' + bad_line + "\n")
+        with pytest.raises(FormatError, match="corpus line 2 is malformed"):
             load_corpus(path, vocab_size=4)
 
     def test_generate_is_deterministic_ciphertext(self, small_model, small_key):

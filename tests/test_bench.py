@@ -1,6 +1,7 @@
 """Tests for the fidelity and latency benchmark harness."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import statistics
@@ -13,13 +14,12 @@ from hypothesis import strategies as st
 from eeinfer.bench import (
     FidelityReport,
     LatencyReport,
-    ee_first_token_confidence,
+    compare_arms,
     emit_report,
     fidelity,
     load_prompts,
     measure_latency,
     random_prompts,
-    run_fidelity_suite,
     save_prompts,
 )
 from eeinfer.encryption import encrypt_model, keygen
@@ -31,7 +31,8 @@ from eeinfer.errors import (
     RangeError,
     ShapeError,
 )
-from eeinfer.model import PLAINTEXT, TokenSeq, first_token_confidence, init_model, make_config
+from eeinfer.model import PLAINTEXT, TokenSeq, forward, init_model, make_config
+from eeinfer.tensor_ops import softmax_rows
 
 score_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=12
@@ -117,7 +118,7 @@ class TestFidelitySuite:
         key = keygen(tiny_model.config, seed=0, identity=True)
         enc = encrypt_model(key, tiny_model)
         prompts = random_prompts(tiny_model.config, 10, 5, seed=1)
-        report = run_fidelity_suite(tiny_model, enc, key, prompts)
+        report, _ = compare_arms(tiny_model, enc, key, prompts, n_new=0)
         assert report.fidelity == 1.0
         assert report.n == 10
         assert report.scores_vi == report.scores_ee
@@ -125,16 +126,18 @@ class TestFidelitySuite:
     def test_random_key_near_one(self, bench_setup):
         vi, ee, key = bench_setup
         prompts = random_prompts(vi.config, 20, 6, seed=2)
-        report = run_fidelity_suite(vi, ee, key, prompts)
+        report, _ = compare_arms(vi, ee, key, prompts, n_new=0)
         assert report.fidelity >= 1.0 - 1e-6
         assert report.skipped_zero_pairs == 0
 
     def test_ee_confidence_matches_plaintext(self, bench_setup):
         vi, ee, key = bench_setup
         prompt = random_prompts(vi.config, 1, 7, seed=3)[0]
-        a = first_token_confidence(vi, prompt)
-        b = ee_first_token_confidence(ee, key, prompt)
+        report, _ = compare_arms(vi, ee, key, [prompt], n_new=0)
+        (a,), (b,) = report.scores_vi, report.scores_ee
         assert a == pytest.approx(b, abs=1e-12)
+        # the softmax probability of the argmax token at the last prompt position
+        assert a == float(softmax_rows(forward(vi, prompt)[-1:])[0].max())
 
     def test_mismatched_key_pairing_error(self, bench_setup):
         vi, ee, _ = bench_setup
@@ -142,9 +145,9 @@ class TestFidelitySuite:
         other_model_key = keygen(make_config(16, 8, 1, 1, 16, 6), seed=5)
         prompts = random_prompts(vi.config, 2, 4, seed=4)
         with pytest.raises(PairingError):
-            run_fidelity_suite(vi, ee, other_model_key, prompts)
+            compare_arms(vi, ee, other_model_key, prompts, n_new=0)
         # same config but a different seeded key still pairs fine
-        report = run_fidelity_suite(vi, encrypt_model(other, vi), other, prompts)
+        report, _ = compare_arms(vi, encrypt_model(other, vi), other, prompts, n_new=0)
         assert report.fidelity >= 1.0 - 1e-6
 
     def test_arm_encrypted_under_another_key_pairing_error(self, bench_setup):
@@ -152,7 +155,7 @@ class TestFidelitySuite:
         other = encrypt_model(keygen(vi.config, seed=1000), vi)
         prompts = random_prompts(vi.config, 2, 4, seed=4)
         with pytest.raises(PairingError):
-            run_fidelity_suite(vi, other, key, prompts)
+            compare_arms(vi, other, key, prompts, n_new=0)
         with pytest.raises(PairingError):
             measure_latency(vi, other, key, prompts, n_new=2, repeats=3)
 
@@ -160,11 +163,49 @@ class TestFidelitySuite:
         vi, ee, key = bench_setup
         prompts = random_prompts(vi.config, 2, 4, seed=5)
         with pytest.raises(DomainError):
-            run_fidelity_suite(ee, ee, key, prompts)
+            compare_arms(ee, ee, key, prompts, n_new=0)
         with pytest.raises(DomainError):
-            run_fidelity_suite(vi, vi, key, prompts)
+            compare_arms(vi, vi, key, prompts, n_new=0)
         with pytest.raises(DomainError):
-            run_fidelity_suite(vi, ee, key, [])
+            compare_arms(vi, ee, key, [], n_new=0)
+
+
+# The README quickstart: init-model --seed 42, keygen --seed 7 and make-prompts
+# --n 5 --length 16 --seed 7. Values recorded from the two separate passes
+# (a fidelity suite and an equivariance check) that compare_arms replaced.
+QUICKSTART_SCORES_VI = (
+    "0x1.5dfb1d35f3a44p-7", "0x1.58f5a64450bafp-7", "0x1.52527ab87f212p-7",
+    "0x1.4f353b440ec6dp-7", "0x1.68a1220407acfp-7",
+)
+QUICKSTART_SCORES_EE = (
+    "0x1.5dfb1d35f3a42p-7", "0x1.58f5a64450bafp-7", "0x1.52527ab87f212p-7",
+    "0x1.4f353b440ec6cp-7", "0x1.68a1220407acfp-7",
+)
+QUICKSTART_FIDELITY_BLOCK_SHA256 = (
+    "e4bfdfe3aa52f17d2a2d35e58cc0f1f0f9c592bd3f9ba515af92b59f1deded17"
+)
+
+
+@pytest.mark.parametrize("n_new, margin", [(0, "inf"), (8, "0x1.61b2ea4990180p-9")])
+def test_golden_quickstart_reports(tmp_path, n_new, margin):
+    config = make_config(128, 32, 2, 4, 64, 64)
+    vi = init_model(config, seed=42)
+    key = keygen(config, seed=7)
+    prompts = random_prompts(config, 5, 16, seed=7)
+    fid, eq = compare_arms(vi, encrypt_model(key, vi), key, prompts, n_new)
+    assert (fid.n, fid.skipped_zero_pairs) == (5, 0)
+    assert tuple(s.hex() for s in fid.scores_vi) == QUICKSTART_SCORES_VI
+    assert tuple(s.hex() for s in fid.scores_ee) == QUICKSTART_SCORES_EE
+    assert fid.fidelity.hex() == "0x1.fffffffffffffp-1"
+    assert eq.n_prompts == 5 and eq.token_match and eq.recoverability_ok
+    assert eq.max_abs_logit_diff.hex() == "0x1.4000000000000p-52"
+    assert eq.min_top2_margin.hex() == margin
+    lat = LatencyReport(vi_seconds=1.0, ee_seconds=1.5, delta_t_pct=50.0,
+                        delta_t_std_pct=0.0, repeats=3, batch_size=1)
+    json_path, _ = emit_report(fid, lat, tmp_path / "bench")
+    block = json.loads(json_path.read_text())["fidelity"]
+    digest = hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest()
+    assert digest == QUICKSTART_FIDELITY_BLOCK_SHA256
 
 
 class TestLatency:
@@ -222,14 +263,14 @@ class TestReportEmission:
     def test_files_and_round_trip(self, tmp_path, bench_setup):
         vi, ee, key = bench_setup
         prompts = random_prompts(vi.config, 3, 4, seed=9)
-        fid = run_fidelity_suite(vi, ee, key, prompts)
+        fid, _ = compare_arms(vi, ee, key, prompts, n_new=2)
         lat = measure_latency(vi, ee, key, prompts, n_new=2, repeats=3)
         json_path, md_path = emit_report(fid, lat, tmp_path / "out" / "bench")
         assert json_path.name == "bench.report.json"
         assert md_path.name == "bench.report.md"
         doc = json.loads(json_path.read_text())
-        assert doc["fidelity"] == fid.to_dict()
-        assert doc["latency"] == lat.to_dict()
+        assert doc["fidelity"] == json.loads(json.dumps(dataclasses.asdict(fid)))
+        assert doc["latency"] == json.loads(json.dumps(dataclasses.asdict(lat)))
         md = md_path.read_text()
         assert "| Model | VI(s) | EE(s) | dT(%) | Fid(%) | dT Std(%) |" in md
         data_rows = [
@@ -262,6 +303,17 @@ class TestPromptIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"input_ids": [1, 2]}\nnot json\n')
         with pytest.raises(FormatError, match="line 2"):
+            load_prompts(path)
+
+    @pytest.mark.parametrize(
+        "ids", ['[1.5]', '["3"]', '[true]', '["x"]', '[[1]]', '"12"', '{"1": 2}', 'null']
+    )
+    def test_non_integer_ids_are_malformed(self, tmp_path, ids):
+        # [1.5, "3", true] used to load as (1, 3, 1), and ["x"] to fail with a
+        # bare ValueError
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"input_ids": [1, 2]}}\n{{"input_ids": {ids}}}\n')
+        with pytest.raises(FormatError, match="prompt line 2 is malformed"):
             load_prompts(path)
 
     def test_random_prompts_validation(self, tiny_config):

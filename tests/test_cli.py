@@ -286,6 +286,33 @@ class TestAttackCommand:
         ) == 9
 
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--ref-unigram", "[0.5, "),
+            ("--ref-unigram", '["a", 0.5]'),
+            ("--ref-unigram", "[true, 0.0]"),
+            ("--ref-unigram", b"[0.5, 0.5\xff]"),
+            ("--ref-bigram", "{"),
+            ("--ref-bigram", '{"0": {"1": null}}'),
+            ("--ref-bigram", '{"0": {"1": "1"}}'),
+            ("--ref-bigram", '{"0": {"1": true}}'),
+        ],
+        ids=["unigram-not-json", "unigram-entry-string", "unigram-entry-bool",
+             "unigram-not-utf8", "bigram-not-json", "bigram-entry-null",
+             "bigram-entry-string", "bigram-entry-bool"],
+    )
+    def test_malformed_reference_file_is_format_error(self, ws, tmp_path, capsys, flag, text):
+        ref = tmp_path / "ref.json"
+        ref.write_bytes(text if isinstance(text, bytes) else text.encode())
+        weight = "--lambda-uni" if flag == "--ref-unigram" else "--lambda-bi"
+        assert run_cli(
+            "attack", "--method", "random", "--corpus", ws["corpus"], "--vocab-size", 6,
+            weight, "1.0", flag, ref, "--samples", 1, "--out", tmp_path / "a.json",
+        ) == 3
+        assert f"FormatError: {flag[6:]} reference {ref}" in capsys.readouterr().err
+
+
 class TestShardSimCommand:
     def test_pipeline_with_failure_matches_infer(self, ws, capsys):
         assert run_cli("infer", "--model", ws["enc"], "--key", ws["key"],
@@ -409,6 +436,28 @@ def test_config_value_of_the_wrong_type_is_config_error(ws, tmp_path, command, v
     }
     assert run_cli(command, *flags[command], "--config", config) == 7
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["keygen", "attack"])
+def test_json_file_that_is_not_json_is_format_error(ws, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": ')
+    args = {
+        "keygen": ["--model-config", bad, "--seed", 1, "--out", tmp_path / "k.eekey"],
+        "attack": ["--config", bad],
+    }
+    assert run_cli(command, *args[command]) == 3
+    assert f"{bad} is not valid JSON" in capsys.readouterr().err
+
+
+def test_fidelity_prompt_with_a_non_integer_id_is_format_error(ws, tmp_path, capsys):
+    prompts = tmp_path / "p.jsonl"
+    prompts.write_text('{"input_ids": [1, 2.5, 3]}\n')
+    assert run_cli(
+        "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"], "--key", ws["key"],
+        "--prompts", prompts, "--out", tmp_path / "f", "--n-new", 2, "--repeats", 3,
+    ) == 3
+    assert "prompt line 1 is malformed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(_subcommands()))

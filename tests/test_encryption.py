@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eeinfer.bench import compare_arms
 from eeinfer.encryption import (
     KEY_MAGIC,
     EEKey,
@@ -25,7 +26,6 @@ from eeinfer.encryption import (
     keygen,
     load_key,
     save_key,
-    verify_equivariance,
 )
 from eeinfer.errors import (
     DomainError,
@@ -303,37 +303,38 @@ class TestDecryptLogits:
 
 
 class TestEquivariance:
-    def test_random_key_logits_and_tokens(self, tiny_model, tiny_key):
+    def test_random_key_logits_and_tokens(self, tiny_model, tiny_key, tiny_enc):
         rng = np.random.default_rng(2)
         prompts = [
             TokenSeq(tuple(int(x) for x in rng.integers(0, 32, size=5)), PLAINTEXT)
             for _ in range(10)
         ]
-        rep = verify_equivariance(tiny_model, tiny_key, prompts, n_new=3, tol=1e-9)
+        _, rep = compare_arms(tiny_model, tiny_enc, tiny_key, prompts, n_new=3)
         assert rep.max_abs_logit_diff <= 1e-9
-        assert rep.logits_within_tol
         assert rep.token_match and rep.recoverability_ok
         assert rep.n_prompts == 10
 
-    def test_min_top2_margin_over_decoded_positions(self, tiny_model, tiny_key):
+    def test_min_top2_margin_over_decoded_positions(self, tiny_model, tiny_key, tiny_enc):
         prompt = TokenSeq((4, 9, 1), PLAINTEXT)
-        rep = verify_equivariance(tiny_model, tiny_key, [prompt], n_new=4)
+        _, rep = compare_arms(tiny_model, tiny_enc, tiny_key, [prompt], n_new=4)
         out = greedy_decode(tiny_model, prompt, 4)
         margins = []
         for pos in range(2, 6):  # the rows that chose tokens 3..6
             row = np.sort(forward(tiny_model, TokenSeq(out.ids[: pos + 1], PLAINTEXT))[-1])
             margins.append(row[-1] - row[-2])
         assert rep.min_top2_margin == min(margins) > 0
-        assert verify_equivariance(tiny_model, tiny_key, [prompt], n_new=0).min_top2_margin == math.inf
+        _, rep = compare_arms(tiny_model, tiny_enc, tiny_key, [prompt], n_new=0)
+        assert rep.min_top2_margin == math.inf
 
     def test_identity_key_exact_zero(self, tiny_model, tiny_config):
         key = keygen(tiny_config, 0, identity=True)
-        rep = verify_equivariance(tiny_model, key, [TokenSeq((1, 2, 3), PLAINTEXT)], n_new=2)
+        enc = encrypt_model(key, tiny_model)
+        _, rep = compare_arms(tiny_model, enc, key, [TokenSeq((1, 2, 3), PLAINTEXT)], n_new=2)
         assert rep.max_abs_logit_diff == 0.0
 
-    def test_mismatched_key_pairing_error(self, tiny_model, micro_config):
+    def test_mismatched_key_pairing_error(self, tiny_model, tiny_enc, micro_config):
         with pytest.raises(PairingError):
-            verify_equivariance(tiny_model, keygen(micro_config, 1), [], n_new=0)
+            compare_arms(tiny_model, tiny_enc, keygen(micro_config, 1), [], n_new=0)
 
     def test_greedy_equivalence_direct(self, tiny_model, tiny_key, tiny_enc):
         p = TokenSeq((3, 14, 15), PLAINTEXT)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eeinfer.bench import compare_arms
 from eeinfer.encryption import encrypt_model, keygen
 from eeinfer.errors import (
     ConfigError,
@@ -32,7 +33,6 @@ from eeinfer.model import (
     config_fingerprint,
     embed_positions,
     expected_tensor_shapes,
-    first_token_confidence,
     forward,
     greedy_decode,
     init_model,
@@ -51,7 +51,7 @@ def zero_lm_head(model: ModelBundle) -> ModelBundle:
     tensors = dict(model.tensors)
     tensors["lm_head.W"] = np.zeros_like(tensors["lm_head.W"])
     tensors["lm_head.b"] = np.zeros_like(tensors["lm_head.b"])
-    return model.replace_tensors(model.domain, tensors)
+    return ModelBundle(model.config, model.domain, tensors)
 
 
 class TestConfig:
@@ -165,9 +165,10 @@ class TestForward:
         zeroed = zero_lm_head(tiny_model)
         logits = forward(zeroed, TokenSeq((1, 2, 3), PLAINTEXT))
         assert np.array_equal(logits, np.zeros((3, 32)))
-        assert first_token_confidence(zeroed, TokenSeq((1, 2, 3), PLAINTEXT)) == pytest.approx(
-            1 / 32, abs=1e-15
-        )
+        key = keygen(zeroed.config, 0, identity=True)
+        fid, _ = compare_arms(zeroed, encrypt_model(key, zeroed), key,
+                              [TokenSeq((1, 2, 3), PLAINTEXT)], n_new=0)
+        assert fid.scores_vi[0] == pytest.approx(1 / 32, abs=1e-15)
 
     def test_golden_logits_checksum(self, tiny_model):
         logits = forward(tiny_model, TokenSeq((1, 2, 3), PLAINTEXT))
@@ -239,8 +240,10 @@ class TestGreedy:
             greedy_decode(tiny_model, TokenSeq((1, 2, 3, 4), PLAINTEXT), 5)
 
     def test_confidence_in_unit_interval(self, tiny_model):
-        c = first_token_confidence(tiny_model, TokenSeq((3, 1), PLAINTEXT))
-        assert 0.0 < c <= 1.0
+        key = keygen(tiny_model.config, 0, identity=True)
+        fid, _ = compare_arms(tiny_model, encrypt_model(key, tiny_model), key,
+                              [TokenSeq((3, 1), PLAINTEXT)], n_new=0)
+        assert 0.0 < fid.scores_vi[0] <= 1.0
 
 
 class TestIncremental:
@@ -295,7 +298,7 @@ class TestContainer:
 
     def test_domain_tag_round_trip(self, tiny_model, tmp_path):
         # same tensors, ciphertext tag: the tag must survive the container
-        enc_like = tiny_model.replace_tensors(CIPHERTEXT, dict(tiny_model.tensors))
+        enc_like = ModelBundle(tiny_model.config, CIPHERTEXT, dict(tiny_model.tensors))
         p = tmp_path / "c.eem"
         save_model(enc_like, p)
         assert load_model(p).domain == CIPHERTEXT
