@@ -7,14 +7,15 @@ simulate the sharded pipeline with a blindness audit.
 
 Every subcommand accepts --config pointing at a JSON object of flag values
 (underscored names); explicit command-line flags win. Each subcommand's flags
-are declared once, in COMMANDS; the parser and the keys --config accepts are
-both generated from that table. Each run that writes an output also records
-its fully resolved parameters next to that output as
+are declared once, in COMMANDS; the parser, the keys --config accepts and the
+required flags (the rows whose default is REQUIRED) all come from that table.
+main, not the subcommands, checks that every required flag is set, creates
+the parent directory of each --out and --*-out path before the command runs,
+and after it succeeds records its fully resolved parameters next to --out as
 <out>.resolved_config.json so the run can be replayed exactly.
 
-Exit codes: 0 success; 2 usage; 3 format; 4 integrity; 5 pairing; 6 domain;
-7 configuration or shape; 8 version; 9 refusal; 10 range; 13 pipeline;
-14 numerics; 1 anything unexpected.
+Exit codes: 0 success; 2 usage; an EEError's own exit_code (see errors.py);
+1 anything unexpected.
 """
 from __future__ import annotations
 
@@ -38,20 +39,7 @@ from .encryption import (
     load_key,
     save_key,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    EEError,
-    FormatError,
-    IntegrityError,
-    NumericsError,
-    PairingError,
-    PipelineError,
-    RangeError,
-    RefusalError,
-    ShapeError,
-    VersionError,
-)
+from .errors import ConfigError, DomainError, EEError, FormatError
 from .model import (
     CIPHERTEXT,
     PLAINTEXT,
@@ -64,30 +52,9 @@ from .model import (
     save_model,
 )
 
-EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (FormatError, 3),
-    (IntegrityError, 4),
-    (PairingError, 5),
-    (DomainError, 6),
-    (VersionError, 8),
-    (RefusalError, 9),
-    (RangeError, 10),
-    (PipelineError, 13),
-    (NumericsError, 14),
-    (ConfigError, 7),
-    (ShapeError, 7),
-)
-
 
 class _Usage(Exception):
     """Missing or contradictory arguments; maps to exit code 2."""
-
-
-def _exit_code(exc: EEError) -> int:
-    for klass, code in EXIT_CODES:
-        if isinstance(exc, klass):
-            return code
-    return 1
 
 
 def _parse_ids(text: str) -> tuple[int, ...]:
@@ -95,13 +62,6 @@ def _parse_ids(text: str) -> tuple[int, ...]:
         return tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError as exc:
         raise _Usage(f"token ids must be integers: {exc}") from exc
-
-
-def _record_resolved(out: str | Path, command: str, resolved: dict) -> None:
-    path = Path(str(out) + ".resolved_config.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"command": command, "config": {k: resolved[k] for k in sorted(resolved)}}
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def _load_json(path: str, what: str, kind: type) -> object:
@@ -117,61 +77,41 @@ def _load_json(path: str, what: str, kind: type) -> object:
     return doc
 
 
-def _require(resolved: dict, *names: str) -> None:
-    missing = [n for n in names if resolved.get(n) is None]
-    if missing:
-        raise _Usage("missing required arguments: " + ", ".join(sorted(missing)))
-
-
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_init_model(resolved: dict) -> int:
-    _require(resolved, "vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
-             "max_seq_len", "seed", "out")
+def cmd_init_model(resolved: dict) -> None:
     config = make_config(
         resolved["vocab_size"], resolved["d_model"], resolved["n_layers"],
         resolved["n_heads"], resolved["d_ff"], resolved["max_seq_len"],
         norm_kind=resolved["norm_kind"], act_kind=resolved["act_kind"],
     )
     model = init_model(config, resolved["seed"])
-    Path(resolved["out"]).parent.mkdir(parents=True, exist_ok=True)
     save_model(model, resolved["out"])
     if resolved["config_out"]:
         Path(resolved["config_out"]).write_text(
             json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
-    _record_resolved(resolved["out"], "init-model", resolved)
     print(f"wrote plaintext model to {resolved['out']}")
-    return 0
 
 
-def cmd_keygen(resolved: dict) -> int:
-    _require(resolved, "model_config", "seed", "out")
+def cmd_keygen(resolved: dict) -> None:
     config = ModelConfig.from_dict(_load_json(resolved["model_config"], "model config", dict))
     key = keygen(config, resolved["seed"], identity=resolved["identity"])
-    Path(resolved["out"]).parent.mkdir(parents=True, exist_ok=True)
     save_key(key, resolved["out"])
-    _record_resolved(resolved["out"], "keygen", resolved)
     kind = "identity" if key.is_identity else "random"
     print(f"wrote {kind} key to {resolved['out']}")
-    return 0
 
 
-def cmd_encrypt_model(resolved: dict) -> int:
-    _require(resolved, "model", "key", "out")
+def cmd_encrypt_model(resolved: dict) -> None:
     model = load_model(resolved["model"])
     key = load_key(resolved["key"])
     encrypted = encrypt_model(key, model)
-    Path(resolved["out"]).parent.mkdir(parents=True, exist_ok=True)
     save_model(encrypted, resolved["out"])
-    _record_resolved(resolved["out"], "encrypt-model", resolved)
     print(f"wrote ciphertext model to {resolved['out']}")
-    return 0
 
 
-def cmd_infer(resolved: dict) -> int:
-    _require(resolved, "model", "prompt", "n_new")
+def cmd_infer(resolved: dict) -> None:
     model = load_model(resolved["model"])
     prompt_ids = _parse_ids(resolved["prompt"])
     if resolved["key"] is None:
@@ -190,11 +130,9 @@ def cmd_infer(resolved: dict) -> int:
         enc_out = greedy_decode(model, enc_prompt, resolved["n_new"])
         out = decrypt_tokens(key, enc_out)
     print(" ".join(str(t) for t in out.ids))
-    return 0
 
 
-def cmd_fidelity(resolved: dict) -> int:
-    _require(resolved, "vi_model", "ee_model", "key", "prompts", "out")
+def cmd_fidelity(resolved: dict) -> None:
     vi = load_model(resolved["vi_model"])
     ee = load_model(resolved["ee_model"])
     key = load_key(resolved["key"])
@@ -206,7 +144,6 @@ def cmd_fidelity(resolved: dict) -> int:
     json_path, md_path = bench_mod.emit_report(
         fid, lat, resolved["out"], model_name=resolved["model_name"]
     )
-    _record_resolved(resolved["out"], "fidelity", resolved)
     print(f"fidelity {fid.fidelity:.8f} over {fid.n} prompts")
     print(f"delta_t {lat.delta_t_pct:+.2f}% (std {lat.delta_t_std_pct:.2f}%)")
     print(
@@ -215,7 +152,6 @@ def cmd_fidelity(resolved: dict) -> int:
         f"{eq.min_top2_margin:.3g}"
     )
     print(f"wrote {json_path} and {md_path}")
-    return 0
 
 
 def _as_number(value: object) -> float:
@@ -244,8 +180,17 @@ def _load_ref_bigram(path: str) -> dict[int, dict[int, float]]:
         raise FormatError(f"bigram reference {path} is malformed: {exc}") from exc
 
 
-def cmd_attack(resolved: dict) -> int:
-    _require(resolved, "method", "corpus", "vocab_size", "out")
+# --method name -> the search it runs on (AttackConfig, resolved flags)
+_ATTACKS = {
+    "brute": lambda cfg, resolved: attack_mod.brute_force(cfg),
+    "random": lambda cfg, resolved: attack_mod.random_sampling(
+        cfg, M=resolved["samples"] if resolved["samples"] is not None else cfg.budget
+    ),
+    "hill": lambda cfg, resolved: attack_mod.hill_climb(cfg, restarts=resolved["restarts"]),
+}
+
+
+def cmd_attack(resolved: dict) -> None:
     corpus = attack_mod.load_corpus(resolved["corpus"], resolved["vocab_size"])
     ref_unigram = (
         _load_ref_unigram(resolved["ref_unigram"]) if resolved["ref_unigram"] else None
@@ -268,24 +213,13 @@ def cmd_attack(resolved: dict) -> int:
         budget=resolved["budget"],
     )
     method = resolved["method"]
-    if method == "brute":
-        state = attack_mod.brute_force(cfg)
-    elif method == "random":
-        samples = resolved["samples"] if resolved["samples"] is not None else cfg.budget
-        state = attack_mod.random_sampling(cfg, M=samples)
-    elif method == "hill":
-        state = attack_mod.hill_climb(cfg, restarts=resolved["restarts"])
-    else:
-        raise _Usage(f"unknown attack method {method!r}")
-    Path(resolved["out"]).parent.mkdir(parents=True, exist_ok=True)
+    state = _ATTACKS[method](cfg, resolved)
     attack_mod.save_attack_result(state, cfg, resolved["out"])
-    _record_resolved(resolved["out"], "attack", resolved)
     print(
         f"{method}: loss {state.loss:.6f} after {state.evals_used} evaluations "
         f"({state.terminated})"
     )
     print(f"wrote {resolved['out']}")
-    return 0
 
 
 def _parse_failures(raw) -> tuple[tuple[int, int], ...]:
@@ -300,8 +234,7 @@ def _parse_failures(raw) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def cmd_shard_sim(resolved: dict) -> int:
-    _require(resolved, "model", "prompt", "shards", "out")
+def cmd_shard_sim(resolved: dict) -> None:
     model = load_model(resolved["model"])
     if model.domain != CIPHERTEXT:
         raise DomainError("shard-sim runs the encrypted model; encrypt it first")
@@ -324,7 +257,6 @@ def cmd_shard_sim(resolved: dict) -> int:
         model, plan, broker, enc_prompt, resolved["n_new"]
     )
     base = Path(resolved["out"])
-    base.parent.mkdir(parents=True, exist_ok=True)
     transcript_path = base.with_name(base.name + ".transcript.jsonl")
     shard_mod.save_transcript(transcript, transcript_path)
     print(f"transcript hash {transcript.hash()}")
@@ -340,12 +272,9 @@ def cmd_shard_sim(resolved: dict) -> int:
         print(" ".join(str(t) for t in plain_out.ids))
     else:
         print(" ".join(str(t) for t in out.ids))
-    _record_resolved(resolved["out"], "shard-sim", resolved)
-    return 0
 
 
-def cmd_make_corpus(resolved: dict) -> int:
-    _require(resolved, "model", "key", "n_pairs", "prompt_len", "n_new", "seed", "out")
+def cmd_make_corpus(resolved: dict) -> None:
     model = load_model(resolved["model"])
     key = load_key(resolved["key"])
     check_pairing(key, model.config)
@@ -357,14 +286,12 @@ def cmd_make_corpus(resolved: dict) -> int:
         n_new=resolved["n_new"],
         seed=resolved["seed"],
     )
-    Path(resolved["out"]).parent.mkdir(parents=True, exist_ok=True)
     attack_mod.save_corpus(corpus, resolved["out"])
     if resolved["refs_out"]:
         truth = key.vocab_perm.inverse()
         uni = attack_mod.empirical_unigram(corpus, truth)
         bi = attack_mod.empirical_bigram(corpus, truth)
         refs_base = Path(resolved["refs_out"])
-        refs_base.parent.mkdir(parents=True, exist_ok=True)
         uni_path = refs_base.with_name(refs_base.name + ".unigram.json")
         bi_path = refs_base.with_name(refs_base.name + ".bigram.json")
         uni_path.write_text(json.dumps(uni.tolist()) + "\n", encoding="utf-8")
@@ -374,22 +301,16 @@ def cmd_make_corpus(resolved: dict) -> int:
             encoding="utf-8",
         )
         print(f"wrote references {uni_path} and {bi_path}")
-    _record_resolved(resolved["out"], "make-corpus", resolved)
     print(f"wrote {len(corpus.pairs)} ciphertext pairs to {resolved['out']}")
-    return 0
 
 
-def cmd_make_prompts(resolved: dict) -> int:
-    _require(resolved, "model", "n", "length", "seed", "out")
+def cmd_make_prompts(resolved: dict) -> None:
     model = load_model(resolved["model"])
     prompts = bench_mod.random_prompts(
         model.config, resolved["n"], resolved["length"], resolved["seed"]
     )
-    Path(resolved["out"]).parent.mkdir(parents=True, exist_ok=True)
     bench_mod.save_prompts(prompts, resolved["out"])
-    _record_resolved(resolved["out"], "make-prompts", resolved)
     print(f"wrote {len(prompts)} prompts to {resolved['out']}")
-    return 0
 
 
 # ------------------------------------------------------------------ plumbing
@@ -397,56 +318,59 @@ def cmd_make_prompts(resolved: dict) -> int:
 _INT = {"type": int}
 _FLOAT = {"type": float}
 _STR: dict = {}
+# The default of a flag a command cannot run without: main refuses the command
+# while such a flag is unset or null.
+REQUIRED = object()
 
 # Per subcommand: its handler and one row per flag, (flag, default, argparse
 # keywords). The flag's underscored name is its argparse dest and the key
 # --config accepts for it.
 COMMANDS: dict[str, tuple] = {
     "init-model": (cmd_init_model, (
-        ("--vocab-size", None, _INT),
-        ("--d-model", None, _INT),
-        ("--n-layers", None, _INT),
-        ("--n-heads", None, _INT),
-        ("--d-ff", None, _INT),
-        ("--max-seq-len", None, _INT),
+        ("--vocab-size", REQUIRED, _INT),
+        ("--d-model", REQUIRED, _INT),
+        ("--n-layers", REQUIRED, _INT),
+        ("--n-heads", REQUIRED, _INT),
+        ("--d-ff", REQUIRED, _INT),
+        ("--max-seq-len", REQUIRED, _INT),
         ("--norm-kind", "layernorm", _STR),
         ("--act-kind", "gelu", _STR),
-        ("--seed", None, _INT),
-        ("--out", None, _STR),
+        ("--seed", REQUIRED, _INT),
+        ("--out", REQUIRED, _STR),
         ("--config-out", None, _STR),
     )),
     "keygen": (cmd_keygen, (
-        ("--model-config", None, _STR),
-        ("--seed", None, _INT),
-        ("--out", None, _STR),
+        ("--model-config", REQUIRED, _STR),
+        ("--seed", REQUIRED, _INT),
+        ("--out", REQUIRED, _STR),
         ("--identity", False, {"action": "store_true"}),
     )),
     "encrypt-model": (cmd_encrypt_model, (
-        ("--model", None, _STR),
-        ("--key", None, _STR),
-        ("--out", None, _STR),
+        ("--model", REQUIRED, _STR),
+        ("--key", REQUIRED, _STR),
+        ("--out", REQUIRED, _STR),
     )),
     "infer": (cmd_infer, (
-        ("--model", None, _STR),
+        ("--model", REQUIRED, _STR),
         ("--key", None, _STR),
-        ("--prompt", None, _STR),
-        ("--n-new", None, _INT),
+        ("--prompt", REQUIRED, _STR),
+        ("--n-new", REQUIRED, _INT),
     )),
     "fidelity": (cmd_fidelity, (
-        ("--vi-model", None, _STR),
-        ("--ee-model", None, _STR),
-        ("--key", None, _STR),
-        ("--prompts", None, _STR),
-        ("--out", None, _STR),
+        ("--vi-model", REQUIRED, _STR),
+        ("--ee-model", REQUIRED, _STR),
+        ("--key", REQUIRED, _STR),
+        ("--prompts", REQUIRED, _STR),
+        ("--out", REQUIRED, _STR),
         ("--n-new", 8, _INT),
         ("--repeats", 5, _INT),
         ("--model-name", "toy-decoder", _STR),
     )),
     "attack": (cmd_attack, (
-        ("--method", None, {"choices": ["brute", "random", "hill"]}),
-        ("--corpus", None, _STR),
-        ("--vocab-size", None, _INT),
-        ("--out", None, _STR),
+        ("--method", REQUIRED, {"choices": list(_ATTACKS)}),
+        ("--corpus", REQUIRED, _STR),
+        ("--vocab-size", REQUIRED, _INT),
+        ("--out", REQUIRED, _STR),
         ("--lambda-uni", 0.0, _FLOAT),
         ("--lambda-bi", 0.0, _FLOAT),
         ("--lambda-cons", 0.0, _FLOAT),
@@ -459,34 +383,34 @@ COMMANDS: dict[str, tuple] = {
         ("--samples", None, _INT),
     )),
     "shard-sim": (cmd_shard_sim, (
-        ("--model", None, _STR),
+        ("--model", REQUIRED, _STR),
         ("--key", None, _STR),
-        ("--prompt", None, _STR),
-        ("--shards", None, _INT),
+        ("--prompt", REQUIRED, _STR),
+        ("--shards", REQUIRED, _INT),
         ("--n-new", 8, _INT),
         ("--seed", 0, _INT),
         ("--latency-lo", 0.0, _FLOAT),
         ("--latency-hi", 0.0, _FLOAT),
         ("--fail", (), {"action": "append", "metavar": "NODE:STEP"}),
         ("--spares", 0, _INT),
-        ("--out", None, _STR),
+        ("--out", REQUIRED, _STR),
     )),
     "make-corpus": (cmd_make_corpus, (
-        ("--model", None, _STR),
-        ("--key", None, _STR),
-        ("--n-pairs", None, _INT),
-        ("--prompt-len", None, _INT),
-        ("--n-new", None, _INT),
-        ("--seed", None, _INT),
-        ("--out", None, _STR),
+        ("--model", REQUIRED, _STR),
+        ("--key", REQUIRED, _STR),
+        ("--n-pairs", REQUIRED, _INT),
+        ("--prompt-len", REQUIRED, _INT),
+        ("--n-new", REQUIRED, _INT),
+        ("--seed", REQUIRED, _INT),
+        ("--out", REQUIRED, _STR),
         ("--refs-out", None, _STR),
     )),
     "make-prompts": (cmd_make_prompts, (
-        ("--model", None, _STR),
-        ("--n", None, _INT),
-        ("--length", None, _INT),
-        ("--seed", None, _INT),
-        ("--out", None, _STR),
+        ("--model", REQUIRED, _STR),
+        ("--n", REQUIRED, _INT),
+        ("--length", REQUIRED, _INT),
+        ("--seed", REQUIRED, _INT),
+        ("--out", REQUIRED, _STR),
     )),
 }
 
@@ -521,12 +445,16 @@ def _fits(kwargs: dict, value: object) -> bool:
     return isinstance(value, str) and value in kwargs.get("choices", (value,))
 
 
+def _rows(command: str) -> dict[str, tuple]:
+    """The flag rows of ``command`` keyed by dest, the flag's underscored name."""
+    return {row[0][2:].replace("-", "_"): row for row in COMMANDS[command][1]}
+
+
 def _resolve(args: argparse.Namespace) -> tuple:
     ns = vars(args).copy()
     command = ns.pop("command")
     config_path = ns.pop("config", None)
-    func, flags = COMMANDS[command]
-    rows = {row[0][2:].replace("-", "_"): row for row in flags}
+    rows = _rows(command)
     defaults = {dest: default for dest, (_, default, _) in rows.items()}
     file_values = {}
     if config_path:
@@ -541,21 +469,36 @@ def _resolve(args: argparse.Namespace) -> tuple:
             if value is not None and not _fits(kwargs, value):
                 raise ConfigError(f"config file value {value!r} does not fit {flag}")
     resolved = {**defaults, **file_values, **ns}
-    return func, command, resolved
+    return COMMANDS[command][0], command, resolved
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        func, _, resolved = _resolve(args)
-        return func(resolved)
+        func, command, resolved = _resolve(args)
+        missing = sorted(
+            dest for dest, (_, default, _) in _rows(command).items()
+            if default is REQUIRED and resolved[dest] in (None, REQUIRED)
+        )
+        if missing:
+            raise _Usage("missing required arguments: " + ", ".join(missing))
+        for dest, path in resolved.items():
+            if (dest == "out" or dest.endswith("_out")) and path is not None:
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+        func(resolved)
+        if "out" in resolved:
+            doc = {"command": command, "config": {k: resolved[k] for k in sorted(resolved)}}
+            Path(resolved["out"] + ".resolved_config.json").write_text(
+                json.dumps(doc, indent=2) + "\n", encoding="utf-8"
+            )
+        return 0
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EEError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,14 +3,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eeinfer import errors
-from eeinfer.cli import _build_parser, _exit_code, _resolve, main
+from eeinfer.cli import COMMANDS, REQUIRED, _build_parser, _resolve, _rows, main
 from eeinfer.encryption import load_key
 from eeinfer.model import CIPHERTEXT, load_model
 from eeinfer.shard_sim import load_transcript
@@ -129,10 +131,13 @@ class TestSetupCommands:
             assert enc.tensors[name].tobytes() == tensor.tobytes()
 
     def test_encrypt_model_pairing_mismatch(self, ws, tmp_path):
+        out = tmp_path / "bad.eem"
         assert run_cli(
-            "encrypt-model", "--model", ws["toy6"], "--key", ws["key"],
-            "--out", tmp_path / "bad.eem",
+            "encrypt-model", "--model", ws["toy6"], "--key", ws["key"], "--out", out,
         ) == 5
+        # a failed command leaves neither its output nor a record of its flags
+        assert not out.exists()
+        assert not (tmp_path / "bad.eem.resolved_config.json").exists()
 
     def test_model_file_with_wrong_magic(self, ws, tmp_path, capsys):
         code = run_cli("infer", "--model", ws["key"], "--prompt", "1", "--n-new", 1)
@@ -407,14 +412,67 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
     return dict(sub.choices)
 
 
-def test_every_error_class_has_a_specific_exit_code():
-    classes = [
+def _error_classes() -> list[type]:
+    return [
         obj for obj in vars(errors).values()
         if isinstance(obj, type) and issubclass(obj, errors.EEError) and obj is not errors.EEError
     ]
+
+
+def test_every_error_class_has_a_specific_exit_code():
+    classes = _error_classes()
     assert len(classes) >= 10
     for klass in classes:
-        assert _exit_code(klass("boom")) != 1, klass.__name__
+        assert klass("boom").exit_code != 1, klass.__name__
+
+
+def test_readme_exit_code_table_matches_error_classes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    documented = {int(code) for code in re.findall(r"^\| (\d+) \|", section, re.M)}
+    # 0 success, 1 unexpected error, 2 usage; every other code belongs to an error class
+    assert documented == {0, 1, 2} | {klass.exit_code for klass in _error_classes()}
+
+
+def _fitting_value(kwargs: dict) -> object:
+    """A --config value that fits a flag declared with ``kwargs``."""
+    if "choices" in kwargs:
+        return kwargs["choices"][0]
+    return 1 if kwargs.get("type") is int else "x"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_required_flags_are_the_rows_marked_required(command, tmp_path, capsys):
+    rows = _rows(command)
+    required = sorted(dest for dest, (_, default, _) in rows.items() if default is REQUIRED)
+    assert required
+    assert run_cli(command) == 2
+    assert capsys.readouterr().err == (
+        "error: missing required arguments: " + ", ".join(required) + "\n"
+    )
+    # a null in --config leaves a required flag as unset as leaving it out
+    for dest in required:
+        config = tmp_path / f"{dest}.json"
+        config.write_text(json.dumps({
+            other: None if other == dest else _fitting_value(rows[other][2])
+            for other in required
+        }))
+        assert run_cli(command, "--config", config) == 2
+        assert capsys.readouterr().err == f"error: missing required arguments: {dest}\n"
+
+
+def test_init_model_takes_every_required_flag_from_config(ws, tmp_path):
+    out = tmp_path / "sub" / "model.eem"
+    config = tmp_path / "init.json"
+    config.write_text(json.dumps({
+        "vocab_size": 32, "d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 32,
+        "max_seq_len": 16, "seed": 42, "out": str(out),
+    }))
+    assert run_cli("init-model", "--config", config) == 0
+    assert out.read_bytes() == ws["model"].read_bytes()
+    doc = json.loads((tmp_path / "sub" / "model.eem.resolved_config.json").read_text())
+    assert doc["command"] == "init-model"
+    assert doc["config"]["out"] == str(out)
 
 
 @pytest.mark.parametrize(
