@@ -20,9 +20,14 @@ improvement of the running best.
 
 Oracle continuations are memoized by decrypted input; the oracle is a pure
 function, so memoization never changes a loss value, only the cost of
-computing it. Candidate evaluations may stop early once a partial lower bound
-proves the candidate cannot beat the incumbent; such evaluations never
-produce accepted states, so reported losses are always fully evaluated.
+computing it. Hill climbing keeps every corpus pair's mismatch flag for its
+incumbent map, and scores a swap of ciphertext tokens i and j by re-checking
+only the pairs that contain i or j (Jakobsen's swap update for substitution
+ciphers): no other pair can change, and the mismatch count is an integer, so
+the loss is bit-identical to a full evaluation. Candidate evaluations may stop
+early once a partial lower bound proves the candidate cannot beat the
+incumbent; such evaluations never produce accepted states, so reported losses
+are always fully evaluated.
 """
 from __future__ import annotations
 
@@ -217,19 +222,25 @@ def _mismatches(
     pairs: list[tuple[np.ndarray, np.ndarray, int]],
     perm_map: np.ndarray,
     oracle: GreedyOracle,
+    check: Sequence[int],
+    count: int,
     give_up=None,
-) -> tuple[int, bool]:
-    """(mismatched pairs, complete). Stops before the last pair, incomplete,
-    as soon as ``give_up(mismatches so far)`` holds."""
-    n_pairs = len(pairs)
-    mismatches = 0
-    for idx, (pi, po, n_new) in enumerate(pairs):
-        got = oracle._continuation_array(perm_map[pi], n_new)
-        if not np.array_equal(got, perm_map[po]):
-            mismatches += 1
-            if give_up is not None and idx + 1 < n_pairs and give_up(mismatches):
-                return mismatches, False
-    return mismatches, True
+) -> tuple[int, dict[int, bool] | None]:
+    """Re-check the pairs numbered ``check``, adding their mismatches to
+    ``count``: (count, {pair: mismatched}). Gives up, returning (count so
+    far, None), as soon as ``give_up(count)`` holds with pairs left to check."""
+    if give_up is not None and check and give_up(count):
+        return count, None
+    flags: dict[int, bool] = {}
+    for pos, k in enumerate(check, 1):
+        pi, po, n_new = pairs[k]
+        bad = not np.array_equal(oracle._continuation_array(perm_map[pi], n_new), perm_map[po])
+        flags[k] = bad
+        if bad:
+            count += 1
+            if give_up is not None and pos < len(check) and give_up(count):
+                return count, None
+    return count, flags
 
 
 @dataclass
@@ -330,15 +341,32 @@ class _Evaluator:
             (np.asarray(pi, dtype=np.int64), np.asarray(po, dtype=np.int64), len(po))
             for pi, po in cfg.corpus.pairs
         ]
+        # ciphertext token -> the pairs that contain it, in input or output
+        self._touching: list[set[int]] = [set() for _ in range(cfg.corpus.vocab_size)]
+        for k, (pi, po) in enumerate(cfg.corpus.pairs):
+            for t in pi + po:
+                self._touching[t].add(k)
         if cfg.lambda_bi > 0:
             self._bigrams = _bigram_counts(cfg.corpus)
 
     def loss(
-        self, perm_map: np.ndarray, bound: float | None = None
-    ) -> tuple[float, dict[str, float] | None, bool]:
-        """(loss, breakdown, complete). With a bound, evaluation may stop as
-        soon as the running lower bound reaches it; then breakdown is None,
-        complete is False, and the returned value is only a lower bound."""
+        self,
+        perm_map: np.ndarray,
+        bound: float | None = None,
+        swap: tuple[int, int, dict[int, bool]] | None = None,
+    ) -> tuple[float, dict[str, float] | None, bool, dict[int, bool] | None]:
+        """(loss, breakdown, complete, mismatch flags of the re-checked pairs).
+
+        A full evaluation re-checks every corpus pair against the oracle.
+        ``swap=(i, j, flags)`` says perm_map is an incumbent with per-pair
+        mismatch flags ``flags`` whose entries i and j were swapped: only the
+        pairs containing ciphertext token i or j can change, so only they are
+        re-checked. The count of mismatches is an integer either way, so the
+        loss is bit-identical to a full evaluation.
+
+        With a bound, evaluation may stop as soon as the running lower bound
+        reaches it; then breakdown and flags are None, complete is False, and
+        the returned value is only a lower bound."""
         cfg = self.cfg
         total = 0.0
         breakdown: dict[str, float] = {}
@@ -351,28 +379,35 @@ class _Evaluator:
             breakdown["bigram"] = l_bi
             total += cfg.lambda_bi * l_bi
         if bound is not None and total >= bound:
-            return total, None, False
-        if cfg.lambda_cons > 0:
-            n_pairs = len(self._pairs)
-            give_up = None
-            if bound is not None:
+            return total, None, False, None
+        if cfg.lambda_cons == 0:
+            return total, breakdown, True, {}
+        n_pairs = len(self._pairs)
+        if swap is None:
+            check, count = range(n_pairs), 0
+        else:
+            i, j, flags = swap
+            check = sorted(self._touching[i] | self._touching[j])
+            count = sum(flags.values()) - sum(flags[k] for k in check)
+        give_up = None
+        if bound is not None:
 
-                def give_up(mismatches: int) -> bool:
-                    return total + cfg.lambda_cons * (mismatches / n_pairs) >= bound
+            def give_up(mismatches: int) -> bool:
+                return total + cfg.lambda_cons * (mismatches / n_pairs) >= bound
 
-            mismatches, complete = _mismatches(self._pairs, perm_map, cfg.oracle, give_up)
-            l_cons = mismatches / n_pairs
-            total += cfg.lambda_cons * l_cons
-            if not complete:
-                return total, None, False
-            breakdown["consistency"] = l_cons
-        return total, breakdown, True
+        count, checked = _mismatches(self._pairs, perm_map, cfg.oracle, check, count, give_up)
+        l_cons = count / n_pairs
+        total += cfg.lambda_cons * l_cons
+        if checked is None:
+            return total, None, False, None
+        breakdown["consistency"] = l_cons
+        return total, breakdown, True, checked
 
 
 def total_loss(perm: PermTable, cfg: AttackConfig) -> tuple[float, dict[str, float]]:
     """Weighted sum of the enabled components plus the raw breakdown."""
     _check_perm(perm, cfg.corpus.vocab_size)
-    value, breakdown, _ = _Evaluator(cfg).loss(perm.map)
+    value, breakdown, _, _ = _Evaluator(cfg).loss(perm.map)
     return value, breakdown
 
 
@@ -389,17 +424,20 @@ class _Search:
         self.trace: list[tuple[int, float]] = []
 
     def evaluate(
-        self, cand: np.ndarray, bound: float | None = None
-    ) -> tuple[float, dict[str, float] | None, bool]:
+        self,
+        cand: np.ndarray,
+        bound: float | None = None,
+        swap: tuple[int, int, dict[int, bool]] | None = None,
+    ) -> tuple[float, dict[str, float] | None, bool, dict[int, bool] | None]:
         """Count and evaluate one candidate (see ``_Evaluator.loss``). A
         complete evaluation strictly below the best so far becomes the best
         and extends the trace."""
         self.evals += 1
-        value, breakdown, complete = self._ev.loss(cand, bound)
+        value, breakdown, complete, flags = self._ev.loss(cand, bound, swap)
         if complete and value < self.loss:
             self.loss, self.map, self.breakdown = value, cand.copy(), breakdown
             self.trace.append((self.evals, value))
-        return value, breakdown, complete
+        return value, breakdown, complete, flags
 
     def state(self, terminated: str) -> AttackState:
         return AttackState(
@@ -477,7 +515,8 @@ def hill_climb(
             cur = initial.map.astype(np.int64).copy()
         else:
             cur = rng.permutation(n).astype(np.int64)
-        cur_loss, cur_breakdown, _ = search.evaluate(cur)
+        # the first, full evaluation supplies every pair's mismatch flag
+        cur_loss, cur_breakdown, _, flags = search.evaluate(cur)
         certified = cur_loss == 0.0
 
         while not certified and search.evals < budget:
@@ -487,9 +526,12 @@ def hill_climb(
                 i, j = swaps[si]
                 cand = cur.copy()
                 cand[i], cand[j] = cand[j], cand[i]
-                value, breakdown, complete = search.evaluate(cand, bound=cur_loss)
+                value, breakdown, complete, changed = search.evaluate(
+                    cand, bound=cur_loss, swap=(i, j, flags)
+                )
                 if complete and value < cur_loss:
                     cur, cur_loss, cur_breakdown = cand, value, breakdown
+                    flags.update(changed)
                     certified = cur_loss == 0.0
                     break
             else:

@@ -1,14 +1,17 @@
 """Tests for the vocabulary-recovery attack framework."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eeinfer.attack as attack
 from eeinfer.attack import (
     AttackConfig,
     AttackState,
@@ -74,6 +77,21 @@ def small_corpus(small_model, small_key):
 @pytest.fixture(scope="module")
 def small_oracle(small_model):
     return GreedyOracle(small_model)
+
+
+@pytest.fixture(scope="module")
+def vocab50_cfg():
+    """The vocab-50 victim, key and corpus of scripts/run_attacks.py with its
+    unigram plus consistency loss, at budget 3000."""
+    config = make_config(50, 8, 1, 1, 16, 8)
+    model = init_model(config, seed=13)
+    key = keygen(config, seed=501)
+    corpus = generate_corpus(model, key, n_pairs=30, prompt_len=2, n_new=1, seed=9)
+    return AttackConfig(
+        corpus=corpus, lambda_uni=1.0, lambda_cons=1.0,
+        ref_unigram=empirical_unigram(corpus, key.vocab_perm.inverse()),
+        oracle=GreedyOracle(model), seed=1, budget=3000,
+    )
 
 
 class TestCorpus:
@@ -475,8 +493,106 @@ class TestHillClimb:
             hill_climb(_uni_cfg(small_corpus, ref), restarts=0)
 
 
-# (perm map, loss, breakdown, evals_used, trace, terminated), computed before
-# the searches shared one best-so-far tracker
+@functools.cache
+def _oracle(vocab_size: int) -> GreedyOracle:
+    return GreedyOracle(init_model(make_config(vocab_size, 8, 1, 1, 16, 16), seed=vocab_size))
+
+
+@st.composite
+def swap_landscapes(draw):
+    """A small random corpus over vocab v, some of its pairs consistent under
+    a drawn true map, with drawn loss weights; a start map; a swap; a bound."""
+    v = draw(st.integers(2, 6))
+    oracle = _oracle(v)
+    truth = np.asarray(draw(st.permutations(range(v))), dtype=np.int64)
+    encrypt = np.argsort(truth)
+    tokens = st.integers(0, v - 1)
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        pi = draw(st.lists(tokens, min_size=1, max_size=3))
+        n_new = draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            # the ciphertext of the oracle's own continuation under truth
+            po = [int(encrypt[t]) for t in oracle.continuation(truth[pi], n_new)]
+        else:
+            po = draw(st.lists(tokens, min_size=n_new, max_size=n_new))
+        pairs.append((tuple(pi), tuple(po)))
+    corpus = TranscriptCorpus(pairs=tuple(pairs), vocab_size=v)
+    cfg = AttackConfig(
+        corpus=corpus,
+        lambda_uni=draw(st.sampled_from([0.0, 1.0])),
+        lambda_bi=draw(st.sampled_from([0.0, 0.5])),
+        lambda_cons=draw(st.sampled_from([0.5, 1.0, 3.0])),
+        ref_unigram=empirical_unigram(corpus, PermTable(truth)),
+        ref_bigram=empirical_bigram(corpus, PermTable(truth)),
+        oracle=oracle,
+        seed=draw(st.integers(0, 100)),
+        budget=60,
+    )
+    start = np.asarray(draw(st.permutations(range(v))), dtype=np.int64)
+    i, j = draw(st.lists(tokens, min_size=2, max_size=2, unique=True))
+    bound = draw(st.none() | st.floats(0.0, 4.0))
+    return cfg, start, (i, j), bound
+
+
+def _assert_swap_matches_full(ev, cand, bound, flags, got):
+    """A swap evaluation of ``cand`` from an incumbent with ``flags`` agrees
+    with a full evaluation of ``cand``."""
+    value, breakdown, complete, changed = got
+    full, full_breakdown, _, full_flags = ev.loss(cand)
+    if complete:
+        assert value.hex() == full.hex()
+        assert {k: x.hex() for k, x in breakdown.items()} == {
+            k: x.hex() for k, x in full_breakdown.items()
+        }
+        assert {**flags, **changed} == full_flags
+    else:
+        assert full >= bound
+
+
+class TestSwapEvaluation:
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(case=swap_landscapes())
+    def test_swap_evaluation_equals_full_evaluation(self, case):
+        cfg, start, (i, j), bound = case
+        ev = attack._Evaluator(cfg)
+        _, _, _, flags = ev.loss(start)
+        cand = start.copy()
+        cand[i], cand[j] = cand[j], cand[i]
+        _assert_swap_matches_full(ev, cand, bound, flags, ev.loss(cand, bound, (i, j, flags)))
+
+        # every swap evaluation of a hill climb from the start map, so after
+        # each accept, is checked the same way against its incumbent's flags
+        real = attack._Evaluator.loss
+
+        def checked(self, perm_map, bound=None, swap=None):
+            got = real(self, perm_map, bound, swap)
+            if swap is not None:
+                _assert_swap_matches_full(self, perm_map, bound, swap[2], got)
+            return got
+
+        with patch.object(attack._Evaluator, "loss", checked):
+            hill_climb(cfg, restarts=2, initial=PermTable(start))
+
+    def test_swaps_consult_the_oracle_for_few_pairs(self, vocab50_cfg):
+        lookups = 0
+        real = GreedyOracle._continuation_array
+
+        def counted(self, ids, n_new):
+            nonlocal lookups
+            lookups += 1
+            return real(self, ids, n_new)
+
+        with patch.object(GreedyOracle, "_continuation_array", counted):
+            state = hill_climb(vocab50_cfg, restarts=5)
+        # a swap touches about 1.4 of the 30 pairs; re-checking every pair up
+        # to the give-up costs about 23 lookups an evaluation
+        assert lookups < 4 * state.evals_used
+
+
+# (perm map, loss, breakdown, evals_used, trace, terminated); the small-corpus
+# entries were computed before the searches shared one best-so-far tracker, the
+# vocab-50 one before swaps re-checked only the pairs they touch
 GOLDEN_SEARCHES = {
     "random_sampling": (
         [5, 4, 0, 3, 2, 1],
@@ -497,20 +613,51 @@ GOLDEN_SEARCHES = {
          (9, 0.4368386217099453)),
         "certified",
     ),
+    # the vocab-50 landscape of scripts/run_attacks.py at budget 3000
+    "hill_climb_vocab50": (
+        [37, 1, 35, 5, 23, 11, 15, 6, 42, 48, 3, 44, 45, 9, 17, 14, 0, 16, 24, 12, 41, 49, 34, 19,
+         21, 10, 46, 40, 47, 33, 31, 39, 25, 8, 2, 22, 13, 43, 27, 20, 4, 30, 32, 29, 28, 36, 7,
+         26, 38, 18],
+        0.25555555555555554,
+        {"unigram": 0.0888888888888889, "consistency": 0.16666666666666666},
+        3000,
+        (
+            (1, 2.2888888888888888), (7, 2.2444444444444445), (8, 2.2222222222222223), (16, 2.2),
+            (17, 2.155555555555556), (33, 2.1333333333333337), (55, 2.022222222222222), (59, 2.0),
+            (63, 1.9777777777777779), (73, 1.9555555555555557), (80, 1.9333333333333333),
+            (81, 1.9333333333333331), (82, 1.911111111111111), (83, 1.8888888888888888),
+            (98, 1.8666666666666667), (112, 1.8444444444444446), (124, 1.8),
+            (125, 1.7999999999999998), (141, 1.7777777777777777), (145, 1.7333333333333334),
+            (174, 1.6333333333333333), (234, 1.6111111111111112), (351, 1.588888888888889),
+            (406, 1.5666666666666667), (457, 1.5444444444444445), (464, 1.4777777777777779),
+            (617, 1.4555555555555557), (631, 1.4555555555555555), (724, 1.4333333333333331),
+            (756, 1.411111111111111), (817, 1.3777777777777778), (1022, 1.3555555555555556),
+            (1242, 0.5), (1251, 0.4888888888888889), (1253, 0.4888888888888888),
+            (1255, 0.4555555555555555), (1296, 0.4444444444444444), (1394, 0.43333333333333335),
+            (1442, 0.4111111111111111), (1577, 0.3888888888888889), (1583, 0.3),
+            (1621, 0.2777777777777778), (2552, 0.25555555555555554),
+        ),
+        "budget_exhausted",
+    ),
 }
 
 
 @pytest.mark.parametrize("search", sorted(GOLDEN_SEARCHES))
-def test_golden_search_results(small_model, small_key, small_corpus, small_oracle, search):
-    # references from another corpus, so no candidate scores 0
-    other = generate_corpus(small_model, small_key, n_pairs=30, prompt_len=3, n_new=2, seed=6)
-    truth = small_key.vocab_perm.inverse()
-    cfg = AttackConfig(
-        corpus=small_corpus, lambda_uni=1.0, lambda_bi=0.5, lambda_cons=1.0,
-        ref_unigram=empirical_unigram(other, truth), ref_bigram=empirical_bigram(other, truth),
-        oracle=small_oracle, seed=4, budget=120,
-    )
-    state = random_sampling(cfg, 40) if search == "random_sampling" else hill_climb(cfg, 3)
+def test_golden_search_results(
+    small_model, small_key, small_corpus, small_oracle, vocab50_cfg, search
+):
+    if search == "hill_climb_vocab50":
+        state = hill_climb(vocab50_cfg, restarts=5)
+    else:
+        # references from another corpus, so no candidate scores 0
+        other = generate_corpus(small_model, small_key, n_pairs=30, prompt_len=3, n_new=2, seed=6)
+        truth = small_key.vocab_perm.inverse()
+        cfg = AttackConfig(
+            corpus=small_corpus, lambda_uni=1.0, lambda_bi=0.5, lambda_cons=1.0,
+            ref_unigram=empirical_unigram(other, truth), ref_bigram=empirical_bigram(other, truth),
+            oracle=small_oracle, seed=4, budget=120,
+        )
+        state = random_sampling(cfg, 40) if search == "random_sampling" else hill_climb(cfg, 3)
     got = (state.perm.map.tolist(), state.loss, dict(state.component_breakdown),
            state.evals_used, state.trace, state.terminated)
     assert got == GOLDEN_SEARCHES[search]

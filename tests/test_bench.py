@@ -31,7 +31,7 @@ from eeinfer.errors import (
     RangeError,
     ShapeError,
 )
-from eeinfer.model import PLAINTEXT, TokenSeq, forward, init_model, make_config
+from eeinfer.model import PLAINTEXT, ModelBundle, TokenSeq, forward, init_model, make_config
 from eeinfer.tensor_ops import softmax_rows
 
 score_lists = st.lists(
@@ -206,6 +206,23 @@ def test_golden_quickstart_reports(tmp_path, n_new, margin):
     block = json.loads(json_path.read_text())["fidelity"]
     digest = hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest()
     assert digest == QUICKSTART_FIDELITY_BLOCK_SHA256
+
+
+@pytest.mark.parametrize("key_seed", [98, 99])
+def test_argmax_tie_shows_as_zero_margin(tiny_model, key_seed):
+    # plaintext tokens 3 and 5 get equal lm_head columns and a large equal bias,
+    # so their logits tie bit for bit at every position; argmax takes the lower
+    # index, which in the ciphertext domain is whichever the key sends lower
+    tensors = dict(tiny_model.tensors)
+    w, b = tensors["lm_head.W"].copy(), tensors["lm_head.b"].copy()
+    w[:, 5], b[3], b[5] = w[:, 3], 50.0, 50.0
+    vi = ModelBundle(tiny_model.config, PLAINTEXT, {**tensors, "lm_head.W": w, "lm_head.b": b})
+    key = keygen(vi.config, seed=key_seed)
+    prompts = random_prompts(vi.config, 2, 4, seed=8)
+    _, eq = compare_arms(vi, encrypt_model(key, vi), key, prompts, n_new=3)
+    assert eq.min_top2_margin == 0.0
+    cipher = key.vocab_perm.map
+    assert eq.token_match == (cipher[3] < cipher[5])
 
 
 class TestLatency:
