@@ -259,8 +259,9 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         for name in ("lambda_uni", "lambda_bi", "lambda_cons"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            # NaN fails every comparison, so this refuses it too
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if self.lambda_uni == 0 and self.lambda_bi == 0 and self.lambda_cons == 0:
             raise ConfigError("at least one loss component must have positive weight")
         if self.budget < 1:

@@ -15,7 +15,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -35,8 +35,6 @@ from .model import (
 )
 from .tensor_ops import softmax_rows
 
-_CONSISTENCY_TOL = 1e-12
-
 
 def _score_arrays(scores_vi, scores_ee) -> tuple[np.ndarray, np.ndarray]:
     vi = np.asarray(scores_vi, dtype=np.float64)
@@ -53,38 +51,32 @@ def _score_arrays(scores_vi, scores_ee) -> tuple[np.ndarray, np.ndarray]:
     return vi, ee
 
 
-def _fidelity_parts(scores_vi, scores_ee) -> tuple[float, int]:
-    vi, ee = _score_arrays(scores_vi, scores_ee)
-    peak = np.maximum(vi, ee)
-    both_zero = peak == 0.0
-    # a 0/0 pair means both arms agree exactly; it contributes no gap
-    gaps = np.where(both_zero, 0.0, np.abs(ee - vi) / np.where(both_zero, 1.0, peak))
-    return float(1.0 - gaps.mean()), int(both_zero.sum())
-
-
 def fidelity(scores_vi, scores_ee) -> float:
     """1 - mean(|ee - vi| / max(ee, vi)) over paired confidence scores."""
-    return _fidelity_parts(scores_vi, scores_ee)[0]
+    return FidelityReport(scores_vi, scores_ee).fidelity
 
 
 @dataclass(frozen=True)
 class FidelityReport:
     """Paired confidence scores and the fidelity they imply."""
 
-    n: int
     scores_vi: tuple[float, ...]
     scores_ee: tuple[float, ...]
-    fidelity: float
-    skipped_zero_pairs: int
+    n: int = field(init=False)
+    fidelity: float = field(init=False)
+    skipped_zero_pairs: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scores_vi", tuple(float(s) for s in self.scores_vi))
-        object.__setattr__(self, "scores_ee", tuple(float(s) for s in self.scores_ee))
-        if len(self.scores_vi) != self.n or len(self.scores_ee) != self.n:
-            raise ShapeError("stored score lists must both have length n")
-        value, skipped = _fidelity_parts(self.scores_vi, self.scores_ee)
-        if abs(value - self.fidelity) > _CONSISTENCY_TOL or skipped != self.skipped_zero_pairs:
-            raise ConfigError("stored fidelity is inconsistent with the stored scores")
+        vi, ee = _score_arrays(self.scores_vi, self.scores_ee)
+        peak = np.maximum(vi, ee)
+        both_zero = peak == 0.0
+        # a 0/0 pair means both arms agree exactly; it contributes no gap
+        gaps = np.where(both_zero, 0.0, np.abs(ee - vi) / np.where(both_zero, 1.0, peak))
+        object.__setattr__(self, "scores_vi", tuple(vi.tolist()))
+        object.__setattr__(self, "scores_ee", tuple(ee.tolist()))
+        object.__setattr__(self, "n", len(vi))
+        object.__setattr__(self, "fidelity", float(1.0 - gaps.mean()))
+        object.__setattr__(self, "skipped_zero_pairs", int(both_zero.sum()))
 
 
 @dataclass(frozen=True)
@@ -104,37 +96,35 @@ class EquivarianceReport:
     min_top2_margin: float
 
 
-def _paired_deltas_pct(vi_samples: Sequence[float], ee_samples: Sequence[float]) -> list[float]:
-    """Each repeat's EE-over-VI overhead, in percent."""
-    return [(ee - vi) / vi * 100.0 for vi, ee in zip(vi_samples, ee_samples)]
-
-
 @dataclass(frozen=True)
 class LatencyReport:
-    """Median pipeline seconds per arm plus the overhead percentage.
+    """Median pipeline seconds per arm plus the overhead percentage, read
+    from each arm's per-repeat samples.
 
     ``delta_t_pct`` is the median of the per-repeat paired overheads, so a
     change in host speed between repeats, which both arms of a repeat share,
-    drops out. A report without samples pairs the two medians.
+    drops out.
     """
 
-    vi_seconds: float
-    ee_seconds: float
-    delta_t_pct: float
-    delta_t_std_pct: float
-    repeats: int
-    batch_size: int
-    vi_samples: tuple[float, ...] = ()
-    ee_samples: tuple[float, ...] = ()
+    vi_samples: tuple[float, ...]
+    ee_samples: tuple[float, ...]
+    vi_seconds: float = field(init=False)
+    ee_seconds: float = field(init=False)
+    delta_t_pct: float = field(init=False)
+    delta_t_std_pct: float = field(init=False)
+    repeats: int = field(init=False)
+    batch_size: int = field(init=False, default=1)
 
     def __post_init__(self) -> None:
-        if self.vi_samples:
-            pairs = (self.vi_samples, self.ee_samples)
-        else:
-            pairs = ((self.vi_seconds,), (self.ee_seconds,))
-        implied = statistics.median(_paired_deltas_pct(*pairs))
-        if abs(implied - self.delta_t_pct) > 1e-9:
-            raise ConfigError("delta_t_pct is inconsistent with the stored samples")
+        if not self.vi_samples or len(self.vi_samples) != len(self.ee_samples):
+            raise ShapeError("latency needs one sample per arm per repeat, and a repeat")
+        # each repeat's EE-over-VI overhead, in percent
+        deltas = [(ee - vi) / vi * 100.0 for vi, ee in zip(self.vi_samples, self.ee_samples)]
+        object.__setattr__(self, "vi_seconds", statistics.median(self.vi_samples))
+        object.__setattr__(self, "ee_seconds", statistics.median(self.ee_samples))
+        object.__setattr__(self, "delta_t_pct", statistics.median(deltas))
+        object.__setattr__(self, "delta_t_std_pct", float(np.std(deltas)))
+        object.__setattr__(self, "repeats", len(self.vi_samples))
 
 
 def _check_arms(model_vi: ModelBundle, model_ee: ModelBundle, key: EEKey) -> None:
@@ -197,14 +187,7 @@ def compare_arms(
         scores_ee.append(_confidence(cipher_logits[-1:]))
         diff = plain_logits[: len(prompt)] - cipher_logits
         max_diff = max(max_diff, float(np.max(np.abs(diff))))
-    value, skipped = _fidelity_parts(scores_vi, scores_ee)
-    fid = FidelityReport(
-        n=len(prompts),
-        scores_vi=tuple(scores_vi),
-        scores_ee=tuple(scores_ee),
-        fidelity=value,
-        skipped_zero_pairs=skipped,
-    )
+    fid = FidelityReport(tuple(scores_vi), tuple(scores_ee))
     eq = EquivarianceReport(
         n_prompts=len(prompts),
         max_abs_logit_diff=max_diff,
@@ -269,17 +252,7 @@ def measure_latency(
         vi_samples.append(vi_total)
         ee_samples.append(ee_total)
 
-    per_repeat_delta = _paired_deltas_pct(vi_samples, ee_samples)
-    return LatencyReport(
-        vi_seconds=statistics.median(vi_samples),
-        ee_seconds=statistics.median(ee_samples),
-        delta_t_pct=statistics.median(per_repeat_delta),
-        delta_t_std_pct=float(np.std(per_repeat_delta)),
-        repeats=repeats,
-        batch_size=1,
-        vi_samples=tuple(vi_samples),
-        ee_samples=tuple(ee_samples),
-    )
+    return LatencyReport(tuple(vi_samples), tuple(ee_samples))
 
 
 def emit_report(

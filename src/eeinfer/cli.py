@@ -315,7 +315,16 @@ def cmd_make_prompts(resolved: dict) -> None:
 
 # ------------------------------------------------------------------ plumbing
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take integers >= 0 only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {value}")
+    return value
+
+
 _INT = {"type": int}
+_SEED = {"type": _seed}
 _FLOAT = {"type": float}
 _STR: dict = {}
 # The default of a flag a command cannot run without: main refuses the command
@@ -335,13 +344,13 @@ COMMANDS: dict[str, tuple] = {
         ("--max-seq-len", REQUIRED, _INT),
         ("--norm-kind", "layernorm", _STR),
         ("--act-kind", "gelu", _STR),
-        ("--seed", REQUIRED, _INT),
+        ("--seed", REQUIRED, _SEED),
         ("--out", REQUIRED, _STR),
         ("--config-out", None, _STR),
     )),
     "keygen": (cmd_keygen, (
         ("--model-config", REQUIRED, _STR),
-        ("--seed", REQUIRED, _INT),
+        ("--seed", REQUIRED, _SEED),
         ("--out", REQUIRED, _STR),
         ("--identity", False, {"action": "store_true"}),
     )),
@@ -377,7 +386,7 @@ COMMANDS: dict[str, tuple] = {
         ("--ref-unigram", None, _STR),
         ("--ref-bigram", None, _STR),
         ("--oracle-model", None, _STR),
-        ("--seed", 0, _INT),
+        ("--seed", 0, _SEED),
         ("--budget", 1000, _INT),
         ("--restarts", 1, _INT),
         ("--samples", None, _INT),
@@ -388,7 +397,7 @@ COMMANDS: dict[str, tuple] = {
         ("--prompt", REQUIRED, _STR),
         ("--shards", REQUIRED, _INT),
         ("--n-new", 8, _INT),
-        ("--seed", 0, _INT),
+        ("--seed", 0, _SEED),
         ("--latency-lo", 0.0, _FLOAT),
         ("--latency-hi", 0.0, _FLOAT),
         ("--fail", (), {"action": "append", "metavar": "NODE:STEP"}),
@@ -401,7 +410,7 @@ COMMANDS: dict[str, tuple] = {
         ("--n-pairs", REQUIRED, _INT),
         ("--prompt-len", REQUIRED, _INT),
         ("--n-new", REQUIRED, _INT),
-        ("--seed", REQUIRED, _INT),
+        ("--seed", REQUIRED, _SEED),
         ("--out", REQUIRED, _STR),
         ("--refs-out", None, _STR),
     )),
@@ -409,7 +418,7 @@ COMMANDS: dict[str, tuple] = {
         ("--model", REQUIRED, _STR),
         ("--n", REQUIRED, _INT),
         ("--length", REQUIRED, _INT),
-        ("--seed", REQUIRED, _INT),
+        ("--seed", REQUIRED, _SEED),
         ("--out", REQUIRED, _STR),
     )),
 }
@@ -440,6 +449,8 @@ def _fits(kwargs: dict, value: object) -> bool:
         return False
     if kwargs.get("type") is int:
         return isinstance(value, int)
+    if kwargs.get("type") is _seed:
+        return isinstance(value, int) and value >= 0
     if kwargs.get("type") is float:
         return isinstance(value, (int, float))
     return isinstance(value, str) and value in kwargs.get("choices", (value,))

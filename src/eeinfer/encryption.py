@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,6 +31,7 @@ import numpy as np
 
 from .containers import read_container, write_container
 from .errors import (
+    ConfigError,
     DomainError,
     FormatError,
     IntegrityError,
@@ -58,47 +59,33 @@ LAYOUT_FIELDS = ("vocab_n", "resid_n", "n_layers", "n_heads", "ffn_n", "head_n")
 
 @dataclass(frozen=True)
 class EEKey:
-    """A full permutation bundle bound to one model configuration."""
+    """A full permutation bundle bound to one model configuration: the
+    LAYOUT_FIELDS of its .eekey header and every table in key_layout(layout)
+    order, which is also the order of the file and of keygen's draws."""
 
-    version: int
     seed: int
     model_fingerprint: str
-    vocab_perm: PermTable
-    resid_perm: PermTable
-    ffn_perms: tuple[PermTable, ...]
-    qk_perms: tuple[tuple[PermTable, ...], ...]  # [layer][head], shared by Q and K
-    v_perms: tuple[tuple[PermTable, ...], ...]  # [layer][head]
+    layout: dict[str, int] = field(hash=False)  # a dict cannot be hashed
+    tables: tuple[PermTable, ...]
 
     def __post_init__(self) -> None:
-        n_layers = len(self.ffn_perms)
-        if len(self.qk_perms) != n_layers or len(self.v_perms) != n_layers:
-            raise PairingError("per-layer table counts disagree inside the key")
-        for qk_layer, v_layer in zip(self.qk_perms, self.v_perms):
-            if len(qk_layer) != len(v_layer):
-                raise PairingError("per-head table counts disagree inside the key")
+        if [t.n for t in self.tables] != [n for _, _, n in key_layout(self.layout)]:
+            raise PairingError("key table sizes do not fit the key's layout")
 
     @property
-    def n_layers(self) -> int:
-        return len(self.ffn_perms)
-
-    @property
-    def layout(self) -> dict[str, int]:
-        """The LAYOUT_FIELDS of the key's .eekey header. n_heads is the most
-        heads any layer holds, so key_layout(layout) names every layer's head
-        tables; check_pairing rejects a key whose layers differ in it."""
-        heads = [t for layer in self.qk_perms for t in layer]
-        return {
-            "vocab_n": self.vocab_perm.n,
-            "resid_n": self.resid_perm.n,
-            "n_layers": self.n_layers,
-            "n_heads": max(map(len, self.qk_perms), default=0),
-            "ffn_n": self.ffn_perms[0].n if self.ffn_perms else 0,
-            "head_n": heads[0].n if heads else 0,
-        }
+    def vocab_perm(self) -> PermTable:
+        return self.tables[0]
 
     @property
     def is_identity(self) -> bool:
-        return all(t.is_identity for _, _, t in _key_entries(self))
+        return all(t.is_identity for t in self.tables)
+
+    def groups(self) -> dict[tuple[str, int | None], tuple[PermTable, ...]]:
+        """The tables by (axis kind, layer), heads in order."""
+        groups: dict[tuple[str, int | None], tuple[PermTable, ...]] = defaultdict(tuple)
+        for (kind, layer, _), table in zip(key_layout(self.layout), self.tables):
+            groups[kind, layer] += (table,)
+        return dict(groups)
 
 
 def key_layout(layout: Mapping[str, int]) -> list[tuple[str, int | None, int]]:
@@ -121,41 +108,6 @@ def _config_layout(config: ModelConfig) -> dict[str, int]:
     return dict(zip(LAYOUT_FIELDS, sizes))
 
 
-def _key_groups(key: EEKey) -> dict[tuple[str, int | None], tuple[PermTable, ...]]:
-    """The key's tables by (axis kind, layer), heads in order."""
-    groups = {("vocab", None): (key.vocab_perm,), ("resid", None): (key.resid_perm,)}
-    for i in range(key.n_layers):
-        groups["ffn", i] = (key.ffn_perms[i],)
-        groups["qk", i] = key.qk_perms[i]
-        groups["v", i] = key.v_perms[i]
-    return groups
-
-
-def _key_entries(key: EEKey) -> list[tuple[str, int | None, PermTable]]:
-    """Every table of the key with its (axis kind, layer), in key_layout order."""
-    groups = _key_groups(key)
-    labels = dict.fromkeys((kind, layer) for kind, layer, _ in key_layout(key.layout))
-    return [(kind, layer, t) for kind, layer in labels for t in groups[kind, layer]]
-
-
-def _assemble(seed: int, fingerprint: str, layout: dict, tables: list[PermTable]) -> EEKey:
-    """The key whose tables, in key_layout(layout) order, are ``tables``."""
-    groups: dict[tuple[str, int | None], tuple[PermTable, ...]] = defaultdict(tuple)
-    for (kind, layer, _), table in zip(key_layout(layout), tables):
-        groups[kind, layer] += (table,)
-    layers = range(layout["n_layers"])
-    return EEKey(
-        version=KEY_FORMAT_VERSION,
-        seed=seed,
-        model_fingerprint=fingerprint,
-        vocab_perm=groups["vocab", None][0],
-        resid_perm=groups["resid", None][0],
-        ffn_perms=tuple(groups["ffn", i][0] for i in layers),
-        qk_perms=tuple(groups["qk", i] for i in layers),
-        v_perms=tuple(groups["v", i] for i in layers),
-    )
-
-
 def keygen(config: ModelConfig, seed: int, identity: bool = False) -> EEKey:
     """Draw every table with a seeded generator (Fisher-Yates shuffles).
 
@@ -164,24 +116,23 @@ def keygen(config: ModelConfig, seed: int, identity: bool = False) -> EEKey:
     """
     rng = np.random.default_rng(seed)
     layout = _config_layout(config)
-    tables = [
+    tables = tuple(
         PermTable.identity(n) if identity else PermTable.random(n, rng)
         for _, _, n in key_layout(layout)
-    ]
-    return _assemble(int(seed), config_fingerprint(config), layout, tables)
+    )
+    return EEKey(int(seed), config_fingerprint(config), layout, tables)
 
 
 def check_pairing(key: EEKey, config: ModelConfig) -> None:
-    """Key/model binding: fingerprint first, then the key's tables against
-    the config's key_layout, kind, layer and size."""
+    """Key/model binding: fingerprint first, then the key's layout against
+    the config's, which fixes every table's kind, layer and size."""
     if key.model_fingerprint != config_fingerprint(config):
         raise PairingError(
             "key fingerprint does not match this model config; "
             "generate the key for the exact config it will encrypt"
         )
-    found = [(kind, layer, t.n) for kind, layer, t in _key_entries(key)]
-    if found != key_layout(_config_layout(config)):
-        raise PairingError("key table sizes do not fit the model config")
+    if key.layout != _config_layout(config):
+        raise PairingError("key layout does not fit the model config")
 
 
 def encrypt_tokens(key: EEKey, s: TokenSeq) -> TokenSeq:
@@ -219,7 +170,7 @@ def encrypt_model(key: EEKey, m: ModelBundle) -> ModelBundle:
     check_pairing(key, m.config)
     inverse = {
         label: _block_table(tables, m.config.d_head).inv_map
-        for label, tables in _key_groups(key).items()
+        for label, tables in key.groups().items()
     }
     out: dict[str, np.ndarray] = {}
     for name, layer, axes in tensor_layout(m.config):
@@ -245,12 +196,12 @@ def decrypt_logits(key: EEKey, logits: object) -> np.ndarray:
 
 def save_key(key: EEKey, path: str | Path) -> None:
     header = {
-        "format_version": key.version,
+        "format_version": KEY_FORMAT_VERSION,
         "seed": key.seed,
         "model_fingerprint": key.model_fingerprint,
         "layout": key.layout,
     }
-    payload = b"".join(t.map.astype("<u4").tobytes() for _, _, t in _key_entries(key))
+    payload = b"".join(t.map.astype("<u4").tobytes() for t in key.tables)
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     write_container(path, KEY_MAGIC, header, payload)
 
@@ -277,5 +228,14 @@ def load_key(path: str | Path) -> EEKey:
     if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
         raise IntegrityError("key table payload failed its CRC32 check")
     flat = np.frombuffer(body, dtype="<u4").astype(np.int64)
-    tables = [PermTable(part) for part in np.split(flat, np.cumsum(sizes)[:-1])]
-    return _assemble(seed, fingerprint, layout, tables)
+    tables: list[PermTable] = []
+    start = 0
+    for n in sizes:
+        try:
+            tables.append(PermTable(flat[start : start + n]))
+        except ConfigError as exc:
+            raise FormatError(
+                f"key table {len(tables)} is malformed: {exc}", offset=payload_base + 4 * start
+            ) from exc
+        start += n
+    return EEKey(seed, fingerprint, layout, tuple(tables))

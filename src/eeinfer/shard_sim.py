@@ -232,8 +232,9 @@ class BrokerConfig:
     spares: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency_lo < 0 or self.latency_hi < self.latency_lo:
-            raise ConfigError("latency bounds need 0 <= lo <= hi")
+        # NaN fails every comparison, so this refuses it too
+        if not 0 <= self.latency_lo <= self.latency_hi < np.inf:
+            raise ConfigError("latency bounds need 0 <= lo <= hi, both finite")
         if self.spares < 0:
             raise ConfigError("spares must be >= 0")
         failures = tuple((int(n), int(s)) for n, s in self.failures)

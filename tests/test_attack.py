@@ -298,6 +298,22 @@ class TestTotalLoss:
         with pytest.raises(ConfigError):
             AttackConfig(corpus=small_corpus)
 
+    @pytest.mark.parametrize("weight", ["lambda_uni", "lambda_bi", "lambda_cons"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_non_finite_weight(self, small_corpus, small_oracle, weight, value):
+        # NaN used to pass both the sign check and the positive-weight check,
+        # and then every loss term was skipped
+        identity = perm_of(*range(6))
+        weights = {"lambda_uni": 1.0, "lambda_bi": 1.0, "lambda_cons": 1.0, weight: value}
+        with pytest.raises(ConfigError, match=weight):
+            AttackConfig(
+                corpus=small_corpus,
+                ref_unigram=empirical_unigram(small_corpus, identity),
+                ref_bigram=empirical_bigram(small_corpus, identity),
+                oracle=small_oracle,
+                **weights,
+            )
+
     def test_config_rejects_missing_refs(self, small_corpus, small_oracle):
         with pytest.raises(ConfigError):
             AttackConfig(corpus=small_corpus, lambda_uni=1.0)

@@ -80,31 +80,18 @@ class TestFidelity:
 
 
 class TestFidelityReport:
-    def test_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            FidelityReport(
-                n=2,
-                scores_vi=(0.5, 0.8),
-                scores_ee=(1.0, 0.8),
-                fidelity=0.9,
-                skipped_zero_pairs=0,
-            )
+    def test_figures_from_scores(self):
+        report = FidelityReport((0.0, 0.5, 0.8), (0.0, 1.0, 0.8))
+        assert (report.n, report.skipped_zero_pairs) == (3, 1)
+        assert report.fidelity == fidelity((0.0, 0.5, 0.8), (0.0, 1.0, 0.8))
 
     def test_length_enforced(self):
         with pytest.raises(ShapeError):
-            FidelityReport(
-                n=3, scores_vi=(0.5,), scores_ee=(0.5,), fidelity=1.0, skipped_zero_pairs=0
-            )
-
-    def test_skip_count_enforced(self):
-        with pytest.raises(ConfigError):
-            FidelityReport(
-                n=2,
-                scores_vi=(0.0, 0.5),
-                scores_ee=(0.0, 0.5),
-                fidelity=1.0,
-                skipped_zero_pairs=0,
-            )
+            FidelityReport((0.5,), (0.5, 0.6))
+        with pytest.raises(DomainError):
+            FidelityReport((), ())
+        with pytest.raises(RangeError):
+            FidelityReport((1.5,), (0.5,))
 
 
 @pytest.fixture(scope="module")
@@ -200,8 +187,7 @@ def test_golden_quickstart_reports(tmp_path, n_new, margin):
     assert eq.n_prompts == 5 and eq.token_match and eq.recoverability_ok
     assert eq.max_abs_logit_diff.hex() == "0x1.4000000000000p-52"
     assert eq.min_top2_margin.hex() == margin
-    lat = LatencyReport(vi_seconds=1.0, ee_seconds=1.5, delta_t_pct=50.0,
-                        delta_t_std_pct=0.0, repeats=3, batch_size=1)
+    lat = LatencyReport((1.0, 1.0, 1.0), (1.5, 1.5, 1.5))
     json_path, _ = emit_report(fid, lat, tmp_path / "bench")
     block = json.loads(json_path.read_text())["fidelity"]
     digest = hashlib.sha256(json.dumps(block, sort_keys=True).encode()).hexdigest()
@@ -254,26 +240,17 @@ class TestLatency:
         report = measure_latency(micro_model, enc, key, prompts, n_new=3, repeats=5)
         assert abs(report.delta_t_pct) <= 50.0
 
-    def test_invariant_enforced(self):
-        with pytest.raises(ConfigError):
-            LatencyReport(
-                vi_seconds=1.0,
-                ee_seconds=1.1,
-                delta_t_pct=50.0,
-                delta_t_std_pct=0.0,
-                repeats=3,
-                batch_size=1,
-            )
-
-
-    def test_invariant_uses_paired_samples(self):
+    def test_figures_from_samples(self):
         # the overhead is the median of the repeats' paired overheads (+50%,
         # -5%, +10% here), not the gap between the medians (-5%)
-        fields = dict(vi_seconds=2.0, ee_seconds=1.9, delta_t_std_pct=0.0, repeats=3,
-                      batch_size=1, vi_samples=(1.0, 2.0, 4.0), ee_samples=(1.5, 1.9, 4.4))
-        LatencyReport(delta_t_pct=10.0, **fields)
-        with pytest.raises(ConfigError):
-            LatencyReport(delta_t_pct=-5.0, **fields)
+        report = LatencyReport((1.0, 2.0, 4.0), (1.5, 1.9, 4.4))
+        assert (report.vi_seconds, report.ee_seconds) == (2.0, 1.9)
+        assert report.delta_t_pct == pytest.approx(10.0)
+        assert report.delta_t_std_pct == pytest.approx(float(np.std([50.0, -5.0, 10.0])))
+        assert (report.repeats, report.batch_size) == (3, 1)
+        for vi, ee in (((), ()), ((1.0, 2.0), (1.0,))):
+            with pytest.raises(ShapeError):
+                LatencyReport(vi, ee)
 
 
 class TestReportEmission:

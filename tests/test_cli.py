@@ -275,6 +275,17 @@ class TestAttackCommand:
         assert resolved["config"]["out"] == str(out_override)
         assert resolved["config"]["samples"] == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_weight_is_config_error(self, ws, tmp_path, value):
+        # --lambda-uni nan used to skip every loss term and exit 0 with loss 0
+        out = tmp_path / "w.json"
+        assert run_cli(
+            "attack", "--method", "hill", "--corpus", ws["corpus"], "--vocab-size", 6,
+            "--lambda-uni", value, "--ref-unigram", str(ws["refs"]) + ".unigram.json",
+            "--budget", 10, "--out", out,
+        ) == 7
+        assert not out.exists()
+
     def test_config_file_unknown_key(self, ws, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"methd": "brute"}))
@@ -366,6 +377,16 @@ class TestShardSimCommand:
             "--fail", "0:3", "--spares", 0, "--out", tmp_path / "x",
         ) == 13
 
+    @pytest.mark.parametrize(
+        "bounds", [("--latency-hi", "inf"), ("--latency-lo", "nan", "--latency-hi", "nan")]
+    )
+    def test_non_finite_latency_is_config_error(self, ws, tmp_path, bounds):
+        # an infinite bound used to end in a numpy OverflowError traceback
+        assert run_cli(
+            "shard-sim", "--model", ws["enc"], "--key", ws["key"], "--prompt", "1,2,3",
+            "--n-new", 2, "--shards", 2, *bounds, "--out", tmp_path / "x",
+        ) == 7
+
     def test_bad_fail_flag(self, ws, tmp_path):
         short, fractional = tmp_path / "short.json", tmp_path / "fractional.json"
         short.write_text(json.dumps({"fail": [[1]]}))
@@ -438,7 +459,7 @@ def _fitting_value(kwargs: dict) -> object:
     """A --config value that fits a flag declared with ``kwargs``."""
     if "choices" in kwargs:
         return kwargs["choices"][0]
-    return 1 if kwargs.get("type") is int else "x"
+    return 1 if "type" in kwargs else "x"
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -494,6 +515,26 @@ def test_config_value_of_the_wrong_type_is_config_error(ws, tmp_path, command, v
     }
     assert run_cli(command, *flags[command], "--config", config) == 7
     assert not out.exists()
+
+
+SEED_COMMANDS = ["attack", "init-model", "keygen", "make-corpus", "make-prompts", "shard-sim"]
+
+
+def test_seed_commands_are_the_rows_with_a_seed():
+    assert SEED_COMMANDS == sorted(c for c in COMMANDS if "seed" in _rows(c))
+
+
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_negative_seed_is_refused(command, tmp_path, capsys):
+    # a negative seed used to reach numpy and end in a ValueError traceback
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", "-1"])
+    assert info.value.code == 2
+    assert "a seed must be >= 0, got -1" in capsys.readouterr().err
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"seed": -1}))
+    assert run_cli(command, "--config", config) == 7
+    assert "config file value -1 does not fit --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["keygen", "attack"])

@@ -3,11 +3,11 @@ against explicit permutation-matrix products, which are bit-exact because a
 permutation matmul only ever gathers single elements."""
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -107,11 +107,17 @@ class TestKeygen:
         assert keygen(tiny_config, 1).model_fingerprint != keygen(micro_config, 1).model_fingerprint
 
     def test_table_sizes(self, tiny_config, tiny_key):
+        assert tiny_key.layout == dict(vocab_n=32, resid_n=16, n_layers=2, n_heads=2,
+                                       ffn_n=32, head_n=8)
+        groups = tiny_key.groups()
+        assert groups["vocab", None] == (tiny_key.vocab_perm,)
         assert tiny_key.vocab_perm.n == tiny_config.vocab_size
-        assert tiny_key.resid_perm.n == tiny_config.d_model
-        assert len(tiny_key.ffn_perms) == tiny_config.n_layers
-        assert all(len(l) == tiny_config.n_heads for l in tiny_key.qk_perms)
-        assert all(t.n == tiny_config.d_head for l in tiny_key.v_perms for t in l)
+        assert groups["resid", None][0].n == tiny_config.d_model
+        for i in range(tiny_config.n_layers):
+            assert [t.n for t in groups["ffn", i]] == [tiny_config.d_ff]
+            for kind in ("qk", "v"):
+                assert [t.n for t in groups[kind, i]] == [tiny_config.d_head] * tiny_config.n_heads
+        assert len(groups) == 2 + 3 * tiny_config.n_layers
 
 
 class TestTokenCrypto:
@@ -165,16 +171,14 @@ class TestEncryptModel:
 
     def test_check_pairing_rejects_forged_sizes(self, tiny_config):
         key = keygen(tiny_config, 1)
-        forged = EEKey(
-            version=key.version,
-            seed=key.seed,
-            model_fingerprint=key.model_fingerprint,
-            vocab_perm=PermTable.identity(5),  # wrong size, right fingerprint
-            resid_perm=key.resid_perm,
-            ffn_perms=key.ffn_perms,
-            qk_perms=key.qk_perms,
-            v_perms=key.v_perms,
-        )
+        # a wrong-sized table cannot be built into a key at all
+        with pytest.raises(PairingError):
+            EEKey(key.seed, key.model_fingerprint, key.layout,
+                  (PermTable.identity(5),) + key.tables[1:])
+        # a layout forged to fit it builds, but does not pair: right fingerprint,
+        # wrong vocabulary size
+        forged = EEKey(key.seed, key.model_fingerprint, {**key.layout, "vocab_n": 5},
+                       (PermTable.identity(5),) + key.tables[1:])
         with pytest.raises(PairingError):
             check_pairing(forged, tiny_config)
 
@@ -185,33 +189,22 @@ class TestEncryptModel:
         )
 
     def test_check_pairing_rejects_regrouped_tables(self):
-        """Tables regrouped so that the flat stream of sizes still lines up
-        (d_ff == d_head) must not pair: layers with different head counts, and
-        layer 1's head tables moved into layer 0, which puts a V table where
-        layer 1's FFN table belongs."""
-
-        def flat_sizes(k):
-            sizes = [k.vocab_perm.n, k.resid_perm.n]
-            for ffn, qk, v in zip(k.ffn_perms, k.qk_perms, k.v_perms):
-                sizes += [ffn.n] + [t.n for t in qk + v]
-            return sizes
-
+        """The layout alone groups the tables. One that regroups them so that
+        the flat stream of sizes still lines up (d_ff == d_head: ten layers
+        of one FFN table and no heads) builds, but must not pair; one that
+        regroups them into other sizes cannot be built."""
         two_heads = make_config(vocab_size=9, d_model=8, n_layers=2, n_heads=2, d_ff=4, max_seq_len=4)
-        key2 = keygen(two_heads, 3)
-        qk, v = key2.qk_perms, key2.v_perms
-        uneven = dataclasses.replace(
-            key2, qk_perms=(qk[0] + qk[1][:1], qk[1][1:]), v_perms=(v[0] + v[1][:1], v[1][1:])
-        )
-        one_head = make_config(vocab_size=9, d_model=4, n_layers=2, n_heads=1, d_ff=4, max_seq_len=4)
-        key1 = keygen(one_head, 3)
-        qk, v = key1.qk_perms, key1.v_perms
-        moved = dataclasses.replace(key1, qk_perms=(qk[0] + qk[1], ()), v_perms=(v[0] + v[1], ()))
-        for forged, key, cfg in ((uneven, key2, two_heads), (moved, key1, one_head)):
-            assert flat_sizes(forged) == flat_sizes(key)
-            with pytest.raises(PairingError):
-                check_pairing(forged, cfg)
-            with pytest.raises(PairingError):
-                encrypt_model(forged, init_model(cfg, 1))
+        key = keygen(two_heads, 3)
+        regrouped = EEKey(key.seed, key.model_fingerprint,
+                          {**key.layout, "n_layers": 10, "n_heads": 0}, key.tables)
+        assert [t.n for t in regrouped.tables] == [t.n for t in key.tables]
+        assert regrouped.groups().keys() != key.groups().keys()
+        with pytest.raises(PairingError):
+            check_pairing(regrouped, two_heads)
+        with pytest.raises(PairingError):
+            encrypt_model(regrouped, init_model(two_heads, 1))
+        with pytest.raises(PairingError):
+            EEKey(key.seed, key.model_fingerprint, {**key.layout, "n_heads": 1}, key.tables)
 
     def test_matrix_form_oracle_bit_exact(self):
         """Every tensor must equal the explicit matrix conjugation."""
@@ -227,8 +220,9 @@ class TestEncryptModel:
         m = ModelBundle(cfg, PLAINTEXT, {n: rng.normal(size=a.shape) for n, a in m.tensors.items()})
         key = keygen(cfg, 77)
         enc = encrypt_model(key, m)
+        groups = key.groups()
         pv = key.vocab_perm.matrix()
-        pr = key.resid_perm.matrix()
+        pr = groups["resid", None][0].matrix()
 
         def conj(w, p_in, p_out):
             # stored orientation (in, out): expected = P_in @ W @ P_out.T
@@ -247,9 +241,9 @@ class TestEncryptModel:
         norms = ["final_norm"]
         for i in range(cfg.n_layers):
             p = f"layer{i}"
-            pqk = _block_table(key.qk_perms[i], cfg.d_head).matrix()
-            pvv = _block_table(key.v_perms[i], cfg.d_head).matrix()
-            pf = key.ffn_perms[i].matrix()
+            pqk = _block_table(groups["qk", i], cfg.d_head).matrix()
+            pvv = _block_table(groups["v", i], cfg.d_head).matrix()
+            pf = groups["ffn", i][0].matrix()
             expected[f"{p}.attn.Wq"] = conj(t[f"{p}.attn.Wq"], pr, pqk)
             expected[f"{p}.attn.Wk"] = conj(t[f"{p}.attn.Wk"], pr, pqk)
             expected[f"{p}.attn.Wv"] = conj(t[f"{p}.attn.Wv"], pr, pvv)
@@ -386,6 +380,22 @@ class TestKeyContainer:
         p.write_bytes(data[: len(KEY_MAGIC)] + struct.pack("<I", len(nh)) + nh + data[start + hlen :])
         with pytest.raises(VersionError):
             load_key(p)
+
+    def test_table_not_a_bijection(self, tiny_key, tmp_path):
+        # a valid CRC over a residual table that repeats an entry: a malformed
+        # file, reported at the table's first byte
+        p = tmp_path / "k.eekey"
+        save_key(tiny_key, p)
+        data = bytearray(p.read_bytes())
+        (hlen,) = struct.unpack_from("<I", data, len(KEY_MAGIC))
+        body_start = len(KEY_MAGIC) + 4 + hlen
+        resid = body_start + 4 * tiny_key.vocab_perm.n
+        data[resid : resid + 4] = data[resid + 4 : resid + 8]  # entry 0 repeats entry 1
+        data[-4:] = struct.pack("<I", zlib.crc32(data[body_start:-4]) & 0xFFFFFFFF)
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="key table 1") as info:
+            load_key(p)
+        assert info.value.offset == resid
 
     def test_truncation(self, tiny_key, tmp_path):
         p = tmp_path / "k.eekey"

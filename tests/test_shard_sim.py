@@ -360,6 +360,13 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             BrokerConfig(failures=((-1, 0),))
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, np.inf), (np.inf, np.inf), (np.nan, np.nan), (0.0, np.nan)]
+    )
+    def test_broker_refuses_non_finite_latency(self, lo, hi):
+        with pytest.raises(ConfigError, match="finite"):
+            BrokerConfig(latency_lo=lo, latency_hi=hi)
+
 
 class TestTranscriptIO:
     def test_round_trip(self, tmp_path, deep_enc, enc_prompt):
