@@ -224,9 +224,14 @@ def expected_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 class ModelBundle:
-    """Immutable (config, domain, tensors) triple with shape validation."""
+    """Immutable (config, domain, tensors) triple with shape validation.
 
-    __slots__ = ("config", "domain", "tensors")
+    ``qkv`` is derived from the tensors, not stored with them: per layer, the
+    weight Wq|Wk|Wv and the bias bq|bk|bv side by side, so that attention
+    makes one product for all three.
+    """
+
+    __slots__ = ("config", "domain", "tensors", "qkv")
 
     def __init__(self, config: ModelConfig, domain: str, tensors: Mapping[str, np.ndarray]) -> None:
         if domain not in DOMAINS:
@@ -249,9 +254,19 @@ class ModelBundle:
             arr = arr.copy()
             arr.setflags(write=False)
             frozen[name] = arr
+        qkv = []
+        for layer in range(config.n_layers):
+            fused = tuple(
+                np.concatenate([frozen[f"layer{layer}.attn.{kind}{c}"] for c in "qkv"], axis=-1)
+                for kind in ("W", "b")
+            )
+            for arr in fused:
+                arr.setflags(write=False)
+            qkv.append(fused)
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "tensors", MappingProxyType(frozen))
+        object.__setattr__(self, "qkv", tuple(qkv))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ModelBundle is immutable")
@@ -350,23 +365,25 @@ def apply_layer_range(
         )
     model, cfg = cache.model, cache.model.config
     start, rows = cache.length, x.shape[0]
-    scale = math.sqrt(cfg.d_head)
+    heads, d_head, d_model = cfg.n_heads, cfg.d_head, cfg.d_model
+    scale = math.sqrt(d_head)
     # row r sits at position start + r and sees positions 0..start + r
     mask_rows, mask_cols = np.triu_indices(rows, k=start + 1, m=start + rows)
     for i, li in enumerate(cache.layers):
         p = f"layer{li}"
         normed = _apply_norm(model, f"{p}.attn_norm", x)
-        q = matmul(normed, model.tensors[f"{p}.attn.Wq"]) + model.tensors[f"{p}.attn.bq"]
-        k = matmul(normed, model.tensors[f"{p}.attn.Wk"]) + model.tensors[f"{p}.attn.bk"]
-        v = matmul(normed, model.tensors[f"{p}.attn.Wv"]) + model.tensors[f"{p}.attn.bv"]
-        k = cache.keys[i] = np.concatenate((cache.keys[i], k))
-        v = cache.values[i] = np.concatenate((cache.values[i], v))
-        ctx = np.empty((rows, cfg.d_model), dtype=np.float64)
-        for h in range(cfg.n_heads):
-            cols = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
-            scores = matmul(q[:, cols], k[:, cols].T) / scale
-            scores[mask_rows, mask_cols] = -np.inf  # causal mask
-            ctx[:, cols] = matmul(softmax_rows(scores), v[:, cols])
+        w_qkv, b_qkv = model.qkv[li]
+        qkv = matmul(normed, w_qkv) + b_qkv
+        k = cache.keys[i] = np.concatenate((cache.keys[i], qkv[:, d_model : 2 * d_model]))
+        v = cache.values[i] = np.concatenate((cache.values[i], qkv[:, 2 * d_model :]))
+        # every head in one call, heads on the leading axis: (heads, rows, d_head)
+        # queries against (heads, d_head, positions) keys
+        q = qkv[:, :d_model].reshape(rows, heads, d_head).transpose(1, 0, 2)
+        scores = matmul(q, k.reshape(-1, heads, d_head).transpose(1, 2, 0)) / scale
+        scores[:, mask_rows, mask_cols] = -np.inf  # causal mask
+        weights = softmax_rows(scores.reshape(heads * rows, -1)).reshape(scores.shape)
+        ctx = matmul(weights, v.reshape(-1, heads, d_head).transpose(1, 0, 2))
+        ctx = ctx.transpose(1, 0, 2).reshape(rows, d_model)
         x = x + (matmul(ctx, model.tensors[f"{p}.attn.Wo"]) + model.tensors[f"{p}.attn.bo"])
         normed = _apply_norm(model, f"{p}.ffn_norm", x)
         hidden = activate(

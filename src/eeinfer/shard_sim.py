@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import zlib
 from collections import deque
@@ -344,6 +345,12 @@ def run_pipeline(
             caches[shard] = KVCache(enc_model, *plan.ranges[shard])
         deliveries += 1
         clock += float(rng.uniform(broker.latency_lo, broker.latency_hi))
+        if not math.isfinite(clock):
+            # finite bounds can still add up past the largest float
+            raise ConfigError(
+                f"latency bounds ({broker.latency_lo!r}, {broker.latency_hi!r}) overflow the "
+                f"virtual clock at delivery {deliveries}"
+            )
 
     def log(entry: dict) -> None:
         # a dict merge, not keyword arguments: this runs for every message

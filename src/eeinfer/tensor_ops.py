@@ -6,7 +6,9 @@ Everything downstream leans on three properties of this module:
   BLAS and einsum were measured to break that order (blocked/SIMD partial
   sums), so the product is built as an explicit ascending-k fold. That keeps
   repeated runs, and pipelines that split a computation across workers,
-  bit-identical.
+  bit-identical. Both operands may carry one matching leading batch axis
+  (attention runs every head in one call); each slice of the result has the
+  bytes of the 2-D product of that slice.
 * Every kernel is row-local: row i of the output depends only on row i of the
   inputs, bit for bit, however many rows there are and however many masked
   (``-inf``) softmax entries follow the row's last live one. That is what
@@ -16,8 +18,9 @@ Everything downstream leans on three properties of this module:
   commute with permutations of the feature axis. The encryption layer is built
   entirely on that fact, and the property suite pins it down.
 
-All inputs are converted to 2-D float64 arrays; integer examples in the tests
-are exact because float64 holds small integers exactly.
+All inputs are converted to float64 arrays, 2-D except for a batched
+``matmul``; integer examples in the tests are exact because float64 holds
+small integers exactly.
 """
 from __future__ import annotations
 
@@ -50,13 +53,18 @@ def _as_vector(x: object, length: int, name: str) -> np.ndarray:
     return arr
 
 
-# Outputs with at most this many entries are folded in one np.add.accumulate
-# over an (m, n, k+1) tensor of products; larger ones take the per-k loop, whose
-# Python overhead is then small next to the memory the product tensor needs.
-# On a 2-core x86-64 VM the two take about the same time near 512 entries at
-# k = 32 and near 256 at k = 8-16; one row of the toy config's lm_head (128
-# entries) takes 41 us folded against 132 us looped.
+# Output slices with at most this many entries (m * n, whatever the batch size)
+# are folded in one np.add.accumulate over a (batch, m, n, k+1) tensor of
+# products; larger ones take the per-k loop, whose Python overhead is then
+# small next to the memory the product tensor needs. On a 2-core x86-64 VM the
+# two take about the same time near 512 entries at k = 32 and near 256 at
+# k = 8-16; one row of the toy config's lm_head (128 entries) takes 41 us
+# folded against 132 us looped.
 _ACCUMULATE_MAX_ENTRIES = 256
+
+
+def _dims(shape: tuple[int, ...]) -> str:
+    return "x".join(map(str, shape))
 
 
 def matmul(a: object, b: object) -> np.ndarray:
@@ -67,27 +75,37 @@ def matmul(a: object, b: object) -> np.ndarray:
     the test suite holds both bit-identical to a scalar reference loop. The
     leading +0.0 means a sum is never -0.0, so trailing zero terms (masked
     attention weights) leave it unchanged.
+
+    Operands are (m, k) and (k, n), or (batch, m, k) and (batch, k, n) with
+    the same batch size; then out[s] is the 2-D product of a[s] and b[s],
+    byte for byte, and _ACCUMULATE_MAX_ENTRIES counts the m * n entries of
+    one slice.
     """
-    av = as_matrix(a, "left operand")
-    bv = as_matrix(b, "right operand")
-    if av.shape[1] != bv.shape[0]:
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    batch = av.shape[:-2]
+    if av.ndim not in (2, 3) or bv.ndim != av.ndim or bv.shape[:-2] != batch:
         raise ShapeError(
-            f"matmul dimension mismatch: {av.shape[0]}x{av.shape[1]} times "
-            f"{bv.shape[0]}x{bv.shape[1]}"
+            f"matmul operands must both be 2-D, or 3-D with the same batch size; got "
+            f"{_dims(av.shape)} times {_dims(bv.shape)}"
         )
-    m, k = av.shape
-    n = bv.shape[1]
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(
+            f"matmul dimension mismatch: {_dims(av.shape)} times {_dims(bv.shape)}"
+        )
+    m, k = av.shape[-2:]
+    n = bv.shape[-1]
     if m * n <= _ACCUMULATE_MAX_ENTRIES:
         # accumulate is a sequential running sum, unlike np.add.reduce, which
         # sums pairwise along a contiguous axis
-        terms = np.zeros((m, n, k + 1), dtype=np.float64)
-        np.multiply(av[:, None, :], bv.T[None, :, :], out=terms[:, :, 1:])
-        return np.add.accumulate(terms, axis=2, out=terms)[:, :, -1].copy()
-    out = np.zeros((m, n), dtype=np.float64)
+        terms = np.zeros(batch + (m, n, k + 1), dtype=np.float64)
+        np.multiply(av[..., None, :], bv.swapaxes(-1, -2)[..., None, :, :], out=terms[..., 1:])
+        return np.add.accumulate(terms, axis=-1, out=terms)[..., -1].copy()
+    out = np.zeros(batch + (m, n), dtype=np.float64)
     for kk in range(k):
         # one term per k, added in order; elementwise add keeps each out[i, j]
         # a strict sequential accumulation
-        out += av[:, kk : kk + 1] * bv[kk : kk + 1, :]
+        out += av[..., kk : kk + 1] * bv[..., kk : kk + 1, :]
     return out
 
 
@@ -137,9 +155,9 @@ def layer_norm(
     v = as_matrix(x, "layer_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
     b = _as_vector(beta, v.shape[1], "beta")
-    mean = v.mean(axis=1, keepdims=True)
-    centered = v - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    n = v.shape[1]
+    centered = v - np.add.reduce(v, axis=1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
     return centered / np.sqrt(var + eps) * g + b
 
 
@@ -147,7 +165,7 @@ def rms_norm(x: object, gamma: object, eps: float = 1e-6) -> np.ndarray:
     """Per-row division by the root mean square, then a gamma scale."""
     v = as_matrix(x, "rms_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
-    ms = (v * v).mean(axis=1, keepdims=True)
+    ms = np.add.reduce(v * v, axis=1, keepdims=True) / v.shape[1]
     return v / np.sqrt(ms + eps) * g
 
 

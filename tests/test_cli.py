@@ -387,6 +387,18 @@ class TestShardSimCommand:
             "--n-new", 2, "--shards", 2, *bounds, "--out", tmp_path / "x",
         ) == 7
 
+    def test_clock_overflow_is_config_error(self, ws, tmp_path, capsys):
+        # finite bounds whose sum overflows the virtual clock used to exit 0
+        # with "time": Infinity in the transcript
+        out = tmp_path / "x"
+        assert run_cli(
+            "shard-sim", "--model", ws["enc"], "--key", ws["key"], "--prompt", "1,2,3",
+            "--n-new", 2, "--shards", 2, "--latency-lo", "1e308", "--latency-hi", "1e308",
+            "--out", out,
+        ) == 7
+        assert "overflow the virtual clock" in capsys.readouterr().err
+        assert not (tmp_path / "x.transcript.jsonl").exists()
+
     def test_bad_fail_flag(self, ws, tmp_path):
         short, fractional = tmp_path / "short.json", tmp_path / "fractional.json"
         short.write_text(json.dumps({"fail": [[1]]}))

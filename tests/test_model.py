@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eeinfer.model
 from eeinfer.bench import compare_arms
 from eeinfer.encryption import encrypt_model, keygen
 from eeinfer.errors import (
@@ -275,6 +276,23 @@ class TestIncremental:
         parts = [apply_layer_range(cache, x[:3], 1, 1), apply_layer_range(cache, x[3:], 1, 1)]
         assert np.concatenate(parts).tobytes() == apply_layer_range(tiny_model, x, 1, 1).tobytes()
         assert cache.length == 4
+
+    def test_cached_step_kernel_calls(self, monkeypatch):
+        # toy config: one fused QKV product per layer, and every head's scores
+        # and context in one batched product each
+        config = make_config(vocab_size=128, d_model=32, n_layers=2, n_heads=4, d_ff=64,
+                             max_seq_len=64)
+        cache = KVCache(init_model(config, 42), 0, config.n_layers - 1)
+        forward(cache, TokenSeq(tuple(range(16)), PLAINTEXT))
+        calls = {"matmul": 0, "softmax_rows": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(eeinfer.model, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(eeinfer.model, name, counted)
+        forward(cache, TokenSeq((3,), PLAINTEXT))
+        assert calls == {"matmul": 13, "softmax_rows": 2}
 
     def test_layer_range_checked(self, tiny_model):
         with pytest.raises(ShapeError):

@@ -367,6 +367,15 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="finite"):
             BrokerConfig(latency_lo=lo, latency_hi=hi)
 
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1e308), (0.0, 1.7e308)])
+    def test_clock_overflow_is_config_error(self, deep_enc, enc_prompt, lo, hi):
+        # finite bounds whose sum overflows used to put "time": Infinity,
+        # which is not JSON, into the transcript
+        plan = plan_shards(deep_enc.config, 2)
+        broker = BrokerConfig(seed=1, latency_lo=lo, latency_hi=hi)
+        with pytest.raises(ConfigError, match=r"latency bounds .*overflow the virtual clock"):
+            run_pipeline(deep_enc, plan, broker, enc_prompt, 4)
+
 
 class TestTranscriptIO:
     def test_round_trip(self, tmp_path, deep_enc, enc_prompt):

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from eeinfer.errors import ConfigError, NumericsError, ShapeError
 from eeinfer.tensor_ops import (
+    _ACCUMULATE_MAX_ENTRIES,
     PermTable,
     activate,
     as_matrix,
@@ -87,6 +88,42 @@ class TestMatmul:
             zeros = matmul(np.full((m, k), -0.0), b)
             assert not np.signbit(zeros).any() and zeros.tobytes() == scalar_matmul(
                 np.full((m, k), -0.0), b).tobytes()
+
+    def test_batched_slices_bit_exact(self):
+        # each slice of a batched product has the bytes of the 2-D product of
+        # that slice; the method switch counts the entries of one slice
+        rng = np.random.default_rng(17)
+        limit = _ACCUMULATE_MAX_ENTRIES
+        shapes = [tuple(rng.integers(1, 10, size=4)) for _ in range(30)]
+        shapes += [(4, 16, 8, limit // 16), (4, 16, 8, limit // 16 + 1), (3, 1, 32, limit),
+                   (2, 1, 32, limit + 1), (2, limit + 1, 3, 1), (4, 1, 64, 8), (1, 1, 1, 1)]
+        for bsz, m, k, n in shapes:
+            a = rng.normal(0, 10, (bsz, m, k))
+            b = rng.normal(0, 10, (bsz, k, n))
+            a[:, 0, 0] = -0.0
+            a[:, -1, -1] = 0.0
+            b[:, 0, -1] = -0.0
+            got = matmul(a, b)
+            assert got.shape == (bsz, m, n)
+            for s in range(bsz):
+                expect = scalar_matmul(a[s], b[s]).tobytes()
+                assert got[s].tobytes() == matmul(a[s], b[s]).tobytes() == expect, (bsz, m, k, n)
+            zeros = matmul(np.full((bsz, m, k), -0.0), b)
+            assert not np.signbit(zeros).any()
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, pattern",
+        [
+            ((2, 3, 4), (3, 4, 5), r"2x3x4 times 3x4x5"),
+            ((2, 3, 4), (2, 5, 6), r"2x3x4 times 2x5x6"),
+            ((2, 3, 4), (4, 5), r"2x3x4 times 4x5"),
+            ((3, 4), (2, 4, 5), r"3x4 times 2x4x5"),
+            ((1, 2, 3, 4), (1, 2, 4, 5), r"1x2x3x4 times 1x2x4x5"),
+        ],
+    )
+    def test_batched_mismatch_names_both_shapes(self, a_shape, b_shape, pattern):
+        with pytest.raises(ShapeError, match=pattern):
+            matmul(np.zeros(a_shape), np.zeros(b_shape))
 
     def test_repeat_runs_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -242,6 +279,23 @@ class TestNorms:
     def test_rms_norm_length_mismatch(self):
         with pytest.raises(ShapeError):
             rms_norm(np.zeros((1, 4)), np.ones(5))
+
+    @settings(derandomize=True, max_examples=150)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 200), st.floats(-5, 5), st.floats(-5, 5))
+    def test_means_match_ndarray_mean(self, seed, cols, e1, e2):
+        # the norms take their means as add.reduce / n, which is what
+        # ndarray.mean computes; widths of 8 and more sum pairwise
+        rng = np.random.default_rng(seed)
+        exponents = rng.uniform(min(e1, e2), max(e1, e2), (3, cols))
+        x = rng.normal(0, 1, (3, cols)) * 10.0**exponents
+        gamma = rng.normal(0, 1, cols)
+        beta = rng.normal(0, 1, cols)
+        centered = x - x.mean(axis=1, keepdims=True)
+        var = (centered * centered).mean(axis=1, keepdims=True)
+        expect = centered / np.sqrt(var + 1e-5) * gamma + beta
+        assert layer_norm(x, gamma, beta).tobytes() == expect.tobytes()
+        expect = x / np.sqrt((x * x).mean(axis=1, keepdims=True) + 1e-6) * gamma
+        assert rms_norm(x, gamma).tobytes() == expect.tobytes()
 
     # Norm equivariance is stated for random inputs; seeds drive the draws so
     # hypothesis explores cases without crafting degenerate cancellations that
