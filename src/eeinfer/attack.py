@@ -10,8 +10,10 @@ mapping ciphertext -> plaintext. Losses score a candidate mapping:
   The true mapping scores 0 on a greedy-generated corpus.
 
 Each loss component is computed by one private function over statistics of
-the ciphertext corpus; one evaluator weighs them, for total_loss and for the
-optimizers alike, so a candidate map only relabels precomputed counts.
+the ciphertext corpus. One method, ``_Search.evaluate``, scores every
+candidate, for total_loss and for the optimizers alike: it weighs the
+components, counts the evaluation and records the running best, so a
+candidate map only relabels precomputed counts.
 
 Optimizers search permutation space: exhaustive enumeration (tiny
 vocabularies only), best-of-M random draws, and 2-swap hill climbing with
@@ -40,6 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .containers import json_ids, read_jsonl, write_jsonl
+from .encryption import encrypt_tokens
 from .errors import ConfigError, RangeError, RefusalError, ShapeError
 from .model import PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
 from .tensor_ops import PermTable
@@ -96,8 +99,6 @@ def generate_corpus(
     seed: int,
 ) -> TranscriptCorpus:
     """Greedy-generate plaintext pairs and publish them encrypted."""
-    from .encryption import encrypt_tokens  # local import to avoid a cycle
-
     if n_pairs < 1 or prompt_len < 1 or n_new < 1:
         raise ConfigError("n_pairs, prompt_len, and n_new must all be >= 1")
     rng = np.random.default_rng(seed)
@@ -218,31 +219,6 @@ def _bigram_l1(
     return loss
 
 
-def _mismatches(
-    pairs: list[tuple[np.ndarray, np.ndarray, int]],
-    perm_map: np.ndarray,
-    oracle: GreedyOracle,
-    check: Sequence[int],
-    count: int,
-    give_up=None,
-) -> tuple[int, dict[int, bool] | None]:
-    """Re-check the pairs numbered ``check``, adding their mismatches to
-    ``count``: (count, {pair: mismatched}). Gives up, returning (count so
-    far, None), as soon as ``give_up(count)`` holds with pairs left to check."""
-    if give_up is not None and check and give_up(count):
-        return count, None
-    flags: dict[int, bool] = {}
-    for pos, k in enumerate(check, 1):
-        pi, po, n_new = pairs[k]
-        bad = not np.array_equal(oracle._continuation_array(perm_map[pi], n_new), perm_map[po])
-        flags[k] = bad
-        if bad:
-            count += 1
-            if give_up is not None and pos < len(check) and give_up(count):
-                return count, None
-    return count, flags
-
-
 @dataclass
 class AttackConfig:
     """Loss landscape definition plus the optimizer budget and seed."""
@@ -332,8 +308,17 @@ def save_attack_result(state: AttackState, cfg: AttackConfig, path: str | Path) 
         f.write("\n")
 
 
-class _Evaluator:
-    """Shared precomputation for repeated loss evaluations on one landscape."""
+def total_loss(perm: PermTable, cfg: AttackConfig) -> tuple[float, dict[str, float]]:
+    """Weighted sum of the enabled components plus the raw breakdown."""
+    _check_perm(perm, cfg.corpus.vocab_size)
+    value, breakdown, _ = _Search(cfg).evaluate(perm.map)
+    return value, breakdown
+
+
+class _Search:
+    """One search on one loss landscape: the corpus statistics every
+    candidate's score reads, the evaluation count, the best fully evaluated
+    candidate and its improvement trace."""
 
     def __init__(self, cfg: AttackConfig) -> None:
         self.cfg = cfg
@@ -349,14 +334,21 @@ class _Evaluator:
                 self._touching[t].add(k)
         if cfg.lambda_bi > 0:
             self._bigrams = _bigram_counts(cfg.corpus)
+        self.evals = 0
+        self.loss = float("inf")
+        self.map: np.ndarray | None = None
+        self.breakdown: dict[str, float] = {}
+        self.trace: list[tuple[int, float]] = []
 
-    def loss(
+    def evaluate(
         self,
         perm_map: np.ndarray,
         bound: float | None = None,
         swap: tuple[int, int, dict[int, bool]] | None = None,
-    ) -> tuple[float, dict[str, float] | None, bool, dict[int, bool] | None]:
-        """(loss, breakdown, complete, mismatch flags of the re-checked pairs).
+    ) -> tuple[float, dict[str, float] | None, dict[int, bool] | None]:
+        """Count and score one candidate: (loss, breakdown, mismatch flags of
+        the re-checked pairs). A complete evaluation strictly below the best
+        so far becomes the best and extends the trace.
 
         A full evaluation re-checks every corpus pair against the oracle.
         ``swap=(i, j, flags)`` says perm_map is an incumbent with per-pair
@@ -365,9 +357,10 @@ class _Evaluator:
         re-checked. The count of mismatches is an integer either way, so the
         loss is bit-identical to a full evaluation.
 
-        With a bound, evaluation may stop as soon as the running lower bound
-        reaches it; then breakdown and flags are None, complete is False, and
-        the returned value is only a lower bound."""
+        With a bound, evaluation stops as soon as the running lower bound
+        reaches it; then breakdown and flags are None, and the returned value
+        is only a lower bound."""
+        self.evals += 1
         cfg = self.cfg
         total = 0.0
         breakdown: dict[str, float] = {}
@@ -380,65 +373,32 @@ class _Evaluator:
             breakdown["bigram"] = l_bi
             total += cfg.lambda_bi * l_bi
         if bound is not None and total >= bound:
-            return total, None, False, None
-        if cfg.lambda_cons == 0:
-            return total, breakdown, True, {}
-        n_pairs = len(self._pairs)
-        if swap is None:
-            check, count = range(n_pairs), 0
-        else:
-            i, j, flags = swap
-            check = sorted(self._touching[i] | self._touching[j])
-            count = sum(flags.values()) - sum(flags[k] for k in check)
-        give_up = None
-        if bound is not None:
-
-            def give_up(mismatches: int) -> bool:
-                return total + cfg.lambda_cons * (mismatches / n_pairs) >= bound
-
-        count, checked = _mismatches(self._pairs, perm_map, cfg.oracle, check, count, give_up)
-        l_cons = count / n_pairs
-        total += cfg.lambda_cons * l_cons
-        if checked is None:
-            return total, None, False, None
-        breakdown["consistency"] = l_cons
-        return total, breakdown, True, checked
-
-
-def total_loss(perm: PermTable, cfg: AttackConfig) -> tuple[float, dict[str, float]]:
-    """Weighted sum of the enabled components plus the raw breakdown."""
-    _check_perm(perm, cfg.corpus.vocab_size)
-    value, breakdown, _, _ = _Evaluator(cfg).loss(perm.map)
-    return value, breakdown
-
-
-class _Search:
-    """One search's evaluation count, best fully evaluated candidate and
-    improvement trace."""
-
-    def __init__(self, cfg: AttackConfig) -> None:
-        self._ev = _Evaluator(cfg)
-        self.evals = 0
-        self.loss = float("inf")
-        self.map: np.ndarray | None = None
-        self.breakdown: dict[str, float] = {}
-        self.trace: list[tuple[int, float]] = []
-
-    def evaluate(
-        self,
-        cand: np.ndarray,
-        bound: float | None = None,
-        swap: tuple[int, int, dict[int, bool]] | None = None,
-    ) -> tuple[float, dict[str, float] | None, bool, dict[int, bool] | None]:
-        """Count and evaluate one candidate (see ``_Evaluator.loss``). A
-        complete evaluation strictly below the best so far becomes the best
-        and extends the trace."""
-        self.evals += 1
-        value, breakdown, complete, flags = self._ev.loss(cand, bound, swap)
-        if complete and value < self.loss:
-            self.loss, self.map, self.breakdown = value, cand.copy(), breakdown
-            self.trace.append((self.evals, value))
-        return value, breakdown, complete, flags
+            return total, None, None
+        flags: dict[int, bool] = {}
+        if cfg.lambda_cons > 0:
+            pairs, oracle, n_pairs = self._pairs, cfg.oracle, len(self._pairs)
+            if swap is None:
+                check, count = range(n_pairs), 0
+            else:
+                i, j, incumbent = swap
+                check = sorted(self._touching[i] | self._touching[j])
+                count = sum(incumbent.values()) - sum(incumbent[k] for k in check)
+            for k in check:
+                # the count only grows, so this lower bound only rises
+                if bound is not None and total + cfg.lambda_cons * (count / n_pairs) >= bound:
+                    return total + cfg.lambda_cons * (count / n_pairs), None, None
+                pi, po, n_new = pairs[k]
+                replay = oracle._continuation_array(perm_map[pi], n_new)
+                bad = not np.array_equal(replay, perm_map[po])
+                flags[k] = bad
+                count += bad
+            l_cons = count / n_pairs
+            breakdown["consistency"] = l_cons
+            total += cfg.lambda_cons * l_cons
+        if total < self.loss:
+            self.loss, self.map, self.breakdown = total, perm_map.copy(), breakdown
+            self.trace.append((self.evals, total))
+        return total, breakdown, flags
 
     def state(self, terminated: str) -> AttackState:
         return AttackState(
@@ -480,7 +440,7 @@ def random_sampling(cfg: AttackConfig, M: int) -> AttackState:
     rng = np.random.default_rng(cfg.seed)
     for _ in range(M):
         cand = rng.permutation(n).astype(np.int64)
-        search.evaluate(cand, bound=search.loss if search.map is not None else None)
+        search.evaluate(cand, bound=search.loss)
     return search.state("completed")
 
 
@@ -517,7 +477,7 @@ def hill_climb(
         else:
             cur = rng.permutation(n).astype(np.int64)
         # the first, full evaluation supplies every pair's mismatch flag
-        cur_loss, cur_breakdown, _, flags = search.evaluate(cur)
+        cur_loss, cur_breakdown, flags = search.evaluate(cur)
         certified = cur_loss == 0.0
 
         while not certified and search.evals < budget:
@@ -527,10 +487,10 @@ def hill_climb(
                 i, j = swaps[si]
                 cand = cur.copy()
                 cand[i], cand[j] = cand[j], cand[i]
-                value, breakdown, complete, changed = search.evaluate(
+                value, breakdown, changed = search.evaluate(
                     cand, bound=cur_loss, swap=(i, j, flags)
                 )
-                if complete and value < cur_loss:
+                if breakdown is not None and value < cur_loss:
                     cur, cur_loss, cur_breakdown = cand, value, breakdown
                     flags.update(changed)
                     certified = cur_loss == 0.0

@@ -183,9 +183,7 @@ def _load_ref_bigram(path: str) -> dict[int, dict[int, float]]:
 # --method name -> the search it runs on (AttackConfig, resolved flags)
 _ATTACKS = {
     "brute": lambda cfg, resolved: attack_mod.brute_force(cfg),
-    "random": lambda cfg, resolved: attack_mod.random_sampling(
-        cfg, M=resolved["samples"] if resolved["samples"] is not None else cfg.budget
-    ),
+    "random": lambda cfg, resolved: attack_mod.random_sampling(cfg, M=cfg.budget),
     "hill": lambda cfg, resolved: attack_mod.hill_climb(cfg, restarts=resolved["restarts"]),
 }
 
@@ -389,7 +387,6 @@ COMMANDS: dict[str, tuple] = {
         ("--seed", 0, _SEED),
         ("--budget", 1000, _INT),
         ("--restarts", 1, _INT),
-        ("--samples", None, _INT),
     )),
     "shard-sim": (cmd_shard_sim, (
         ("--model", REQUIRED, _STR),

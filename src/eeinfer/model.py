@@ -368,7 +368,7 @@ def apply_layer_range(
     heads, d_head, d_model = cfg.n_heads, cfg.d_head, cfg.d_model
     scale = math.sqrt(d_head)
     # row r sits at position start + r and sees positions 0..start + r
-    mask_rows, mask_cols = np.triu_indices(rows, k=start + 1, m=start + rows)
+    masked = np.arange(start + rows) > np.arange(start, start + rows)[:, None]
     for i, li in enumerate(cache.layers):
         p = f"layer{li}"
         normed = _apply_norm(model, f"{p}.attn_norm", x)
@@ -380,7 +380,7 @@ def apply_layer_range(
         # queries against (heads, d_head, positions) keys
         q = qkv[:, :d_model].reshape(rows, heads, d_head).transpose(1, 0, 2)
         scores = matmul(q, k.reshape(-1, heads, d_head).transpose(1, 2, 0)) / scale
-        scores[:, mask_rows, mask_cols] = -np.inf  # causal mask
+        scores[:, masked] = -np.inf  # causal mask
         weights = softmax_rows(scores.reshape(heads * rows, -1)).reshape(scores.shape)
         ctx = matmul(weights, v.reshape(-1, heads, d_head).transpose(1, 0, 2))
         ctx = ctx.transpose(1, 0, 2).reshape(rows, d_model)

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .containers import jsonl_text, read_jsonl, write_jsonl
+from .containers import jsonl_text, write_jsonl
 from .errors import (
     ConfigError,
     DomainError,
@@ -271,16 +271,6 @@ def save_transcript(transcript: Transcript, path: str | Path) -> None:
     write_jsonl(path, transcript.entries)
 
 
-def _entry(obj: object) -> dict:
-    if not isinstance(obj, dict):
-        raise TypeError("entry is not an object")
-    return obj
-
-
-def load_transcript(path: str | Path) -> Transcript:
-    return Transcript(read_jsonl(path, "transcript", _entry))
-
-
 def _payload_hash(x: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()
 
@@ -430,11 +420,10 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     Checks: (a) neither the plaintext prompt nor the plaintext continuation
     appears as a contiguous subsequence of any tokens_in field, of the first
     shard's token stream rebuilt from those fields, or of the token_out
-    stream; (b) the first shard's first input differs from the plaintext
-    prompt; (c) when the plaintext model and plan are provided, no frame
+    stream; (b) when the plaintext model and plan are provided, no frame
     payload hash equals the hash of any run of as many consecutive rows of a
     plaintext boundary activation, from one plaintext pass through the plan.
-    Without both the model and the plan, (c) is skipped with a warning.
+    Without both the model and the plan, (b) is skipped with a warning.
 
     The tokens_in field of step t holds the ids that end at position P + t,
     P being the prompt length: one id per step after the first, or the whole
@@ -458,15 +447,12 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
     failures: list[str] = []
     stream: list[int | None] = []  # the first shard's input, by position
     token_out_stream: list[int] = []
-    first_tokens_in: list[int] | None = None
     checked = 0
     for idx, entry in enumerate(transcript.entries):
         kind = entry.get("kind")
         if kind == "tokens_in":
             checked += 1
             ids = [int(t) for t in entry["token_ids"]]
-            if first_tokens_in is None:
-                first_tokens_in = ids
             for name, needle in needles:
                 if _contains(ids, needle):
                     failures.append(f"entry {idx}: plaintext {name} appears in a tokens_in field")
@@ -493,9 +479,6 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
             failures.append(f"plaintext {name} appears in the first shard's token stream")
         if _contains(token_out_stream, needle):
             failures.append(f"plaintext {name} appears in the token_out stream")
-
-    if first_tokens_in is not None and tuple(first_tokens_in) == prompt_ids:
-        failures.append("first-shard input token ids equal the plaintext prompt")
 
     warnings: list[str] = []
     if ctx.model is None or ctx.plan is None:

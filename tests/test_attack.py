@@ -551,12 +551,12 @@ def swap_landscapes(draw):
     return cfg, start, (i, j), bound
 
 
-def _assert_swap_matches_full(ev, cand, bound, flags, got):
+def _assert_swap_matches_full(cfg, cand, bound, flags, got):
     """A swap evaluation of ``cand`` from an incumbent with ``flags`` agrees
-    with a full evaluation of ``cand``."""
-    value, breakdown, complete, changed = got
-    full, full_breakdown, _, full_flags = ev.loss(cand)
-    if complete:
+    with a full evaluation of ``cand`` on a search of its own."""
+    value, breakdown, changed = got
+    full, full_breakdown, full_flags = attack._Search(cfg).evaluate(cand)
+    if breakdown is not None:
         assert value.hex() == full.hex()
         assert {k: x.hex() for k, x in breakdown.items()} == {
             k: x.hex() for k, x in full_breakdown.items()
@@ -571,23 +571,24 @@ class TestSwapEvaluation:
     @given(case=swap_landscapes())
     def test_swap_evaluation_equals_full_evaluation(self, case):
         cfg, start, (i, j), bound = case
-        ev = attack._Evaluator(cfg)
-        _, _, _, flags = ev.loss(start)
+        search = attack._Search(cfg)
+        _, _, flags = search.evaluate(start)
         cand = start.copy()
         cand[i], cand[j] = cand[j], cand[i]
-        _assert_swap_matches_full(ev, cand, bound, flags, ev.loss(cand, bound, (i, j, flags)))
+        got = search.evaluate(cand, bound, (i, j, flags))
+        _assert_swap_matches_full(cfg, cand, bound, flags, got)
 
         # every swap evaluation of a hill climb from the start map, so after
         # each accept, is checked the same way against its incumbent's flags
-        real = attack._Evaluator.loss
+        real = attack._Search.evaluate
 
         def checked(self, perm_map, bound=None, swap=None):
             got = real(self, perm_map, bound, swap)
             if swap is not None:
-                _assert_swap_matches_full(self, perm_map, bound, swap[2], got)
+                _assert_swap_matches_full(self.cfg, perm_map, bound, swap[2], got)
             return got
 
-        with patch.object(attack._Evaluator, "loss", checked):
+        with patch.object(attack._Search, "evaluate", checked):
             hill_climb(cfg, restarts=2, initial=PermTable(start))
 
     def test_swaps_consult_the_oracle_for_few_pairs(self, vocab50_cfg):

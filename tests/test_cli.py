@@ -15,7 +15,6 @@ from eeinfer import errors
 from eeinfer.cli import COMMANDS, REQUIRED, _build_parser, _resolve, _rows, main
 from eeinfer.encryption import load_key
 from eeinfer.model import CIPHERTEXT, load_model
-from eeinfer.shard_sim import load_transcript
 
 
 def run_cli(*argv) -> int:
@@ -239,12 +238,25 @@ class TestAttackCommand:
         assert run_cli(
             "attack", "--method", "random", "--corpus", ws["corpus"],
             "--vocab-size", 6, "--lambda-cons", "1.0",
-            "--oracle-model", ws["toy6"], "--samples", 1, "--seed", 4,
+            "--oracle-model", ws["toy6"], "--budget", 1, "--seed", 4,
             "--out", out,
         ) == 0
         doc = json.loads(out.read_text())
-        assert doc["evals_used"] == 1
+        assert doc["evals_used"] == doc["budget"] == 1
         assert len(doc["trace"]) == 1
+
+    def test_samples_is_not_a_second_budget(self, ws, tmp_path):
+        # --budget is the random search's sample count: a second count flag
+        # would let the result file record a budget the search never used
+        common = ("attack", "--method", "random", "--corpus", ws["corpus"],
+                  "--vocab-size", 6, "--lambda-cons", "1.0", "--oracle-model", ws["toy6"])
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*common, "--samples", 1, "--out", tmp_path / "a.json")
+        assert exc.value.code == 2
+        cfg = tmp_path / "attack.json"
+        cfg.write_text(json.dumps({"samples": 3}))
+        assert run_cli(*common, "--config", cfg, "--out", tmp_path / "b.json") == 7
+        assert not (tmp_path / "a.json").exists() and not (tmp_path / "b.json").exists()
 
     def test_hill_with_refs_trace_monotone(self, ws):
         out = ws["dir"] / "hill.json"
@@ -266,14 +278,15 @@ class TestAttackCommand:
         cfg.write_text(json.dumps({
             "method": "random", "corpus": str(ws["corpus"]), "vocab_size": 6,
             "lambda_cons": 1.0, "oracle_model": str(ws["toy6"]),
-            "samples": 3, "seed": 1, "out": str(tmp_path / "a.json"),
+            "budget": 3, "seed": 1, "out": str(tmp_path / "a.json"),
         }))
         out_override = tmp_path / "b.json"
         assert run_cli("attack", "--config", cfg, "--out", out_override) == 0
         assert out_override.exists()
         resolved = json.loads((tmp_path / "b.json.resolved_config.json").read_text())
         assert resolved["config"]["out"] == str(out_override)
-        assert resolved["config"]["samples"] == 3
+        assert resolved["config"]["budget"] == 3
+        assert json.loads(out_override.read_text())["evals_used"] == 3
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_weight_is_config_error(self, ws, tmp_path, value):
@@ -324,7 +337,7 @@ class TestAttackCommand:
         weight = "--lambda-uni" if flag == "--ref-unigram" else "--lambda-bi"
         assert run_cli(
             "attack", "--method", "random", "--corpus", ws["corpus"], "--vocab-size", 6,
-            weight, "1.0", flag, ref, "--samples", 1, "--out", tmp_path / "a.json",
+            weight, "1.0", flag, ref, "--budget", 1, "--out", tmp_path / "a.json",
         ) == 3
         assert f"FormatError: {flag[6:]} reference {ref}" in capsys.readouterr().err
 
@@ -344,8 +357,8 @@ class TestShardSimCommand:
         printed = capsys.readouterr().out
         assert printed.strip().splitlines()[-1] == expected
         assert "audit passed" in printed
-        transcript = load_transcript(ws["dir"] / "shard_run.transcript.jsonl")
-        kinds = [e["kind"] for e in transcript.entries]
+        lines = (ws["dir"] / "shard_run.transcript.jsonl").read_text().splitlines()
+        kinds = [json.loads(line)["kind"] for line in lines]
         assert "reassign" in kinds
         audit = json.loads((ws["dir"] / "shard_run.audit.json").read_text())
         assert list(audit) == ["passed", "failures", "warnings", "checked_entries"]

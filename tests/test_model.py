@@ -277,6 +277,19 @@ class TestIncremental:
         assert np.concatenate(parts).tobytes() == apply_layer_range(tiny_model, x, 1, 1).tobytes()
         assert cache.length == 4
 
+    def test_causal_mask_builds_no_index_arrays(self, tiny_model, monkeypatch):
+        # the mask is one comparison of position ranges: np.triu_indices cost
+        # about 25 us a call, even for a one-row cached step with nothing masked
+        prompt = TokenSeq((1, 2, 3), PLAINTEXT)
+        out, logits = greedy_decode(tiny_model, prompt, 4), forward(tiny_model, prompt)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.triu_indices called")
+
+        monkeypatch.setattr(np, "triu_indices", refuse)
+        assert greedy_decode(tiny_model, prompt, 4) == out
+        assert forward(tiny_model, prompt).tobytes() == logits.tobytes()
+
     def test_cached_step_kernel_calls(self, monkeypatch):
         # toy config: one fused QKV product per layer, and every head's scores
         # and context in one batched product each

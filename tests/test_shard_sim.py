@@ -45,7 +45,6 @@ from eeinfer.shard_sim import (
     audit_blindness,
     decode_frame,
     encode_frame,
-    load_transcript,
     plan_shards,
     run_pipeline,
     save_transcript,
@@ -377,23 +376,6 @@ class TestPipeline:
             run_pipeline(deep_enc, plan, broker, enc_prompt, 4)
 
 
-class TestTranscriptIO:
-    def test_round_trip(self, tmp_path, deep_enc, enc_prompt):
-        plan = plan_shards(deep_enc.config, 2)
-        _, transcript = run_pipeline(deep_enc, plan, BrokerConfig(seed=2), enc_prompt, 3)
-        path = tmp_path / "run.transcript.jsonl"
-        save_transcript(transcript, path)
-        loaded = load_transcript(path)
-        assert loaded == transcript
-        assert loaded.hash() == transcript.hash()
-
-    def test_malformed(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "frame"}\n[1, 2]\n')
-        with pytest.raises(FormatError, match="line 2"):
-            load_transcript(path)
-
-
 class TestAudit:
     def run_for_audit(self, model, key, n_shards=2, n_new=5, seed=8):
         prompt = TokenSeq((5, 1, 9, 12, 7), PLAINTEXT)
@@ -421,8 +403,7 @@ class TestAudit:
         result = audit_blindness(transcript, ctx)
         assert not result.passed
         text = " ".join(result.failures)
-        assert "first-shard input" in text
-        assert "prompt appears" in text
+        assert "plaintext prompt appears in a tokens_in field" in text
         assert "boundary activation" in text
 
     def test_identity_key_flags_every_one_row_frame(self, deep_model):
@@ -469,7 +450,7 @@ class TestAudit:
         flagged = [f for f in result.failures if "boundary activation" in f]
         if identity:
             assert len(flagged) == 5 * 3
-            assert "first-shard input token ids equal the plaintext prompt" in result.failures
+            assert "entry 0: plaintext prompt appears in a tokens_in field" in result.failures
         else:
             assert result.passed
 
