@@ -37,7 +37,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -175,11 +175,8 @@ class GreedyOracle:
     def max_seq_len(self) -> int:
         return self.model.config.max_seq_len
 
-    def continuation(self, ids: Sequence[int], n_new: int) -> tuple[int, ...]:
-        arr = self._continuation_array(np.asarray(ids, dtype=np.int64), n_new)
-        return tuple(int(t) for t in arr)
-
-    def _continuation_array(self, ids: np.ndarray, n_new: int) -> np.ndarray:
+    def continuation(self, ids: np.ndarray, n_new: int) -> np.ndarray:
+        """The n_new ids greedy decoding appends to the int64 array ids."""
         key = (ids.tobytes(), n_new)
         hit = self._memo.get(key)
         if hit is None:
@@ -388,7 +385,7 @@ class _Search:
                 if bound is not None and total + cfg.lambda_cons * (count / n_pairs) >= bound:
                     return total + cfg.lambda_cons * (count / n_pairs), None, None
                 pi, po, n_new = pairs[k]
-                replay = oracle._continuation_array(perm_map[pi], n_new)
+                replay = oracle.continuation(perm_map[pi], n_new)
                 bad = not np.array_equal(replay, perm_map[po])
                 flags[k] = bad
                 count += bad

@@ -51,14 +51,10 @@ def _score_arrays(scores_vi, scores_ee) -> tuple[np.ndarray, np.ndarray]:
     return vi, ee
 
 
-def fidelity(scores_vi, scores_ee) -> float:
-    """1 - mean(|ee - vi| / max(ee, vi)) over paired confidence scores."""
-    return FidelityReport(scores_vi, scores_ee).fidelity
-
-
 @dataclass(frozen=True)
 class FidelityReport:
-    """Paired confidence scores and the fidelity they imply."""
+    """Paired confidence scores and the fidelity they imply,
+    1 - mean(|ee - vi| / max(ee, vi))."""
 
     scores_vi: tuple[float, ...]
     scores_ee: tuple[float, ...]

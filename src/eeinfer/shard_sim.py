@@ -12,6 +12,7 @@ and returns the argmax token id, still in ciphertext. A seeded virtual clock
 assigns each delivery a latency draw, so a run is a pure function of (model,
 plan, broker config, prompt) and replays bit-for-bit.
 
+Shard s starts on node s, and the spares are numbered after the shards.
 Failure injection marks a node crashed once the global delivery counter
 reaches the configured step; the next message bound for it triggers
 reassignment of its shard to the lowest-numbered idle spare, or a pipeline
@@ -70,10 +71,9 @@ _CRC = struct.Struct("<I")
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """Contiguous layer ranges and the node hosting each shard."""
+    """Contiguous layer ranges, one per shard; shard s starts on node s."""
 
     ranges: tuple[tuple[int, int], ...]
-    placement: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.ranges:
@@ -85,13 +85,7 @@ class ShardPlan:
         for (_, prev_last), (nxt_first, _) in zip(ranges, ranges[1:]):
             if nxt_first != prev_last + 1:
                 raise ConfigError("shard ranges must be contiguous and ordered")
-        placement = tuple(int(n) for n in self.placement)
-        if len(placement) != len(ranges):
-            raise ConfigError("placement must assign exactly one node per shard")
-        if len(set(placement)) != len(placement) or any(n < 0 for n in placement):
-            raise ConfigError("placement nodes must be distinct non-negative ids")
         object.__setattr__(self, "ranges", ranges)
-        object.__setattr__(self, "placement", placement)
 
     @property
     def n_shards(self) -> int:
@@ -109,7 +103,7 @@ def plan_shards(config: ModelConfig, n: int) -> ShardPlan:
         size = base + (1 if s < rem else 0)
         ranges.append((first, first + size - 1))
         first += size
-    return ShardPlan(ranges=tuple(ranges), placement=tuple(range(n)))
+    return ShardPlan(ranges=tuple(ranges))
 
 
 def _plan_matches(plan: ShardPlan, config: ModelConfig) -> None:
@@ -248,8 +242,8 @@ class BrokerConfig:
 class Transcript:
     """Ordered record of every simulated exchange."""
 
-    def __init__(self, entries: list[dict] | None = None) -> None:
-        self.entries: list[dict] = list(entries or [])
+    def __init__(self) -> None:
+        self.entries: list[dict] = []
 
     def add(self, **entry) -> None:
         self.entries.append(entry)
@@ -301,12 +295,11 @@ def run_pipeline(
     rng = np.random.default_rng(broker.seed)
     transport = transport if transport is not None else InProcessTransport()
     transcript = Transcript()
-    n_nodes = max(plan.placement) + 1 + broker.spares
-    assignment = list(plan.placement)
+    assignment = list(range(plan.n_shards))
+    n_nodes = plan.n_shards + broker.spares
     caches = [KVCache(enc_model, first, last) for first, last in plan.ranges]
     clock = 0.0
     deliveries = 0
-    failed_logged: set[int] = set()
 
     def is_dead(node: int) -> bool:
         return any(node == fn and deliveries >= fs for fn, fs in broker.failures)
@@ -315,11 +308,11 @@ def run_pipeline(
         """Advance the clock and the delivery counter for one message; one
         bound for a shard whose node is dead first moves it to a spare."""
         nonlocal clock, deliveries
-        while shard is not None and is_dead(assignment[shard]):
+        # a spare is picked among nodes alive at this delivery count, and a
+        # dead node stays dead, so one move always lands on a live node
+        if shard is not None and is_dead(assignment[shard]):
             node = assignment[shard]
-            if node not in failed_logged:
-                failed_logged.add(node)
-                transcript.add(kind="failure", node=node, time=clock)
+            transcript.add(kind="failure", node=node, time=clock)
             candidates = [
                 n for n in range(n_nodes) if n not in assignment and not is_dead(n)
             ]

@@ -154,7 +154,7 @@ class TestCorpus:
         enc_in, enc_out = a.pairs[0]
         dec_in = decrypt_tokens(small_key, TokenSeq(enc_in, "ciphertext"))
         dec_out = decrypt_tokens(small_key, TokenSeq(enc_out, "ciphertext"))
-        assert oracle.continuation(dec_in.ids, len(dec_out.ids)) == dec_out.ids
+        assert tuple(oracle.continuation(np.asarray(dec_in.ids), len(dec_out.ids))) == dec_out.ids
 
 
 class TestUnigram:
@@ -242,11 +242,11 @@ class TestConsistency:
 
     def test_oracle_memoizes(self, small_model):
         oracle = GreedyOracle(small_model)
-        first = oracle.continuation((0, 1), 2)
+        first = tuple(oracle.continuation(np.array([0, 1]), 2))
         assert len(oracle._memo) == 1
-        assert oracle.continuation((0, 1), 2) == first
+        assert tuple(oracle.continuation(np.array([0, 1]), 2)) == first
         assert len(oracle._memo) == 1
-        oracle.continuation((0, 1), 3)
+        oracle.continuation(np.array([0, 1]), 3)
         assert len(oracle._memo) == 2
 
 
@@ -593,14 +593,14 @@ class TestSwapEvaluation:
 
     def test_swaps_consult_the_oracle_for_few_pairs(self, vocab50_cfg):
         lookups = 0
-        real = GreedyOracle._continuation_array
+        real = GreedyOracle.continuation
 
         def counted(self, ids, n_new):
             nonlocal lookups
             lookups += 1
             return real(self, ids, n_new)
 
-        with patch.object(GreedyOracle, "_continuation_array", counted):
+        with patch.object(GreedyOracle, "continuation", counted):
             state = hill_climb(vocab50_cfg, restarts=5)
         # a swap touches about 1.4 of the 30 pairs; re-checking every pair up
         # to the give-up costs about 23 lookups an evaluation

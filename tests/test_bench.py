@@ -16,7 +16,6 @@ from eeinfer.bench import (
     LatencyReport,
     compare_arms,
     emit_report,
-    fidelity,
     load_prompts,
     measure_latency,
     random_prompts,
@@ -41,41 +40,41 @@ score_lists = st.lists(
 
 class TestFidelity:
     def test_identical_lists_give_one(self):
-        assert fidelity([0.2, 0.9, 0.5], [0.2, 0.9, 0.5]) == 1.0
+        assert FidelityReport([0.2, 0.9, 0.5], [0.2, 0.9, 0.5]).fidelity == 1.0
 
     def test_hand_value(self):
-        assert fidelity([0.5, 0.8], [1.0, 0.8]) == pytest.approx(0.75)
+        assert FidelityReport([0.5, 0.8], [1.0, 0.8]).fidelity == pytest.approx(0.75)
 
     def test_zero_pair_skipped(self):
-        value = fidelity([0.0, 0.5], [0.0, 0.5])
+        value = FidelityReport([0.0, 0.5], [0.0, 0.5]).fidelity
         assert value == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            fidelity([0.5], [0.5, 0.6])
+            FidelityReport([0.5], [0.5, 0.6])
 
     def test_empty(self):
         with pytest.raises(DomainError):
-            fidelity([], [])
+            FidelityReport([], [])
 
     def test_out_of_range_scores(self):
         with pytest.raises(RangeError):
-            fidelity([1.5], [0.5])
+            FidelityReport([1.5], [0.5])
         with pytest.raises(RangeError):
-            fidelity([0.5], [-0.1])
+            FidelityReport([0.5], [-0.1])
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(scores=score_lists)
     def test_self_fidelity_is_one(self, scores):
-        assert fidelity(scores, scores) == 1.0
+        assert FidelityReport(scores, scores).fidelity == 1.0
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(a=score_lists, b=score_lists)
     def test_symmetric_and_bounded(self, a, b):
         n = min(len(a), len(b))
         a, b = a[:n], b[:n]
-        forward_value = fidelity(a, b)
-        assert forward_value == fidelity(b, a)
+        forward_value = FidelityReport(a, b).fidelity
+        assert forward_value == FidelityReport(b, a).fidelity
         assert 0.0 <= forward_value <= 1.0
 
 
@@ -83,7 +82,8 @@ class TestFidelityReport:
     def test_figures_from_scores(self):
         report = FidelityReport((0.0, 0.5, 0.8), (0.0, 1.0, 0.8))
         assert (report.n, report.skipped_zero_pairs) == (3, 1)
-        assert report.fidelity == fidelity((0.0, 0.5, 0.8), (0.0, 1.0, 0.8))
+        # the 0/0 pair adds no gap but still counts in the mean
+        assert report.fidelity == pytest.approx(1.0 - 0.5 / 3)
 
     def test_length_enforced(self):
         with pytest.raises(ShapeError):

@@ -76,7 +76,6 @@ class TestPlanning:
     def test_single_shard(self, deep_model):
         plan = plan_shards(deep_model.config, 1)
         assert plan.ranges == ((0, 3),)
-        assert plan.placement == (0,)
 
     def test_even_split(self, deep_model):
         plan = plan_shards(deep_model.config, 2)
@@ -94,11 +93,7 @@ class TestPlanning:
 
     def test_plan_validation(self):
         with pytest.raises(ConfigError):
-            ShardPlan(ranges=((0, 1), (3, 4)), placement=(0, 1))
-        with pytest.raises(ConfigError):
-            ShardPlan(ranges=((0, 1), (2, 3)), placement=(0, 0))
-        with pytest.raises(ConfigError):
-            ShardPlan(ranges=((0, 1),), placement=(0, 1))
+            ShardPlan(ranges=((0, 1), (3, 4)))
 
 
 class TestFrames:
@@ -282,7 +277,10 @@ class TestPipeline:
         ]
         assert later and all(e["to_node"] == 4 for e in later)
 
-    @pytest.mark.parametrize("failures", [((2, 8),), ((0, 9),), ((1, 6), (3, 20))])
+    # ((2, 8), (4, 15)): node 4, the spare that took over shard 2, fails too
+    @pytest.mark.parametrize(
+        "failures", [((2, 8),), ((0, 9),), ((1, 6), (3, 20)), ((2, 8), (4, 15))]
+    )
     def test_failover_equals_monolithic_and_resends_only_to_spares(
         self, deep_enc, enc_prompt, failures
     ):
@@ -339,7 +337,7 @@ class TestPipeline:
             run_pipeline(deep_enc, plan, BrokerConfig(), plain, 2)
 
     def test_plan_coverage_checked(self, deep_enc, enc_prompt):
-        shallow_plan = ShardPlan(ranges=((0, 1),), placement=(0,))
+        shallow_plan = ShardPlan(ranges=((0, 1),))
         with pytest.raises(ConfigError):
             run_pipeline(deep_enc, shallow_plan, BrokerConfig(), enc_prompt, 2)
 
