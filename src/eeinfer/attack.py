@@ -176,7 +176,8 @@ class GreedyOracle:
         return self.model.config.max_seq_len
 
     def continuation(self, ids: np.ndarray, n_new: int) -> np.ndarray:
-        """The n_new ids greedy decoding appends to the int64 array ids."""
+        """The n_new ids greedy decoding appends to ids."""
+        ids = np.asarray(ids, dtype=np.int64)  # the memo key is these bytes
         key = (ids.tobytes(), n_new)
         hit = self._memo.get(key)
         if hit is None:

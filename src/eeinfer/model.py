@@ -9,10 +9,10 @@ through the deterministic kernel in tensor_ops, which is what makes
 The layer arithmetic lives in one place, apply_layer_range. Given a KVCache
 in place of the model it runs the rows of the next positions against the
 cached keys and values and appends theirs; given the model it runs a whole
-sequence on a fresh cache. Greedy decoding steps a cache the way every shard
-of the sharded pipeline does: the rows the cache has not seen, then the
-logits of the last row only. Because the kernels are row-local, the cached
-rows equal a full forward pass byte for byte.
+sequence on a fresh cache. forward takes a cache the same way, and greedy
+decoding fills one with the prompt and then feeds one token per step. Because
+the kernels are row-local, the cached rows equal a full forward pass byte for
+byte.
 
 Sequences carry a domain tag (plaintext or ciphertext) and the model refuses
 to run on the wrong one; that tag is the misuse guard the encryption layer
@@ -325,10 +325,10 @@ def embed_positions(model: ModelBundle, ids: Sequence[int], start: int = 0) -> n
 class KVCache:
     """Keys and values of the positions a layer range has processed so far.
 
-    Passed to apply_layer_range in place of the model, it makes the rows
-    given there the next positions of one request: they attend to every
-    cached position as well, and their keys and values are appended. A cache
-    belongs to one model and one request.
+    Passed to apply_layer_range (or, over every layer, to forward) in place
+    of the model, it makes the rows given there the next positions of one
+    request: they attend to every cached position as well, and their keys
+    and values are appended. A cache belongs to one model and one request.
     """
 
     def __init__(self, model: ModelBundle, first: int, last: int) -> None:
@@ -399,31 +399,35 @@ def final_logits(model: ModelBundle, x: np.ndarray) -> np.ndarray:
     return matmul(x, model.tensors["lm_head.W"]) + model.tensors["lm_head.b"]
 
 
-def forward(model: ModelBundle, tokens: TokenSeq) -> np.ndarray:
-    """Per-position logits of a full pass from position 0, shape
-    (len(tokens), vocab_size)."""
-    _validate_prompt(model, tokens)
-    x = embed_positions(model, tokens.ids)
-    x = apply_layer_range(model, x, 0, model.config.n_layers - 1)
+def forward(model: ModelBundle | KVCache, tokens: TokenSeq) -> np.ndarray:
+    """Per-position logits, shape (len(tokens), vocab_size).
+
+    With a KVCache over every layer in place of the model, the tokens
+    continue the cached sequence and the cache grows by them.
+    """
+    cache = model if isinstance(model, KVCache) else KVCache(model, 0, model.config.n_layers - 1)
+    model = cache.model
+    _validate_prompt(model, tokens, extra=cache.length)
+    x = embed_positions(model, tokens.ids, start=cache.length)
+    x = apply_layer_range(cache, x, 0, model.config.n_layers - 1)
     return final_logits(model, x)
 
 
 def greedy_decode(model: ModelBundle, prompt: TokenSeq, n_new: int) -> TokenSeq:
     """Append argmax tokens one at a time; ties go to the lowest index.
 
-    The first step runs the prompt into a KV cache, each later step only the
-    token chosen last; every step takes the logits of its last row alone.
+    The prompt fills a KV cache in one forward pass; each later pass feeds
+    only the token chosen last.
     """
     if n_new < 0:
         raise RangeError(f"n_new must be >= 0, got {n_new}")
     _validate_prompt(model, prompt, extra=n_new)
     ids = list(prompt.ids)
-    last = model.config.n_layers - 1
-    cache = KVCache(model, 0, last)
+    cache = KVCache(model, 0, model.config.n_layers - 1)
+    fresh = prompt
     for _ in range(n_new):
-        x = embed_positions(model, ids[cache.length :], start=cache.length)
-        x = apply_layer_range(cache, x, 0, last)
-        ids.append(int(np.argmax(final_logits(model, x[-1:])[0])))
+        ids.append(int(np.argmax(forward(cache, fresh)[-1])))
+        fresh = TokenSeq(ids[-1:], model.domain)
     return TokenSeq(tuple(ids), model.domain)
 
 

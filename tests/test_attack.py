@@ -37,7 +37,7 @@ from eeinfer.errors import (
     RefusalError,
     ShapeError,
 )
-from eeinfer.model import PLAINTEXT, TokenSeq, init_model, make_config
+from eeinfer.model import PLAINTEXT, TokenSeq, greedy_decode, init_model, make_config
 from eeinfer.tensor_ops import PermTable
 
 
@@ -248,6 +248,15 @@ class TestConsistency:
         assert len(oracle._memo) == 1
         oracle.continuation(np.array([0, 1]), 3)
         assert len(oracle._memo) == 2
+
+    def test_oracle_memo_keys_on_ids_not_bytes(self, small_model):
+        # int32 [0, 0] has the bytes of int64 [0]; the two prompts still differ
+        oracle = GreedyOracle(small_model)
+        oracle.continuation(np.array([0, 0], dtype=np.int32), 2)
+        got = oracle.continuation(np.array([0], dtype=np.int64), 2)
+        assert len(oracle._memo) == 2
+        want = greedy_decode(small_model, TokenSeq((0,), PLAINTEXT), 2).ids[1:]
+        assert tuple(got) == want
 
 
 class TestTotalLoss:

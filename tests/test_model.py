@@ -34,7 +34,6 @@ from eeinfer.model import (
     config_fingerprint,
     embed_positions,
     expected_tensor_shapes,
-    final_logits,
     forward,
     greedy_decode,
     init_model,
@@ -261,12 +260,10 @@ class TestIncremental:
         prompt = TokenSeq(tuple(range(3, 15)), model.domain)
         out = greedy_decode(model, prompt, 28)
         full = forward(model, out)
-        last = config.n_layers - 1
-        cache = KVCache(model, 0, last)
-        steps = []
-        for end in range(len(prompt), len(out) + 1):
-            x = embed_positions(model, out.ids[cache.length : end], start=cache.length)
-            steps.append(final_logits(model, apply_layer_range(cache, x, 0, last)))
+        cache = KVCache(model, 0, config.n_layers - 1)
+        steps = [forward(cache, prompt)]
+        for pos in range(len(prompt), len(out)):
+            steps.append(forward(cache, TokenSeq(out.ids[pos : pos + 1], model.domain)))
         cached = np.concatenate(steps)
         for pos in range(len(out)):
             assert cached[pos].tobytes() == full[pos].tobytes(), pos
@@ -298,10 +295,8 @@ class TestIncremental:
         # and context in one batched product each
         config = make_config(vocab_size=128, d_model=32, n_layers=2, n_heads=4, d_ff=64,
                              max_seq_len=64)
-        model = init_model(config, 42)
-        last = config.n_layers - 1
-        cache = KVCache(model, 0, last)
-        apply_layer_range(cache, embed_positions(model, range(16)), 0, last)
+        cache = KVCache(init_model(config, 42), 0, config.n_layers - 1)
+        forward(cache, TokenSeq(tuple(range(16)), PLAINTEXT))
         calls = {"matmul": 0, "softmax_rows": 0}
         for name in calls:
             def counted(*args, _fn=getattr(eeinfer.model, name), _name=name):
@@ -309,26 +304,8 @@ class TestIncremental:
                 return _fn(*args)
 
             monkeypatch.setattr(eeinfer.model, name, counted)
-        x = apply_layer_range(cache, embed_positions(model, (3,), start=16), 0, last)
-        final_logits(model, x)
+        forward(cache, TokenSeq((3,), PLAINTEXT))
         assert calls == {"matmul": 13, "softmax_rows": 2}
-
-    def test_greedy_decode_takes_logits_of_one_row(self, monkeypatch):
-        config = make_config(vocab_size=128, d_model=32, n_layers=2, n_heads=4, d_ff=64,
-                             max_seq_len=64)
-        model = init_model(config, 42)
-        prompt = TokenSeq(tuple(range(16)), PLAINTEXT)
-        out = greedy_decode(model, prompt, 4)
-        rows = []
-
-        def recorded(model, x, _fn=eeinfer.model.final_logits):
-            rows.append(x.shape[0])
-            return _fn(model, x)
-
-        monkeypatch.setattr(eeinfer.model, "final_logits", recorded)
-        # the prefill step too: its other 15 rows' logits would be dropped
-        assert greedy_decode(model, prompt, 4) == out
-        assert rows == [1, 1, 1, 1]
 
     def test_layer_range_checked(self, tiny_model):
         with pytest.raises(ShapeError):
@@ -336,6 +313,8 @@ class TestIncremental:
         x = embed_positions(tiny_model, (1, 2))
         with pytest.raises(ShapeError):
             apply_layer_range(KVCache(tiny_model, 0, 0), x, 0, 1)
+        with pytest.raises(ShapeError):
+            forward(KVCache(tiny_model, 1, 1), TokenSeq((1, 2), PLAINTEXT))
 
 
 class TestContainer:
