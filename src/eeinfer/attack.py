@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -167,14 +168,6 @@ class GreedyOracle:
         self.model = model
         self._memo: dict[tuple[bytes, int], np.ndarray] = {}
 
-    @property
-    def vocab_size(self) -> int:
-        return self.model.config.vocab_size
-
-    @property
-    def max_seq_len(self) -> int:
-        return self.model.config.max_seq_len
-
     def continuation(self, ids: np.ndarray, n_new: int) -> np.ndarray:
         """The n_new ids greedy decoding appends to ids."""
         ids = np.asarray(ids, dtype=np.int64)  # the memo key is these bytes
@@ -261,15 +254,16 @@ class AttackConfig:
         if self.lambda_cons > 0:
             if self.oracle is None:
                 raise ConfigError("lambda_cons > 0 requires an oracle model")
-            if self.oracle.vocab_size != v:
+            oracle_config = self.oracle.model.config
+            if oracle_config.vocab_size != v:
                 raise ConfigError(
-                    f"oracle vocab {self.oracle.vocab_size} does not match corpus vocab {v}"
+                    f"oracle vocab {oracle_config.vocab_size} does not match corpus vocab {v}"
                 )
             longest = max(len(pi) + len(po) for pi, po in self.corpus.pairs)
-            if longest > self.oracle.max_seq_len:
+            if longest > oracle_config.max_seq_len:
                 raise ConfigError(
                     f"corpus pair of total length {longest} exceeds the oracle's "
-                    f"max_seq_len {self.oracle.max_seq_len}"
+                    f"max_seq_len {oracle_config.max_seq_len}"
                 )
 
 
@@ -410,10 +404,13 @@ class _Search:
 
 
 def brute_force(cfg: AttackConfig) -> AttackState:
-    """Exact minimizer by lexicographic enumeration of all n! candidates.
+    """Lexicographic enumeration of the n! candidates, at most cfg.budget of
+    them; the exact minimizer when the budget covers all n!.
 
-    Ties keep the first (lexicographically smallest) map. Refuses vocabularies
-    above 9 tokens: the candidate count grows factorially.
+    Ties keep the first (lexicographically smallest) map. Terminates
+    "exhaustive" once every candidate was scored, "budget_exhausted" before.
+    Refuses vocabularies above 9 tokens: the candidate count grows
+    factorially.
     """
     n = cfg.corpus.vocab_size
     if n > BRUTE_FORCE_MAX_VOCAB:
@@ -423,10 +420,11 @@ def brute_force(cfg: AttackConfig) -> AttackState:
         )
     search = _Search(cfg)
     buf = np.empty(n, dtype=np.int64)
-    for cand in itertools.permutations(range(n)):
+    for cand in itertools.islice(itertools.permutations(range(n)), cfg.budget):
         buf[:] = cand
         search.evaluate(buf)
-    return search.state("exhaustive")
+    exhaustive = search.evals == math.factorial(n)
+    return search.state("exhaustive" if exhaustive else "budget_exhausted")
 
 
 def random_sampling(cfg: AttackConfig, M: int) -> AttackState:
@@ -442,22 +440,18 @@ def random_sampling(cfg: AttackConfig, M: int) -> AttackState:
     return search.state("completed")
 
 
-def hill_climb(
-    cfg: AttackConfig, restarts: int = 1, initial: PermTable | None = None
-) -> AttackState:
+def hill_climb(cfg: AttackConfig, restarts: int = 1) -> AttackState:
     """2-swap local search: random-order sweeps over all n(n-1)/2
     transpositions, accepting strict improvements only.
 
     An accept starts a fresh sweep; a completed sweep with no accept certifies
     a 2-swap local optimum (a loss of exactly 0 certifies immediately, it is
-    the global minimum). The budget is shared sequentially across restarts;
-    restart 0 may start from ``initial``, later restarts from seeded uniform
-    draws. Result is the best restart, ties broken by lexicographic map.
+    the global minimum). The budget is shared sequentially across restarts,
+    and each restart starts from its own seeded uniform draw. Result is the
+    best restart, ties broken by lexicographic map.
     """
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
-    if initial is not None:
-        _check_perm(initial, cfg.corpus.vocab_size)
     n = cfg.corpus.vocab_size
     search = _Search(cfg)
     swaps = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -470,10 +464,7 @@ def hill_climb(
         if search.evals >= budget:
             break
         rng = np.random.default_rng(seeds[r])
-        if r == 0 and initial is not None:
-            cur = initial.map.astype(np.int64).copy()
-        else:
-            cur = rng.permutation(n).astype(np.int64)
+        cur = rng.permutation(n).astype(np.int64)
         # the first, full evaluation supplies every pair's mismatch flag
         cur_loss, cur_breakdown, flags = search.evaluate(cur)
         certified = cur_loss == 0.0

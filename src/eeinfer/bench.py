@@ -305,5 +305,5 @@ def save_prompts(prompts: Sequence[TokenSeq], path: str | Path) -> None:
     write_jsonl(path, ({"input_ids": list(p.ids)} for p in prompts))
 
 
-def load_prompts(path: str | Path, domain: str = PLAINTEXT) -> list[TokenSeq]:
-    return read_jsonl(path, "prompt", lambda obj: TokenSeq(json_ids(obj["input_ids"]), domain))
+def load_prompts(path: str | Path) -> list[TokenSeq]:
+    return read_jsonl(path, "prompt", lambda obj: TokenSeq(json_ids(obj["input_ids"]), PLAINTEXT))

@@ -189,6 +189,10 @@ _ATTACKS = {
 
 
 def cmd_attack(resolved: dict) -> None:
+    method = resolved["method"]
+    if method != "hill" and resolved["restarts"] != 1:
+        # only hill climbing restarts, and the resolved config records only what a search used
+        raise _Usage(f"--restarts is for --method hill, not --method {method}")
     corpus = attack_mod.load_corpus(resolved["corpus"], resolved["vocab_size"])
     ref_unigram = (
         _load_ref_unigram(resolved["ref_unigram"]) if resolved["ref_unigram"] else None
@@ -210,7 +214,6 @@ def cmd_attack(resolved: dict) -> None:
         seed=resolved["seed"],
         budget=resolved["budget"],
     )
-    method = resolved["method"]
     state = _ATTACKS[method](cfg, resolved)
     attack_mod.save_attack_result(state, cfg, resolved["out"])
     print(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -65,7 +65,7 @@ class EEKey:
 
     seed: int
     model_fingerprint: str
-    layout: dict[str, int] = field(hash=False)  # a dict cannot be hashed
+    layout: dict[str, int]
     tables: tuple[PermTable, ...]
 
     def __post_init__(self) -> None:

@@ -6,13 +6,13 @@ same arithmetic as the monolithic path, piece by piece. Every reduction goes
 through the deterministic kernel in tensor_ops, which is what makes
 "bit-identical output" a meaningful contract rather than a hope.
 
-The layer arithmetic lives in one place, apply_layer_range. Given a KVCache
-in place of the model it runs the rows of the next positions against the
-cached keys and values and appends theirs; given the model it runs a whole
-sequence on a fresh cache. forward takes a cache the same way, and greedy
-decoding fills one with the prompt and then feeds one token per step. Because
-the kernels are row-local, the cached rows equal a full forward pass byte for
-byte.
+The layer arithmetic lives in one place, apply_layer_range. It takes a
+KVCache of its layer range and runs the rows of the next positions against
+the cached keys and values, then appends theirs; on a fresh cache the rows
+are a whole sequence from position 0. forward takes the model or a cache over
+every layer, and greedy decoding fills a cache with the prompt and then feeds
+one token per step. Because the kernels are row-local, the cached rows equal
+a full forward pass byte for byte.
 
 Sequences carry a domain tag (plaintext or ciphertext) and the model refuses
 to run on the wrong one; that tag is the misuse guard the encryption layer
@@ -325,8 +325,8 @@ def embed_positions(model: ModelBundle, ids: Sequence[int], start: int = 0) -> n
 class KVCache:
     """Keys and values of the positions a layer range has processed so far.
 
-    Passed to apply_layer_range (or, over every layer, to forward) in place
-    of the model, it makes the rows given there the next positions of one
+    Passed to apply_layer_range (or, over every layer, to forward in place
+    of the model), it makes the rows given there the next positions of one
     request: they attend to every cached position as well, and their keys
     and values are appended. A cache belongs to one model and one request.
     """
@@ -349,15 +349,13 @@ class KVCache:
 
 
 def apply_layer_range(
-    model: ModelBundle | KVCache, x: np.ndarray, first: int, last: int
+    cache: KVCache, x: np.ndarray, first: int, last: int
 ) -> np.ndarray:
     """Run layers first..last inclusive on a residual-stream state.
 
-    With a ModelBundle, x holds a whole sequence from position 0. With a
-    KVCache of exactly that layer range, x holds the rows of the positions
-    after the cached ones, and the cache grows by them.
+    The cache holds exactly that layer range, and x holds the rows of the
+    positions after the cached ones; the cache grows by them.
     """
-    cache = model if isinstance(model, KVCache) else KVCache(model, first, last)
     if cache.layers != range(first, last + 1):
         raise ShapeError(
             f"cache holds layers {cache.layers.start}..{cache.layers.stop - 1}, "

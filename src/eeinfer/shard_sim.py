@@ -87,10 +87,6 @@ class ShardPlan:
                 raise ConfigError("shard ranges must be contiguous and ordered")
         object.__setattr__(self, "ranges", ranges)
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.ranges)
-
 
 def plan_shards(config: ModelConfig, n: int) -> ShardPlan:
     """Balanced contiguous split; earlier shards absorb the remainder."""
@@ -142,16 +138,6 @@ class ActivationFrame:
     @property
     def d_model(self) -> int:
         return self.payload.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ActivationFrame):
-            return NotImplemented
-        return (
-            self.request_id == other.request_id
-            and self.shard_index == other.shard_index
-            and self.payload.shape == other.payload.shape
-            and self.payload.tobytes() == other.payload.tobytes()
-        )
 
 
 def encode_frame(frame: ActivationFrame) -> bytes:
@@ -248,11 +234,6 @@ class Transcript:
     def add(self, **entry) -> None:
         self.entries.append(entry)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        return self.entries == other.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -295,8 +276,8 @@ def run_pipeline(
     rng = np.random.default_rng(broker.seed)
     transport = transport if transport is not None else InProcessTransport()
     transcript = Transcript()
-    assignment = list(range(plan.n_shards))
-    n_nodes = plan.n_shards + broker.spares
+    assignment = list(range(len(plan.ranges)))
+    n_nodes = len(plan.ranges) + broker.spares
     caches = [KVCache(enc_model, first, last) for first, last in plan.ranges]
     clock = 0.0
     deliveries = 0
@@ -345,7 +326,7 @@ def run_pipeline(
     # sent[s]: everything hop s has offered shard s so far, for a spare to
     # prefill from: the token ids (the list decoding appends to) for shard 0,
     # the rows shard s - 1 has emitted for later shards
-    sent: list = [ids] + [np.empty((0, enc_model.config.d_model))] * (plan.n_shards - 1)
+    sent: list = [ids] + [np.empty((0, enc_model.config.d_model))] * (len(plan.ranges) - 1)
     for token_index in range(n_new):
         for s, (first, last) in enumerate(plan.ranges):
             deliver(s)
@@ -510,6 +491,6 @@ def _plaintext_boundaries(ctx: PlaintextContext) -> list[np.ndarray]:
     x = embed_positions(ctx.model, ids)
     boundaries = []
     for first, last in ctx.plan.ranges[:-1]:
-        x = apply_layer_range(ctx.model, x, first, last)
+        x = apply_layer_range(KVCache(ctx.model, first, last), x, first, last)
         boundaries.append(x)
     return boundaries

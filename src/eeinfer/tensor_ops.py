@@ -229,9 +229,6 @@ class PermTable:
             return NotImplemented
         return np.array_equal(self.map, other.map)
 
-    def __hash__(self) -> int:
-        return hash(self.map.tobytes())
-
     def __repr__(self) -> str:
         return f"PermTable(n={self.n})"
 

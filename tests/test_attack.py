@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from unittest.mock import patch
 
@@ -379,6 +380,19 @@ class TestBruteForce:
         losses = [loss for _, loss in state.trace]
         assert losses == sorted(losses, reverse=True) and len(set(losses)) == len(losses)
 
+    def test_budget_caps_the_enumeration(self):
+        # 4! = 24 candidates: a budget of 10 scores the first 10 in
+        # lexicographic order and keeps the first best of them
+        corpus = TranscriptCorpus(pairs=(((0, 0, 0, 1), (1, 2, 3)),), vocab_size=4)
+        cfg = _uni_cfg(corpus, np.array([0.1, 0.2, 0.3, 0.4]), budget=10)
+        state = brute_force(cfg)
+        assert state.evals_used == 10
+        assert state.terminated == "budget_exhausted"
+        first_ten = [perm_of(*cand) for cand in itertools.permutations(range(4))][:10]
+        assert state.perm == min(first_ten, key=lambda perm: total_loss(perm, cfg)[0])
+        full = brute_force(_uni_cfg(corpus, cfg.ref_unigram, budget=24))
+        assert (full.evals_used, full.terminated) == (24, "exhaustive")
+
     def test_refuses_large_vocab(self):
         corpus = TranscriptCorpus(pairs=(((0,), (1,)),), vocab_size=12)
         with pytest.raises(RefusalError):
@@ -428,13 +442,19 @@ class TestRandomSampling:
             random_sampling(_uni_cfg(small_corpus, ref), M=0)
 
 
+# first seed whose restart-0 draw is small_key's true map [2, 5, 4, 3, 0, 1],
+# found by search
+SEED_FOR_TRUTH = 578
+
+
 class TestHillClimb:
     def test_certifies_zero_loss_from_true_start(self, small_corpus, small_key, small_oracle):
         truth = small_key.vocab_perm.inverse()
         cfg = AttackConfig(
-            corpus=small_corpus, lambda_cons=1.0, oracle=small_oracle, budget=500
+            corpus=small_corpus, lambda_cons=1.0, oracle=small_oracle,
+            seed=SEED_FOR_TRUTH, budget=500,
         )
-        state = hill_climb(cfg, restarts=1, initial=truth)
+        state = hill_climb(cfg, restarts=1)
         assert state.loss == 0.0
         assert state.evals_used == 1
         assert state.terminated == "certified"
@@ -598,7 +618,7 @@ class TestSwapEvaluation:
             return got
 
         with patch.object(attack._Search, "evaluate", checked):
-            hill_climb(cfg, restarts=2, initial=PermTable(start))
+            hill_climb(cfg, restarts=2)
 
     def test_swaps_consult_the_oracle_for_few_pairs(self, vocab50_cfg):
         lookups = 0

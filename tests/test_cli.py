@@ -258,6 +258,20 @@ class TestAttackCommand:
         assert run_cli(*common, "--config", cfg, "--out", tmp_path / "b.json") == 7
         assert not (tmp_path / "a.json").exists() and not (tmp_path / "b.json").exists()
 
+    @pytest.mark.parametrize("method", ["brute", "random"])
+    def test_restarts_is_for_hill_only(self, ws, tmp_path, capsys, method):
+        # only hill climbing restarts: another search would record a restart
+        # count it never used
+        common = ("attack", "--method", method, "--corpus", ws["corpus"],
+                  "--vocab-size", 6, "--lambda-cons", "1.0", "--oracle-model", ws["toy6"])
+        assert run_cli(*common, "--restarts", 2, "--out", tmp_path / "a.json") == 2
+        assert "--restarts" in capsys.readouterr().err
+        cfg = tmp_path / "attack.json"
+        cfg.write_text(json.dumps({"restarts": 2}))
+        assert run_cli(*common, "--config", cfg, "--out", tmp_path / "b.json") == 2
+        assert not list(tmp_path.glob("[ab].json*"))
+        assert run_cli(*common, "--restarts", 1, "--budget", 2, "--out", tmp_path / "c.json") == 0
+
     def test_hill_with_refs_trace_monotone(self, ws):
         out = ws["dir"] / "hill.json"
         assert run_cli(

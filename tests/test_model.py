@@ -274,7 +274,8 @@ class TestIncremental:
         x = embed_positions(tiny_model, (1, 2, 3, 4))
         cache = KVCache(tiny_model, 1, 1)
         parts = [apply_layer_range(cache, x[:3], 1, 1), apply_layer_range(cache, x[3:], 1, 1)]
-        assert np.concatenate(parts).tobytes() == apply_layer_range(tiny_model, x, 1, 1).tobytes()
+        whole = apply_layer_range(KVCache(tiny_model, 1, 1), x, 1, 1)
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
         assert cache.length == 4
 
     def test_causal_mask_builds_no_index_arrays(self, tiny_model, monkeypatch):

@@ -25,6 +25,7 @@ from eeinfer.errors import (
 from eeinfer.model import (
     CIPHERTEXT,
     PLAINTEXT,
+    KVCache,
     TokenSeq,
     apply_layer_range,
     embed_positions,
@@ -106,7 +107,7 @@ class TestFrames:
     def test_round_trip(self):
         frame = self.frame()
         again = decode_frame(encode_frame(frame))
-        assert again == frame
+        assert encode_frame(again) == encode_frame(frame)
         assert again.payload.tobytes() == frame.payload.tobytes()
 
     def test_flipped_payload_byte_detected(self):
@@ -176,7 +177,7 @@ class TestFrames:
     )
     def test_round_trip_property(self, seed, rows, cols):
         frame = self.frame(seed=seed, rows=rows, cols=cols)
-        assert decode_frame(encode_frame(frame)) == frame
+        assert encode_frame(decode_frame(encode_frame(frame))) == encode_frame(frame)
 
 
 class TestTransports:
@@ -213,7 +214,7 @@ class TestPipeline:
         out1, t1 = run_pipeline(deep_enc, plan, broker, enc_prompt, 5)
         out2, t2 = run_pipeline(deep_enc, plan, broker, enc_prompt, 5)
         assert out1 == out2
-        assert t1 == t2
+        assert t1.entries == t2.entries
         assert t1.hash() == t2.hash()
         different = run_pipeline(
             deep_enc, plan, BrokerConfig(seed=10, latency_lo=0.001, latency_hi=0.05),
@@ -430,7 +431,7 @@ class TestAudit:
                     digest = hashlib.sha256(x.astype("<f8").tobytes()).hexdigest()
                     transcript.add(kind="frame", shard=s, token_index=t, seq_len=len(ids),
                                    payload_sha256=digest)
-                x = apply_layer_range(model, x, first, last)
+                x = apply_layer_range(KVCache(model, first, last), x, first, last)
             transcript.add(kind="token_out", token_index=t, token_id=out.ids[len(prompt) + t])
         return transcript
 
