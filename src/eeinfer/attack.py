@@ -43,7 +43,8 @@ from typing import Mapping
 import numpy as np
 
 from .containers import json_ids, read_jsonl, write_jsonl
-from .encryption import encrypt_tokens
+from .bench import random_prompts
+from .encryption import check_pairing, encrypt_tokens
 from .errors import ConfigError, RangeError, RefusalError, ShapeError
 from .model import PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
 from .tensor_ops import PermTable
@@ -100,15 +101,11 @@ def generate_corpus(
     seed: int,
 ) -> TranscriptCorpus:
     """Greedy-generate plaintext pairs and publish them encrypted."""
+    check_pairing(key, model.config)
     if n_pairs < 1 or prompt_len < 1 or n_new < 1:
         raise ConfigError("n_pairs, prompt_len, and n_new must all be >= 1")
-    rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(n_pairs):
-        prompt = TokenSeq(
-            tuple(int(t) for t in rng.integers(0, model.config.vocab_size, size=prompt_len)),
-            PLAINTEXT,
-        )
+    for prompt in random_prompts(model.config, n_pairs, prompt_len, seed):
         full = greedy_decode(model, prompt, n_new)
         out = TokenSeq(full.ids[prompt_len:], PLAINTEXT)
         pairs.append((encrypt_tokens(key, prompt).ids, encrypt_tokens(key, out).ids))
@@ -210,6 +207,14 @@ def _bigram_l1(
     return loss
 
 
+def _check_distribution(probs: np.ndarray, what: str) -> None:
+    """Refuse a reference distribution unless its entries are finite and >= 0
+    and sum to 1 within 1e-9."""
+    # NaN fails every comparison, so this refuses it too
+    if not ((0 <= probs) & (probs < np.inf)).all() or abs(float(probs.sum()) - 1.0) > 1e-9:
+        raise ConfigError(f"{what} must be finite and >= 0 and sum to 1")
+
+
 @dataclass
 class AttackConfig:
     """Loss landscape definition plus the optimizer budget and seed."""
@@ -240,8 +245,7 @@ class AttackConfig:
             ref = np.asarray(self.ref_unigram, dtype=np.float64)
             if ref.shape != (v,):
                 raise ShapeError(f"ref_unigram shape {ref.shape} does not match vocab {v}")
-            if (ref < 0).any() or abs(float(ref.sum()) - 1.0) > 1e-9:
-                raise ConfigError("ref_unigram must be a probability vector summing to 1")
+            _check_distribution(ref, "ref_unigram")
             self.ref_unigram = ref
         if self.lambda_bi > 0:
             if self.ref_bigram is None:
@@ -249,8 +253,8 @@ class AttackConfig:
             for ctx, row in self.ref_bigram.items():
                 if not (0 <= int(ctx) < v) or not row:
                     raise ConfigError(f"ref_bigram context {ctx!r} invalid")
-                if abs(sum(float(p) for p in row.values()) - 1.0) > 1e-9:
-                    raise ConfigError(f"ref_bigram row for context {ctx} does not sum to 1")
+                probs = np.asarray([float(p) for p in row.values()])
+                _check_distribution(probs, f"ref_bigram row for context {ctx}")
         if self.lambda_cons > 0:
             if self.oracle is None:
                 raise ConfigError("lambda_cons > 0 requires an oracle model")

@@ -237,8 +237,6 @@ def _parse_failures(raw) -> tuple[tuple[int, int], ...]:
 
 def cmd_shard_sim(resolved: dict) -> None:
     model = load_model(resolved["model"])
-    if model.domain != CIPHERTEXT:
-        raise DomainError("shard-sim runs the encrypted model; encrypt it first")
     plan = shard_mod.plan_shards(model.config, resolved["shards"])
     broker = shard_mod.BrokerConfig(
         seed=resolved["seed"],
@@ -278,7 +276,6 @@ def cmd_shard_sim(resolved: dict) -> None:
 def cmd_make_corpus(resolved: dict) -> None:
     model = load_model(resolved["model"])
     key = load_key(resolved["key"])
-    check_pairing(key, model.config)
     corpus = attack_mod.generate_corpus(
         model,
         key,
@@ -296,11 +293,8 @@ def cmd_make_corpus(resolved: dict) -> None:
         uni_path = refs_base.with_name(refs_base.name + ".unigram.json")
         bi_path = refs_base.with_name(refs_base.name + ".bigram.json")
         uni_path.write_text(json.dumps(uni.tolist()) + "\n", encoding="utf-8")
-        bi_path.write_text(
-            json.dumps({str(c): {str(n): p for n, p in row.items()} for c, row in bi.items()})
-            + "\n",
-            encoding="utf-8",
-        )
+        # json writes the int keys as strings
+        bi_path.write_text(json.dumps(bi) + "\n", encoding="utf-8")
         print(f"wrote references {uni_path} and {bi_path}")
     print(f"wrote {len(corpus.pairs)} ciphertext pairs to {resolved['out']}")
 
@@ -329,7 +323,7 @@ _SEED = {"type": _seed}
 _FLOAT = {"type": float}
 _STR: dict = {}
 # The default of a flag a command cannot run without: main refuses the command
-# while such a flag is unset or null.
+# while such a flag is unset.
 REQUIRED = object()
 
 # Per subcommand: its handler and one row per flag, (flag, default, argparse
@@ -475,9 +469,11 @@ def _resolve(args: argparse.Namespace) -> tuple:
             raise ConfigError(
                 f"config file has unknown keys for {command}: {', '.join(sorted(unknown))}"
             )
+        # a null leaves its flag at the default, as leaving the key out does
+        file_values = {dest: value for dest, value in file_values.items() if value is not None}
         for dest, value in file_values.items():
             flag, _, kwargs = rows[dest]
-            if value is not None and not _fits(kwargs, value):
+            if not _fits(kwargs, value):
                 raise ConfigError(f"config file value {value!r} does not fit {flag}")
     resolved = {**defaults, **file_values, **ns}
     return COMMANDS[command][0], command, resolved
@@ -488,10 +484,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         func, command, resolved = _resolve(args)
-        missing = sorted(
-            dest for dest, (_, default, _) in _rows(command).items()
-            if default is REQUIRED and resolved[dest] in (None, REQUIRED)
-        )
+        missing = sorted(dest for dest, value in resolved.items() if value is REQUIRED)
         if missing:
             raise _Usage("missing required arguments: " + ", ".join(missing))
         for dest, path in resolved.items():

@@ -3,8 +3,9 @@
 Both binary formats (.eem models, .eekey keys) use the same envelope:
 magic bytes, a u32 little-endian header length, a UTF-8 JSON header, then a
 format-specific payload. Prompts, corpora and transcripts are JSON lines.
-This module owns the envelope, the line codec and the rule for a line's
-token ids; payload and record semantics stay with the owning module.
+This module owns the envelope, whose header write_container stamps with the
+format version that read_container requires, the line codec and the rule for
+a line's token ids; payload and record semantics stay with the owning module.
 """
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ import struct
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import FormatError
+from .errors import FormatError, VersionError
 
 _HEADER_LEN_FMT = "<I"
+FORMAT_VERSION = 1
 
 
 def canonical_json(obj: object) -> str:
@@ -23,7 +25,7 @@ def canonical_json(obj: object) -> str:
 
 
 def write_container(path: str | Path, magic: bytes, header: dict, payload: bytes) -> None:
-    header_bytes = canonical_json(header).encode("utf-8")
+    header_bytes = canonical_json({**header, "format_version": FORMAT_VERSION}).encode("utf-8")
     with open(path, "wb") as f:
         f.write(magic)
         f.write(struct.pack(_HEADER_LEN_FMT, len(header_bytes)))
@@ -32,7 +34,7 @@ def write_container(path: str | Path, magic: bytes, header: dict, payload: bytes
 
 
 def read_container(path: str | Path, magic: bytes) -> tuple[dict, bytes, int]:
-    """Parse the envelope. Returns (header, payload, payload byte offset)."""
+    """Parse the envelope, version included. Returns (header, payload, payload byte offset)."""
     data = Path(path).read_bytes()
     if len(data) < len(magic):
         raise FormatError("file shorter than magic", offset=len(data))
@@ -51,6 +53,9 @@ def read_container(path: str | Path, magic: bytes) -> tuple[dict, bytes, int]:
         raise FormatError(f"header is not valid JSON ({exc})", offset=header_start) from exc
     if not isinstance(header, dict):
         raise FormatError("header JSON is not an object", offset=header_start)
+    version = header.get("format_version")
+    if version != FORMAT_VERSION:
+        raise VersionError(f"unsupported {magic.decode()} format version {version!r}")
     return header, data[header_end:], header_end
 
 

@@ -38,7 +38,6 @@ from .errors import (
     PairingError,
     RangeError,
     ShapeError,
-    VersionError,
 )
 from .model import (
     CIPHERTEXT,
@@ -52,7 +51,6 @@ from .model import (
 from .tensor_ops import PermTable, as_matrix
 
 KEY_MAGIC = b"EEKEY001"
-KEY_FORMAT_VERSION = 1
 # the fields of the .eekey header's "layout" object, which key_layout reads
 LAYOUT_FIELDS = ("vocab_n", "resid_n", "n_layers", "n_heads", "ffn_n", "head_n")
 
@@ -196,7 +194,6 @@ def decrypt_logits(key: EEKey, logits: object) -> np.ndarray:
 
 def save_key(key: EEKey, path: str | Path) -> None:
     header = {
-        "format_version": KEY_FORMAT_VERSION,
         "seed": key.seed,
         "model_fingerprint": key.model_fingerprint,
         "layout": key.layout,
@@ -208,9 +205,6 @@ def save_key(key: EEKey, path: str | Path) -> None:
 
 def load_key(path: str | Path) -> EEKey:
     header, payload, payload_base = read_container(path, KEY_MAGIC)
-    version = header.get("format_version")
-    if version != KEY_FORMAT_VERSION:
-        raise VersionError(f"unsupported key format version {version!r}")
     try:
         seed = int(header["seed"])
         fingerprint = str(header["model_fingerprint"])

@@ -39,7 +39,6 @@ from .errors import (
     IntegrityError,
     RangeError,
     ShapeError,
-    VersionError,
 )
 from .tensor_ops import ACTIVATION_KINDS, activate, layer_norm, matmul, rms_norm, softmax_rows
 
@@ -51,7 +50,6 @@ NORM_KINDS = ("layernorm", "rmsnorm")
 POS_KINDS = ("learned-absolute",)
 
 MODEL_MAGIC = b"EEMODEL1"
-MODEL_FORMAT_VERSION = 1
 
 WEIGHT_STD = 0.02
 
@@ -94,8 +92,12 @@ class ModelConfig:
             raise ConfigError(f"act_kind must be one of {ACTIVATION_KINDS}, got {self.act_kind!r}")
         if self.pos_kind not in POS_KINDS:
             raise ConfigError(f"pos_kind must be one of {POS_KINDS}, got {self.pos_kind!r}")
-        if self.norm_eps is not None and not (self.norm_eps > 0):
-            raise ConfigError(f"norm_eps must be positive or None, got {self.norm_eps!r}")
+        eps = self.norm_eps
+        # NaN fails every comparison, so this refuses it too
+        if eps is not None and (
+            isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < math.inf
+        ):
+            raise ConfigError(f"norm_eps must be a finite number > 0 or None, got {eps!r}")
 
     @property
     def effective_norm_eps(self) -> float:
@@ -296,6 +298,10 @@ def _apply_norm(model: ModelBundle, prefix: str, x: np.ndarray) -> np.ndarray:
 
 
 def _validate_prompt(model: ModelBundle, tokens: TokenSeq, extra: int = 0) -> None:
+    """Refuse ``tokens`` on ``model`` with ``extra`` more positions: the n_new
+    of a decode, checked first, or the cached length ahead of a forward pass."""
+    if extra < 0:
+        raise RangeError(f"n_new must be >= 0, got {extra}")
     if tokens.domain != model.domain:
         raise DomainError(
             f"token sequence is {tokens.domain} but the model is {model.domain}; "
@@ -417,8 +423,6 @@ def greedy_decode(model: ModelBundle, prompt: TokenSeq, n_new: int) -> TokenSeq:
     The prompt fills a KV cache in one forward pass; each later pass feeds
     only the token chosen last.
     """
-    if n_new < 0:
-        raise RangeError(f"n_new must be >= 0, got {n_new}")
     _validate_prompt(model, prompt, extra=n_new)
     ids = list(prompt.ids)
     cache = KVCache(model, 0, model.config.n_layers - 1)
@@ -448,7 +452,6 @@ def save_model(model: ModelBundle, path: str | Path) -> None:
         chunks.append(raw)
         offset += len(raw)
     header = {
-        "format_version": MODEL_FORMAT_VERSION,
         "config": model.config.to_dict(),
         "domain": model.domain,
         "tensors": directory,
@@ -458,9 +461,6 @@ def save_model(model: ModelBundle, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ModelBundle:
     header, payload, payload_base = read_container(path, MODEL_MAGIC)
-    version = header.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise VersionError(f"unsupported model format version {version!r}")
     for field_name in ("config", "domain", "tensors"):
         if field_name not in header:
             raise FormatError(f"model header missing {field_name!r} field")

@@ -269,8 +269,6 @@ def run_pipeline(
     if enc_model.domain != CIPHERTEXT:
         raise DomainError("the shard pipeline runs the encrypted model only")
     _plan_matches(plan, enc_model.config)
-    if n_new < 0:
-        raise RangeError(f"n_new must be >= 0, got {n_new}")
     _validate_prompt(enc_model, prompt, extra=n_new)
 
     rng = np.random.default_rng(broker.seed)
@@ -365,12 +363,17 @@ def run_pipeline(
 
 @dataclass(frozen=True)
 class PlaintextContext:
-    """What the client knows in plaintext; the auditor checks none of it leaked."""
+    """What the client knows in plaintext; the auditor checks none of it
+    leaked. ``output`` is the whole decoded sequence, the prompt included."""
 
     prompt: TokenSeq
     output: TokenSeq
     model: ModelBundle | None = None
     plan: ShardPlan | None = None
+
+    def __post_init__(self) -> None:
+        if self.output.ids[: len(self.prompt)] != self.prompt.ids:
+            raise ShapeError("the output must be the whole decoded sequence, prompt first")
 
 
 @dataclass(frozen=True)
@@ -414,9 +417,7 @@ def audit_blindness(transcript: Transcript, ctx: PlaintextContext) -> AuditResul
             checked_entries=0,
         )
     prompt_ids = ctx.prompt.ids
-    full_out = ctx.output.ids
-    gen_ids = full_out[len(prompt_ids) :] if full_out[: len(prompt_ids)] == prompt_ids else full_out
-    needles = (("prompt", prompt_ids), ("output", gen_ids))
+    needles = (("prompt", prompt_ids), ("output", ctx.output.ids[len(prompt_ids) :]))
 
     failures: list[str] = []
     stream: list[int | None] = []  # the first shard's input, by position

@@ -34,6 +34,7 @@ from eeinfer.encryption import decrypt_tokens, keygen
 from eeinfer.errors import (
     ConfigError,
     FormatError,
+    PairingError,
     RangeError,
     RefusalError,
     ShapeError,
@@ -145,6 +146,12 @@ class TestCorpus:
         path.write_text('{"input_ids": [1], "output_ids": [2]}\n' + bad_line + "\n")
         with pytest.raises(FormatError, match="corpus line 2 is malformed"):
             load_corpus(path, vocab_size=4)
+
+    def test_generate_under_another_configs_key_is_pairing_error(self, small_model):
+        # a key of a larger vocabulary used to encrypt the pairs without complaint
+        other = keygen(make_config(8, 8, 1, 1, 16, 16), seed=77)
+        with pytest.raises(PairingError):
+            generate_corpus(small_model, other, 4, 3, 2, seed=9)
 
     def test_generate_is_deterministic_ciphertext(self, small_model, small_key):
         a = generate_corpus(small_model, small_key, 4, 3, 2, seed=9)
@@ -343,6 +350,16 @@ class TestTotalLoss:
             AttackConfig(
                 corpus=small_corpus, lambda_bi=1.0, ref_bigram={0: {1: 0.7, 2: 0.7}}
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf, -np.inf])
+    def test_config_rejects_non_distribution_refs(self, small_corpus, bad):
+        # one rule for the unigram and every bigram row: NaN used to pass the
+        # unigram check, and a bigram row was checked only for its sum
+        unigram = np.array([bad, 0.5, 0.5, 0.0, 0.0, 0.0])
+        with pytest.raises(ConfigError):
+            AttackConfig(corpus=small_corpus, lambda_uni=1.0, ref_unigram=unigram)
+        with pytest.raises(ConfigError):
+            AttackConfig(corpus=small_corpus, lambda_bi=1.0, ref_bigram={0: {1: 1.5, 2: bad}})
 
     def test_config_rejects_vocab_mismatched_oracle(self, small_corpus, micro_model):
         with pytest.raises(ConfigError):

@@ -313,6 +313,41 @@ class TestAttackCommand:
         ) == 7
         assert not out.exists()
 
+    def test_null_in_config_takes_the_default(self, ws, tmp_path):
+        # a null used to reach hill_climb as restarts=None: a TypeError traceback
+        common = ("attack", "--method", "hill", "--corpus", ws["corpus"], "--vocab-size", 6,
+                  "--lambda-cons", "1.0", "--oracle-model", ws["toy6"], "--budget", 20)
+        assert run_cli(*common, "--out", tmp_path / "a.json") == 0
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({"restarts": None}))
+        assert run_cli(*common, "--config", cfg, "--out", tmp_path / "b.json") == 0
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+        resolved = json.loads((tmp_path / "b.json.resolved_config.json").read_text())
+        assert resolved["config"]["restarts"] == 1
+        cfg.write_text(json.dumps({"not_a_flag": None}))
+        assert run_cli(*common, "--config", cfg, "--out", tmp_path / "c.json") == 7
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--ref-unigram", "[NaN, 0.5, 0.5, 0.0, 0.0, 0.0]"),
+            ("--ref-bigram", '{"0": {"1": 1.5, "2": -0.5}}'),
+            ("--ref-bigram", '{"0": {"1": 1.5, "2": NaN}}'),
+        ],
+        ids=["unigram-nan", "bigram-negative", "bigram-nan"],
+    )
+    def test_reference_that_is_not_a_distribution_is_config_error(self, ws, tmp_path, flag, text):
+        # a NaN unigram used to exit 0 and write NaN, which is not JSON, as the loss
+        ref = tmp_path / "ref.json"
+        ref.write_text(text)
+        weight = "--lambda-uni" if flag == "--ref-unigram" else "--lambda-bi"
+        out = tmp_path / "a.json"
+        assert run_cli(
+            "attack", "--method", "hill", "--corpus", ws["corpus"], "--vocab-size", 6,
+            weight, "1.0", flag, ref, "--budget", 10, "--out", out,
+        ) == 7
+        assert not out.exists()
+
     def test_config_file_unknown_key(self, ws, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"methd": "brute"}))
@@ -397,6 +432,18 @@ class TestShardSimCommand:
             "--n-new", 2, "--shards", 2, "--out", tmp_path / "x",
         ) == 6
 
+    @pytest.mark.parametrize("dest", ["fail", "n_new"])
+    def test_null_in_config_takes_the_default(self, ws, tmp_path, capsys, dest):
+        # a null used to reach the pipeline as None: a TypeError traceback
+        common = ("shard-sim", "--model", ws["enc"], "--key", ws["key"], "--prompt", "1,2,3",
+                  "--shards", 2, "--out", tmp_path / "x")
+        assert run_cli(*common) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({dest: None}))
+        assert run_cli(*common, "--config", cfg) == 0
+        assert capsys.readouterr().out == expected
+
     def test_no_spare_failure_is_pipeline_error(self, ws, tmp_path):
         assert run_cli(
             "shard-sim", "--model", ws["enc"], "--key", ws["key"],
@@ -437,6 +484,20 @@ class TestShardSimCommand:
                 "--prompt", "1,2,3", "--n-new", 2, "--shards", 2,
                 *bad, "--out", tmp_path / "x",
             ) == 2
+
+
+class TestKeygenCommand:
+    @pytest.mark.parametrize("eps", ["x", True, float("inf")])
+    def test_bad_norm_eps_is_config_error(self, ws, tmp_path, eps):
+        # "x" used to end in a TypeError traceback; true and Infinity were
+        # accepted into the key's fingerprint
+        config = json.loads(ws["config"].read_text())
+        config["norm_eps"] = eps
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "k.eekey"
+        assert run_cli("keygen", "--model-config", path, "--seed", 1, "--out", out) == 7
+        assert not out.exists()
 
 
 class TestCorpusRefs:

@@ -78,6 +78,10 @@ class TestConfig:
             {"act_kind": "tanh"},
             {"pos_kind": "rotary"},
             {"norm_eps": -1.0},
+            {"norm_eps": "x"},
+            {"norm_eps": True},
+            {"norm_eps": float("inf")},
+            {"norm_eps": float("nan")},
         ],
     )
     def test_invariant_violations(self, overrides):
@@ -388,6 +392,13 @@ class TestContainer:
         save_model(tiny_model, p)
         self._rewrite_header(p, lambda h: h["config"].__setitem__("vocab_size", 64))
         with pytest.raises(IntegrityError):
+            load_model(p)
+
+    def test_non_numeric_norm_eps_is_format_error(self, tiny_model, tmp_path):
+        p = tmp_path / "m.eem"
+        save_model(tiny_model, p)
+        self._rewrite_header(p, lambda h: h["config"].__setitem__("norm_eps", "x"))
+        with pytest.raises(FormatError, match="norm_eps"):
             load_model(p)
 
     def test_version_bump_rejected(self, tiny_model, tmp_path):

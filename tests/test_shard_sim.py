@@ -492,6 +492,14 @@ class TestAudit:
         assert f"entry {idx}: plaintext prompt appears in a tokens_in field" in result.failures
         assert any(f.startswith(f"entry {idx}: token ids for positions 0..5 disagree") for f in result.failures)
 
+    def test_output_without_the_prompt_is_refused(self, deep_model):
+        # the frame check replays ctx.output from position 0; an output
+        # without the prompt used to flag no frame of the identity key
+        prompt = TokenSeq((5, 1, 9, 12, 7), PLAINTEXT)
+        continuation = TokenSeq(greedy_decode(deep_model, prompt, 3).ids[len(prompt):], PLAINTEXT)
+        with pytest.raises(ShapeError):
+            PlaintextContext(prompt, continuation)
+
     def test_empty_transcript_vacuous(self, deep_model):
         prompt = TokenSeq((1, 2), PLAINTEXT)
         ctx = PlaintextContext(prompt=prompt, output=prompt)
