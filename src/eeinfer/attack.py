@@ -22,11 +22,18 @@ improvement of the running best.
 
 Oracle continuations are memoized by decrypted input; the oracle is a pure
 function, so memoization never changes a loss value, only the cost of
-computing it. Hill climbing keeps every corpus pair's mismatch flag for its
-incumbent map, and scores a swap of ciphertext tokens i and j by re-checking
-only the pairs that contain i or j (Jakobsen's swap update for substitution
-ciphers): no other pair can change, and the mismatch count is an integer, so
-the loss is bit-identical to a full evaluation. Candidate evaluations may stop
+computing it. The oracle takes a list of requests and decodes its memo misses
+in one batched greedy decode per distinct (prompt length, n_new). An
+evaluation hands it one window of pairs at a time: the next pairs it is
+certain to check, because its early stop (below) cannot fire before them
+even if each of them mismatches. So the oracle decodes exactly the prompts a
+pair-by-pair check would, and no loss, flag or trace changes.
+
+Hill climbing keeps every corpus pair's mismatch flag for its incumbent map,
+and scores a swap of ciphertext tokens i and j by re-checking only the pairs
+that contain i or j (Jakobsen's swap update for substitution ciphers): no
+other pair can change, and the mismatch count is an integer, so the loss is
+bit-identical to a full evaluation. Candidate evaluations may stop
 early once a partial lower bound proves the candidate cannot beat the
 incumbent; such evaluations never produce accepted states, so reported losses
 are always fully evaluated.
@@ -38,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -104,9 +111,9 @@ def generate_corpus(
     check_pairing(key, model.config)
     if n_pairs < 1 or prompt_len < 1 or n_new < 1:
         raise ConfigError("n_pairs, prompt_len, and n_new must all be >= 1")
+    prompts = random_prompts(model.config, n_pairs, prompt_len, seed)
     pairs = []
-    for prompt in random_prompts(model.config, n_pairs, prompt_len, seed):
-        full = greedy_decode(model, prompt, n_new)
+    for prompt, full in zip(prompts, greedy_decode(model, prompts, n_new)):
         out = TokenSeq(full.ids[prompt_len:], PLAINTEXT)
         pairs.append((encrypt_tokens(key, prompt).ids, encrypt_tokens(key, out).ids))
     return TranscriptCorpus(pairs=tuple(pairs), vocab_size=model.config.vocab_size)
@@ -165,18 +172,22 @@ class GreedyOracle:
         self.model = model
         self._memo: dict[tuple[bytes, int], np.ndarray] = {}
 
-    def continuation(self, ids: np.ndarray, n_new: int) -> np.ndarray:
-        """The n_new ids greedy decoding appends to ids."""
-        ids = np.asarray(ids, dtype=np.int64)  # the memo key is these bytes
-        key = (ids.tobytes(), n_new)
-        hit = self._memo.get(key)
-        if hit is None:
-            out = greedy_decode(
-                self.model, TokenSeq(tuple(int(t) for t in ids), PLAINTEXT), n_new
-            )
-            hit = np.asarray(out.ids[len(ids) :], dtype=np.int64)
-            self._memo[key] = hit
-        return hit
+    def continuations(self, requests: Sequence[tuple[np.ndarray, int]]) -> list[np.ndarray]:
+        """For each (ids, n_new) request, the n_new ids greedy decoding
+        appends to ids. The memo misses are decoded in one greedy_decode call
+        per distinct (len(ids), n_new)."""
+        memo = self._memo
+        # the memo key is the bytes of the ids as int64
+        keys = [(np.asarray(ids, dtype=np.int64).tobytes(), n_new) for ids, n_new in requests]
+        misses: dict[tuple[int, int], dict[tuple[bytes, int], np.ndarray]] = {}
+        for key, (ids, n_new) in zip(keys, requests):
+            if key not in memo:
+                misses.setdefault((len(ids), n_new), {})[key] = ids
+        for (length, n_new), group in misses.items():
+            prompts = [TokenSeq(tuple(int(t) for t in ids), PLAINTEXT) for ids in group.values()]
+            for key, out in zip(group, greedy_decode(self.model, prompts, n_new)):
+                memo[key] = np.asarray(out.ids[length:], dtype=np.int64)
+        return [memo[key] for key in keys]
 
 
 def _check_perm(perm: PermTable, vocab_size: int) -> None:
@@ -253,6 +264,12 @@ class AttackConfig:
             for ctx, row in self.ref_bigram.items():
                 if not (0 <= int(ctx) < v) or not row:
                     raise ConfigError(f"ref_bigram context {ctx!r} invalid")
+                for nxt in row:
+                    if not 0 <= int(nxt) < v:
+                        raise ConfigError(
+                            f"ref_bigram successor {nxt!r} of context {ctx} out of range "
+                            f"for vocab_size {v}"
+                        )
                 probs = np.asarray([float(p) for p in row.values()])
                 _check_distribution(probs, f"ref_bigram row for context {ctx}")
         if self.lambda_cons > 0:
@@ -379,15 +396,26 @@ class _Search:
                 i, j, incumbent = swap
                 check = sorted(self._touching[i] | self._touching[j])
                 count = sum(incumbent.values()) - sum(incumbent[k] for k in check)
-            for k in check:
-                # the count only grows, so this lower bound only rises
-                if bound is not None and total + cfg.lambda_cons * (count / n_pairs) >= bound:
+            done = 0
+            while done < len(check):
+                # the count only grows, so the lower bound below only rises:
+                # the next m pairs are all checked if it stays short of the
+                # bound even when m - 1 of them mismatch (no bound: every pair)
+                m = 0 if bound is not None else len(check) - done
+                while done + m < len(check) and not (
+                    total + cfg.lambda_cons * ((count + m) / n_pairs) >= bound
+                ):
+                    m += 1
+                if m == 0:
                     return total + cfg.lambda_cons * (count / n_pairs), None, None
-                pi, po, n_new = pairs[k]
-                replay = oracle.continuation(perm_map[pi], n_new)
-                bad = not np.array_equal(replay, perm_map[po])
-                flags[k] = bad
-                count += bad
+                window = check[done : done + m]
+                requests = [(perm_map[pairs[k][0]], pairs[k][2]) for k in window]
+                for k, replay in zip(window, oracle.continuations(requests)):
+                    # both int64 and n_new long: equal bytes are equal ids
+                    bad = replay.tobytes() != perm_map[pairs[k][1]].tobytes()
+                    flags[k] = bad
+                    count += bad
+                done += m
             l_cons = count / n_pairs
             breakdown["consistency"] = l_cons
             total += cfg.lambda_cons * l_cons

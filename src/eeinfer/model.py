@@ -14,6 +14,12 @@ every layer, and greedy decoding fills a cache with the prompt and then feeds
 one token per step. Because the kernels are row-local, the cached rows equal
 a full forward pass byte for byte.
 
+A cache holds B requests, and the rows of all of them travel as one
+request-major (B * rows, d_model) array, so every weight product takes all B
+requests' rows in one call and attention runs over a (B * heads) leading
+axis. A single request is a batch of one on the same path, and row-locality
+again gives each request the bytes it would get alone.
+
 Sequences carry a domain tag (plaintext or ciphertext) and the model refuses
 to run on the wrong one; that tag is the misuse guard the encryption layer
 relies on.
@@ -320,38 +326,58 @@ def _validate_prompt(model: ModelBundle, tokens: TokenSeq, extra: int = 0) -> No
         )
 
 
-def embed_positions(model: ModelBundle, ids: Sequence[int], start: int = 0) -> np.ndarray:
+def _validate_batch(model: ModelBundle, batch: list[TokenSeq], extra: int) -> None:
+    """_validate_prompt for each request of a batch, which must not be empty
+    and whose sequences must all have the same length."""
+    if not batch:
+        raise ShapeError("a batch needs at least one token sequence")
+    for tokens in batch:
+        if len(tokens) != len(batch[0]):
+            raise ShapeError(
+                f"sequences in a batch must have equal lengths, got {len(batch[0])} "
+                f"and {len(tokens)}"
+            )
+        _validate_prompt(model, tokens, extra)
+
+
+def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.ndarray:
     """Token embedding plus learned absolute positional rows; ids[0] sits at
-    position ``start``."""
+    position ``start``. ids is one request's ids or a (B, rows) batch of
+    them; the result is request-major, (B * rows, d_model)."""
     idx = np.asarray(ids, dtype=np.int64)
-    pos = model.tensors["pos_embedding"][start : start + idx.shape[0]]
-    return model.tensors["embedding"][idx] + pos
+    pos = model.tensors["pos_embedding"][start : start + idx.shape[-1]]
+    return (model.tensors["embedding"][idx] + pos).reshape(-1, model.config.d_model)
 
 
 class KVCache:
-    """Keys and values of the positions a layer range has processed so far.
+    """Keys and values of the positions a layer range has processed so far,
+    for each of ``requests`` requests.
 
     Passed to apply_layer_range (or, over every layer, to forward in place
-    of the model), it makes the rows given there the next positions of one
-    request: they attend to every cached position as well, and their keys
-    and values are appended. A cache belongs to one model and one request.
+    of the model), it makes the rows given there the next positions of its
+    requests: they attend to every cached position of their own request as
+    well, and their keys and values are appended. A cache belongs to one
+    model and one set of requests, which all have the same length.
     """
 
-    def __init__(self, model: ModelBundle, first: int, last: int) -> None:
+    def __init__(self, model: ModelBundle, first: int, last: int, requests: int = 1) -> None:
         if not (0 <= first <= last < model.config.n_layers):
             raise ShapeError(
                 f"layer range ({first}, {last}) invalid for n_layers {model.config.n_layers}"
             )
         self.model = model
         self.layers = range(first, last + 1)
-        empty = np.empty((0, model.config.d_model), dtype=np.float64)
+        self.requests = requests
+        cfg = model.config
+        # per layer: (requests * heads, positions, d_head), request-major
+        empty = np.empty((requests * cfg.n_heads, 0, cfg.d_head), dtype=np.float64)
         self.keys = [empty] * len(self.layers)
         self.values = [empty] * len(self.layers)
 
     @property
     def length(self) -> int:
         """Number of positions processed so far; the next row's position."""
-        return self.keys[0].shape[0]
+        return self.keys[0].shape[1]
 
 
 def apply_layer_range(
@@ -359,16 +385,17 @@ def apply_layer_range(
 ) -> np.ndarray:
     """Run layers first..last inclusive on a residual-stream state.
 
-    The cache holds exactly that layer range, and x holds the rows of the
-    positions after the cached ones; the cache grows by them.
+    The cache holds exactly that layer range, and x holds, request after
+    request, each request's rows of the positions after the cached ones; the
+    cache grows by them.
     """
     if cache.layers != range(first, last + 1):
         raise ShapeError(
             f"cache holds layers {cache.layers.start}..{cache.layers.stop - 1}, "
             f"not {first}..{last}"
         )
-    model, cfg = cache.model, cache.model.config
-    start, rows = cache.length, x.shape[0]
+    model, cfg, b = cache.model, cache.model.config, cache.requests
+    start, rows = cache.length, x.shape[0] // b
     heads, d_head, d_model = cfg.n_heads, cfg.d_head, cfg.d_model
     scale = math.sqrt(d_head)
     # row r sits at position start + r and sees positions 0..start + r
@@ -377,17 +404,21 @@ def apply_layer_range(
         p = f"layer{li}"
         normed = _apply_norm(model, f"{p}.attn_norm", x)
         w_qkv, b_qkv = model.qkv[li]
-        qkv = matmul(normed, w_qkv) + b_qkv
-        k = cache.keys[i] = np.concatenate((cache.keys[i], qkv[:, d_model : 2 * d_model]))
-        v = cache.values[i] = np.concatenate((cache.values[i], qkv[:, 2 * d_model :]))
-        # every head in one call, heads on the leading axis: (heads, rows, d_head)
-        # queries against (heads, d_head, positions) keys
-        q = qkv[:, :d_model].reshape(rows, heads, d_head).transpose(1, 0, 2)
-        scores = matmul(q, k.reshape(-1, heads, d_head).transpose(1, 2, 0)) / scale
+        # q, k and v, each (b*heads, rows, d_head): every request's heads on
+        # the leading axis, so that each attention operation is one call
+        q, k, v = (
+            (matmul(normed, w_qkv) + b_qkv)
+            .reshape(b, rows, 3, heads, d_head)
+            .transpose(2, 0, 3, 1, 4)
+            .reshape(3, b * heads, rows, d_head)
+        )
+        k = cache.keys[i] = np.concatenate((cache.keys[i], k), axis=1)
+        v = cache.values[i] = np.concatenate((cache.values[i], v), axis=1)
+        scores = matmul(q, k.transpose(0, 2, 1)) / scale
         scores[:, masked] = -np.inf  # causal mask
-        weights = softmax_rows(scores.reshape(heads * rows, -1)).reshape(scores.shape)
-        ctx = matmul(weights, v.reshape(-1, heads, d_head).transpose(1, 0, 2))
-        ctx = ctx.transpose(1, 0, 2).reshape(rows, d_model)
+        weights = softmax_rows(scores.reshape(b * heads * rows, -1)).reshape(scores.shape)
+        ctx = matmul(weights, v)
+        ctx = ctx.reshape(b, heads, rows, d_head).transpose(0, 2, 1, 3).reshape(b * rows, d_model)
         x = x + (matmul(ctx, model.tensors[f"{p}.attn.Wo"]) + model.tensors[f"{p}.attn.bo"])
         normed = _apply_norm(model, f"{p}.ffn_norm", x)
         hidden = activate(
@@ -403,34 +434,54 @@ def final_logits(model: ModelBundle, x: np.ndarray) -> np.ndarray:
     return matmul(x, model.tensors["lm_head.W"]) + model.tensors["lm_head.b"]
 
 
-def forward(model: ModelBundle | KVCache, tokens: TokenSeq) -> np.ndarray:
-    """Per-position logits, shape (len(tokens), vocab_size).
+def forward(
+    model: ModelBundle | KVCache, tokens: TokenSeq | Sequence[TokenSeq]
+) -> np.ndarray:
+    """Per-position logits, shape (len(tokens), vocab_size); for a list of B
+    equal-length sequences, (B, len(each), vocab_size).
 
     With a KVCache over every layer in place of the model, the tokens
-    continue the cached sequence and the cache grows by them.
+    continue the cached sequences, one per request, and the cache grows by
+    them.
     """
-    cache = model if isinstance(model, KVCache) else KVCache(model, 0, model.config.n_layers - 1)
+    batch = [tokens] if isinstance(tokens, TokenSeq) else list(tokens)
+    cache = model if isinstance(model, KVCache) else KVCache(
+        model, 0, model.config.n_layers - 1, len(batch)
+    )
     model = cache.model
-    _validate_prompt(model, tokens, extra=cache.length)
-    x = embed_positions(model, tokens.ids, start=cache.length)
+    _validate_batch(model, batch, cache.length)
+    if len(batch) != cache.requests:
+        raise ShapeError(f"{len(batch)} sequences for a cache of {cache.requests} requests")
+    x = embed_positions(model, [seq.ids for seq in batch], start=cache.length)
     x = apply_layer_range(cache, x, 0, model.config.n_layers - 1)
-    return final_logits(model, x)
+    logits = final_logits(model, x)
+    if isinstance(tokens, TokenSeq):
+        return logits
+    return logits.reshape(len(batch), -1, logits.shape[1])
 
 
-def greedy_decode(model: ModelBundle, prompt: TokenSeq, n_new: int) -> TokenSeq:
+def greedy_decode(
+    model: ModelBundle, prompts: TokenSeq | Sequence[TokenSeq], n_new: int
+) -> TokenSeq | list[TokenSeq]:
     """Append argmax tokens one at a time; ties go to the lowest index.
 
-    The prompt fills a KV cache in one forward pass; each later pass feeds
-    only the token chosen last.
+    prompts is one TokenSeq, and one comes back, or a list of equal-length
+    ones, decoded together as one batch, and a list comes back. The prompts
+    fill a KV cache in one forward pass; each later pass feeds only the
+    tokens chosen last. Each request gets the tokens it would get alone.
     """
-    _validate_prompt(model, prompt, extra=n_new)
-    ids = list(prompt.ids)
-    cache = KVCache(model, 0, model.config.n_layers - 1)
-    fresh = prompt
+    batch = [prompts] if isinstance(prompts, TokenSeq) else list(prompts)
+    _validate_batch(model, batch, n_new)
+    ids = [list(seq.ids) for seq in batch]
+    cache = KVCache(model, 0, model.config.n_layers - 1, len(batch))
+    fresh = batch
     for _ in range(n_new):
-        ids.append(int(np.argmax(forward(cache, fresh)[-1])))
-        fresh = TokenSeq(ids[-1:], model.domain)
-    return TokenSeq(tuple(ids), model.domain)
+        chosen = np.argmax(forward(cache, fresh)[:, -1], axis=1).tolist()
+        for row, t in zip(ids, chosen):
+            row.append(t)
+        fresh = [TokenSeq((t,), model.domain) for t in chosen]
+    out = [TokenSeq(tuple(row), model.domain) for row in ids]
+    return out[0] if isinstance(prompts, TokenSeq) else out
 
 
 def save_model(model: ModelBundle, path: str | Path) -> None:

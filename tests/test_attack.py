@@ -1,6 +1,7 @@
 """Tests for the vocabulary-recovery attack framework."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -162,7 +163,8 @@ class TestCorpus:
         enc_in, enc_out = a.pairs[0]
         dec_in = decrypt_tokens(small_key, TokenSeq(enc_in, "ciphertext"))
         dec_out = decrypt_tokens(small_key, TokenSeq(enc_out, "ciphertext"))
-        assert tuple(oracle.continuation(np.asarray(dec_in.ids), len(dec_out.ids))) == dec_out.ids
+        [got] = oracle.continuations([(np.asarray(dec_in.ids), len(dec_out.ids))])
+        assert tuple(got) == dec_out.ids
 
 
 class TestUnigram:
@@ -250,21 +252,44 @@ class TestConsistency:
 
     def test_oracle_memoizes(self, small_model):
         oracle = GreedyOracle(small_model)
-        first = tuple(oracle.continuation(np.array([0, 1]), 2))
+        [first] = oracle.continuations([(np.array([0, 1]), 2)])
         assert len(oracle._memo) == 1
-        assert tuple(oracle.continuation(np.array([0, 1]), 2)) == first
+        [again] = oracle.continuations([(np.array([0, 1]), 2)])
+        assert tuple(again) == tuple(first)
         assert len(oracle._memo) == 1
-        oracle.continuation(np.array([0, 1]), 3)
+        oracle.continuations([(np.array([0, 1]), 3)])
         assert len(oracle._memo) == 2
 
     def test_oracle_memo_keys_on_ids_not_bytes(self, small_model):
         # int32 [0, 0] has the bytes of int64 [0]; the two prompts still differ
         oracle = GreedyOracle(small_model)
-        oracle.continuation(np.array([0, 0], dtype=np.int32), 2)
-        got = oracle.continuation(np.array([0], dtype=np.int64), 2)
+        oracle.continuations([(np.array([0, 0], dtype=np.int32), 2)])
+        [got] = oracle.continuations([(np.array([0], dtype=np.int64), 2)])
         assert len(oracle._memo) == 2
         want = greedy_decode(small_model, TokenSeq((0,), PLAINTEXT), 2).ids[1:]
         assert tuple(got) == want
+
+    def test_oracle_decodes_misses_once_per_length_and_n_new(self, small_model):
+        oracle = GreedyOracle(small_model)
+        oracle.continuations([(np.array([5, 5]), 1)])
+        requests = [
+            (np.array([0, 1]), 2), (np.array([5, 5]), 1), (np.array([2, 3]), 2),
+            (np.array([0, 1]), 2), (np.array([4]), 2), (np.array([3, 0]), 1),
+        ]
+        batches = []
+        real = attack.greedy_decode
+
+        def counted(model, prompts, n_new):
+            batches.append(([p.ids for p in prompts], n_new))
+            return real(model, prompts, n_new)
+
+        with patch.object(attack, "greedy_decode", counted):
+            got = oracle.continuations(requests)
+        # the hit is not decoded and the repeat is decoded once
+        assert sorted(batches) == [([(0, 1), (2, 3)], 2), ([(3, 0)], 1), ([(4,)], 2)]
+        for (ids, n_new), out in zip(requests, got):
+            single = greedy_decode(small_model, TokenSeq(tuple(ids), PLAINTEXT), n_new)
+            assert tuple(out) == single.ids[len(ids) :]
 
 
 class TestTotalLoss:
@@ -575,7 +600,8 @@ def swap_landscapes(draw):
         n_new = draw(st.integers(1, 2))
         if draw(st.booleans()):
             # the ciphertext of the oracle's own continuation under truth
-            po = [int(encrypt[t]) for t in oracle.continuation(truth[pi], n_new)]
+            [replay] = oracle.continuations([(truth[pi], n_new)])
+            po = [int(encrypt[t]) for t in replay]
         else:
             po = draw(st.lists(tokens, min_size=n_new, max_size=n_new))
         pairs.append((tuple(pi), tuple(po)))
@@ -639,18 +665,49 @@ class TestSwapEvaluation:
 
     def test_swaps_consult_the_oracle_for_few_pairs(self, vocab50_cfg):
         lookups = 0
-        real = GreedyOracle.continuation
+        real = GreedyOracle.continuations
 
-        def counted(self, ids, n_new):
+        def counted(self, requests):
             nonlocal lookups
-            lookups += 1
-            return real(self, ids, n_new)
+            lookups += len(requests)
+            return real(self, requests)
 
-        with patch.object(GreedyOracle, "continuation", counted):
+        with patch.object(GreedyOracle, "continuations", counted):
             state = hill_climb(vocab50_cfg, restarts=5)
         # a swap touches about 1.4 of the 30 pairs; re-checking every pair up
         # to the give-up costs about 23 lookups an evaluation
         assert lookups < 4 * state.evals_used
+
+
+# after each vocab-50 search on a fresh oracle: the number of memo keys and
+# the sha256 of repr(sorted(keys)), recorded when the oracle decoded one
+# prompt per greedy_decode call, so with one call per key
+ORACLE_MEMO_AFTER = {
+    "random_sampling": (1049, "194e6e28c20587072e649268fa8d434dd26a94753a87759522df9e65c7996cd6"),
+    "hill_climb": (1234, "000fb279700f96d73bfe7b29347cf808dd5b39a24e2f5ca5f5a30074665526ea"),
+}
+
+
+@pytest.mark.parametrize("search", sorted(ORACLE_MEMO_AFTER))
+def test_oracle_decodes_the_same_prompts_in_fewer_calls(vocab50_cfg, search):
+    cfg = dataclasses.replace(vocab50_cfg, oracle=GreedyOracle(vocab50_cfg.oracle.model))
+    calls = 0
+    real = attack.greedy_decode
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with patch.object(attack, "greedy_decode", counted):
+        if search == "random_sampling":
+            random_sampling(cfg, cfg.budget)
+        else:
+            hill_climb(cfg, restarts=5)
+    keys = sorted(cfg.oracle._memo)
+    n_keys, digest = ORACLE_MEMO_AFTER[search]
+    assert (len(keys), hashlib.sha256(repr(keys).encode()).hexdigest()) == (n_keys, digest)
+    assert calls < n_keys
 
 
 # (perm map, loss, breakdown, evals_used, trace, terminated); the small-corpus

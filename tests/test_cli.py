@@ -348,6 +348,17 @@ class TestAttackCommand:
         ) == 7
         assert not out.exists()
 
+    def test_bigram_successor_out_of_range_is_config_error(self, ws, tmp_path):
+        # successor ids outside the vocabulary used to exit 0 with loss 2.000000
+        ref = tmp_path / "far.json"
+        ref.write_text('{"0": {"999": 1.0}, "1": {"-3": 1.0}}')
+        out = tmp_path / "a.json"
+        assert run_cli(
+            "attack", "--method", "random", "--corpus", ws["corpus"], "--vocab-size", 6,
+            "--lambda-bi", "1.0", "--ref-bigram", ref, "--budget", 10, "--out", out,
+        ) == 7
+        assert not out.exists()
+
     def test_config_file_unknown_key(self, ws, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"methd": "brute"}))

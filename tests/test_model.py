@@ -2,6 +2,7 @@
 decoding, and the .eem container."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -25,6 +26,7 @@ from eeinfer.errors import (
 from eeinfer.model import (
     CIPHERTEXT,
     MODEL_MAGIC,
+    NORM_KINDS,
     PLAINTEXT,
     KVCache,
     ModelBundle,
@@ -41,6 +43,7 @@ from eeinfer.model import (
     make_config,
     save_model,
 )
+from eeinfer.tensor_ops import ACTIVATION_KINDS
 
 # sha256 of forward(init_model(make_config(32,16,2,2,32,8), seed=42), [1,2,3])
 # logits bytes, produced once by the reference run and frozen as a regression
@@ -312,6 +315,22 @@ class TestIncremental:
         forward(cache, TokenSeq((3,), PLAINTEXT))
         assert calls == {"matmul": 13, "softmax_rows": 2}
 
+    def test_batched_step_kernel_calls(self, monkeypatch):
+        # five requests' cached step: the same calls as one request's
+        config = make_config(vocab_size=128, d_model=32, n_layers=2, n_heads=4, d_ff=64,
+                             max_seq_len=64)
+        cache = KVCache(init_model(config, 42), 0, config.n_layers - 1, 5)
+        forward(cache, [TokenSeq(tuple(range(i, i + 16)), PLAINTEXT) for i in range(5)])
+        calls = {"matmul": 0, "softmax_rows": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(eeinfer.model, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(eeinfer.model, name, counted)
+        forward(cache, [TokenSeq((i,), PLAINTEXT) for i in range(5)])
+        assert calls == {"matmul": 13, "softmax_rows": 2}
+
     def test_layer_range_checked(self, tiny_model):
         with pytest.raises(ShapeError):
             KVCache(tiny_model, 1, 2)
@@ -320,6 +339,65 @@ class TestIncremental:
             apply_layer_range(KVCache(tiny_model, 0, 0), x, 0, 1)
         with pytest.raises(ShapeError):
             forward(KVCache(tiny_model, 1, 1), TokenSeq((1, 2), PLAINTEXT))
+
+
+@functools.cache
+def _batch_model(norm_kind: str, act_kind: str, encrypted: bool) -> ModelBundle:
+    config = make_config(48, 16, 2, 2, 32, 24, norm_kind=norm_kind, act_kind=act_kind)
+    model = init_model(config, 11)
+    return encrypt_model(keygen(config, 12), model) if encrypted else model
+
+
+class TestBatch:
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(
+        st.sampled_from(NORM_KINDS), st.sampled_from(ACTIVATION_KINDS), st.booleans(),
+        st.integers(1, 8), st.integers(1, 12), st.integers(0, 8), st.integers(0, 2**31 - 1),
+    )
+    def test_batch_equals_one_request_at_a_time(
+        self, norm_kind, act_kind, encrypted, b, length, n_new, seed
+    ):
+        model = _batch_model(norm_kind, act_kind, encrypted)
+        rng = np.random.default_rng(seed)
+        prompts = [
+            TokenSeq(tuple(rng.integers(0, 48, size=length).tolist()), model.domain)
+            for _ in range(b)
+        ]
+        outs = greedy_decode(model, prompts, n_new)
+        assert outs == [greedy_decode(model, p, n_new) for p in prompts]
+        # every cached step of the batch, request by request, against the
+        # same steps taken with a cache of that request alone
+        last = model.config.n_layers - 1
+        cache = KVCache(model, 0, last, b)
+        alone = [KVCache(model, 0, last) for _ in prompts]
+        batched = [forward(cache, prompts)]
+        single = [[forward(c, p)] for c, p in zip(alone, prompts)]
+        for pos in range(length, length + n_new):
+            step = [TokenSeq(out.ids[pos : pos + 1], model.domain) for out in outs]
+            batched.append(forward(cache, step))
+            for steps, c, seq in zip(single, alone, step):
+                steps.append(forward(c, seq))
+        for r, steps in enumerate(single):
+            got = np.concatenate([logits[r] for logits in batched])
+            assert got.tobytes() == np.concatenate(steps).tobytes(), r
+
+    def test_batch_shape_errors(self, tiny_model):
+        with pytest.raises(ShapeError, match="at least one"):
+            greedy_decode(tiny_model, [], 2)
+        unequal = [TokenSeq((1, 2, 3), PLAINTEXT), TokenSeq((4, 5), PLAINTEXT)]
+        with pytest.raises(ShapeError, match="3 and 2"):
+            greedy_decode(tiny_model, unequal, 2)
+        with pytest.raises(ShapeError, match="3 and 2"):
+            forward(tiny_model, unequal)
+        cache = KVCache(tiny_model, 0, tiny_model.config.n_layers - 1, 2)
+        with pytest.raises(ShapeError, match="1 sequences for a cache of 2"):
+            forward(cache, [TokenSeq((1,), PLAINTEXT)])
+
+    def test_single_prompt_returns_one_sequence(self, tiny_model):
+        prompt = TokenSeq((4, 9), PLAINTEXT)
+        [batched] = greedy_decode(tiny_model, [prompt], 3)
+        assert greedy_decode(tiny_model, prompt, 3) == batched
+        assert forward(tiny_model, [prompt])[0].tobytes() == forward(tiny_model, prompt).tobytes()
 
 
 class TestContainer:
