@@ -4,11 +4,13 @@ Everything downstream leans on three properties of this module:
 
 * ``matmul`` reduces over the inner dimension in ascending index order, always.
   BLAS and einsum were measured to break that order (blocked/SIMD partial
-  sums), so the product is built as an explicit ascending-k fold. That keeps
-  repeated runs, and pipelines that split a computation across workers,
-  bit-identical. Both operands may carry one matching leading batch axis
-  (attention runs every head in one call); each slice of the result has the
-  bytes of the 2-D product of that slice.
+  sums), so the product is one explicit fold: ``np.add.reduce`` over k of a
+  C-ordered tensor of every product (``matmul`` says why C order, and when
+  ``np.add.accumulate`` stands in). That keeps repeated runs, and pipelines
+  that split a computation across workers, bit-identical. Both operands may
+  carry one matching leading batch axis (attention runs every head in one
+  call); each slice of the result has the bytes of the 2-D product of that
+  slice.
 * Every kernel is row-local: row i of the output depends only on row i of the
   inputs, bit for bit, however many rows there are and however many masked
   (``-inf``) softmax entries follow the row's last live one. That is what
@@ -53,16 +55,6 @@ def _as_vector(x: object, length: int, name: str) -> np.ndarray:
     return arr
 
 
-# Output slices with at most this many entries (m * n, whatever the batch size)
-# are folded in one np.add.accumulate over a (batch, m, n, k+1) tensor of
-# products; larger ones take the per-k loop, whose Python overhead is then
-# small next to the memory the product tensor needs. On a 2-core x86-64 VM the
-# two take about the same time near 512 entries at k = 32 and near 256 at
-# k = 8-16; one row of the toy config's lm_head (128 entries) takes 41 us
-# folded against 132 us looped.
-_ACCUMULATE_MAX_ENTRIES = 256
-
-
 def _dims(shape: tuple[int, ...]) -> str:
     return "x".join(map(str, shape))
 
@@ -71,15 +63,21 @@ def matmul(a: object, b: object) -> np.ndarray:
     """Matrix product with the inner sum taken in ascending index order.
 
     out[i, j] = ((((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...) exactly as a
-    left-to-right fold from +0.0, whichever of the two methods below runs;
-    the test suite holds both bit-identical to a scalar reference loop. The
-    leading +0.0 means a sum is never -0.0, so trailing zero terms (masked
-    attention weights) leave it unchanged.
+    left-to-right fold from +0.0; the test suite holds it bit-identical to a
+    scalar reference loop. The leading +0.0 means a sum is never -0.0, so
+    trailing zero terms (masked attention weights) leave it unchanged.
 
     Operands are (m, k) and (k, n), or (batch, m, k) and (batch, k, n) with
     the same batch size; then out[s] is the 2-D product of a[s] and b[s],
-    byte for byte, and _ACCUMULATE_MAX_ENTRIES counts the m * n entries of
-    one slice.
+    byte for byte.
+
+    Every product is built at once in a C-ordered (batch, m, k, n) tensor,
+    so a call holds m * k * n doubles per slice, and np.add.reduce folds it
+    over k. numpy sums pairwise only along the fastest axis; C order keeps
+    that axis n even when an operand is a transposed view (attention's keys),
+    so the fold adds one k at a time. A one-column product (n = 1) has no
+    other axis and takes np.add.accumulate, which is always sequential. With
+    k = 0 every entry is +0.0.
     """
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
@@ -93,20 +91,14 @@ def matmul(a: object, b: object) -> np.ndarray:
         raise ShapeError(
             f"matmul dimension mismatch: {_dims(av.shape)} times {_dims(bv.shape)}"
         )
-    m, k = av.shape[-2:]
-    n = bv.shape[-1]
-    if m * n <= _ACCUMULATE_MAX_ENTRIES:
-        # accumulate is a sequential running sum, unlike np.add.reduce, which
-        # sums pairwise along a contiguous axis
-        terms = np.zeros(batch + (m, n, k + 1), dtype=np.float64)
-        np.multiply(av[..., None, :], bv.swapaxes(-1, -2)[..., None, :, :], out=terms[..., 1:])
-        return np.add.accumulate(terms, axis=-1, out=terms)[..., -1].copy()
-    out = np.zeros(batch + (m, n), dtype=np.float64)
-    for kk in range(k):
-        # one term per k, added in order; elementwise add keeps each out[i, j]
-        # a strict sequential accumulation
-        out += av[..., kk : kk + 1] * bv[..., kk : kk + 1, :]
-    return out
+    k = av.shape[-1]
+    # without order="C" a transposed b makes k the fastest axis, and reduce
+    # would sum it pairwise
+    terms = np.multiply(av[..., :, :, None], bv[..., None, :, :], order="C")
+    if bv.shape[-1] != 1 or k == 0:
+        return np.add.reduce(terms, axis=-2, initial=0.0)
+    terms[..., 0, :] += 0.0  # the fold's leading +0.0: -0.0 + 0.0 is +0.0
+    return np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :].copy()
 
 
 def softmax_rows(a: object) -> np.ndarray:
@@ -117,14 +109,16 @@ def softmax_rows(a: object) -> np.ndarray:
     no meaningful softmax and raises.
     """
     x = as_matrix(a, "softmax input")
-    if np.isnan(x).any():
-        raise NumericsError("softmax input contains NaN")
-    if np.isposinf(x).any():
-        raise NumericsError("softmax input contains +inf")
     if x.shape[1] == 0:
         raise ShapeError("softmax input has zero columns")
+    # np.max propagates NaN, so a row's max is NaN if the row holds one, else
+    # +inf if it holds one, else -inf only if every entry is masked
     row_max = np.max(x, axis=1, keepdims=True)
-    if np.isneginf(row_max).any():
+    if not np.isfinite(row_max).all():
+        if np.isnan(row_max).any():
+            raise NumericsError("softmax input contains NaN")
+        if np.isposinf(row_max).any():
+            raise NumericsError("softmax input contains +inf")
         raise NumericsError("softmax row is fully masked (all -inf)")
     e = np.exp(x - row_max)
     # a sequential fold: np.sum adds pairwise once a row has 8 or more

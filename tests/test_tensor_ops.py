@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from eeinfer.errors import ConfigError, NumericsError, ShapeError
 from eeinfer.tensor_ops import (
-    _ACCUMULATE_MAX_ENTRIES,
     PermTable,
     activate,
     as_matrix,
@@ -38,6 +37,20 @@ def scalar_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, kk] * b[kk, j]
             out[i, j] = acc
     return out
+
+
+def wide(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Normal draws scaled by magnitudes from 1e-8 to 1e8."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+def assert_scalar_fold(got: np.ndarray, a: np.ndarray, b: np.ndarray, case: object) -> None:
+    """Each slice of ``got`` has the bytes of ``scalar_matmul`` of that slice."""
+    if a.ndim == 2:
+        got, a, b = got[None], a[None], b[None]
+    assert got.shape == a.shape[:-1] + b.shape[-1:], case
+    for s in range(a.shape[0]):
+        assert got[s].tobytes() == scalar_matmul(a[s], b[s]).tobytes(), case
 
 
 finite_elems = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=64)
@@ -72,8 +85,7 @@ class TestMatmul:
     def test_bit_exact_against_scalar_fold(self):
         rng = np.random.default_rng(7)
         shapes = [tuple(rng.integers(1, 12, size=3)) for _ in range(50)]
-        # both sides of the switch between the accumulate and loop methods
-        # (output sizes 256 and 257 and far beyond), with one row or column
+        # outputs from one entry to tens of thousands, with one row or column
         shapes += [(1, 32, 256), (1, 32, 257), (256, 5, 1), (257, 5, 1), (16, 32, 16),
                    (16, 32, 17), (1, 64, 1), (1, 1, 1), (48, 32, 128), (300, 3, 1), (1, 7, 600)]
         for m, k, n in shapes:
@@ -91,12 +103,11 @@ class TestMatmul:
 
     def test_batched_slices_bit_exact(self):
         # each slice of a batched product has the bytes of the 2-D product of
-        # that slice; the method switch counts the entries of one slice
+        # that slice
         rng = np.random.default_rng(17)
-        limit = _ACCUMULATE_MAX_ENTRIES
         shapes = [tuple(rng.integers(1, 10, size=4)) for _ in range(30)]
-        shapes += [(4, 16, 8, limit // 16), (4, 16, 8, limit // 16 + 1), (3, 1, 32, limit),
-                   (2, 1, 32, limit + 1), (2, limit + 1, 3, 1), (4, 1, 64, 8), (1, 1, 1, 1)]
+        shapes += [(4, 16, 8, 256 // 16), (4, 16, 8, 256 // 16 + 1), (3, 1, 32, 256),
+                   (2, 1, 32, 256 + 1), (2, 256 + 1, 3, 1), (4, 1, 64, 8), (1, 1, 1, 1)]
         for bsz, m, k, n in shapes:
             a = rng.normal(0, 10, (bsz, m, k))
             b = rng.normal(0, 10, (bsz, k, n))
@@ -110,6 +121,54 @@ class TestMatmul:
                 assert got[s].tobytes() == matmul(a[s], b[s]).tobytes() == expect, (bsz, m, k, n)
             zeros = matmul(np.full((bsz, m, k), -0.0), b)
             assert not np.signbit(zeros).any()
+
+    def test_wide_magnitudes_and_signed_zeros_bit_exact(self):
+        # terms from 1e-8 to 1e8 lose low bits at every partial sum, so any
+        # other summation order (pairwise, blocked) shows in the bytes; an
+        # entry whose terms are all -0.0 must still fold to +0.0
+        rng = np.random.default_rng(23)
+        for m, k, n in [(1, 1, 1), (2, 1, 3), (3, 9, 1), (1, 8, 2), (3, 9, 2), (5, 16, 7),
+                        (2, 33, 3), (4, 64, 16), (48, 32, 128)]:
+            a, b = wide(rng, (m, k)), wide(rng, (k, n))
+            a[0], b[:, 0] = -0.0, np.abs(b[:, 0])
+            got = matmul(a, b)
+            assert not np.signbit(got[0]).any()
+            assert_scalar_fold(got, a, b, (m, k, n))
+
+    def test_transposed_and_strided_views_bit_exact(self):
+        # attention passes k.transpose(0, 2, 1): the product tensor must keep
+        # n, not k, as its fastest axis whatever the operands' layout
+        rng = np.random.default_rng(29)
+        for m, k, n in [(1, 8, 2), (4, 16, 3), (6, 32, 9), (3, 64, 2)]:
+            a_views = [wide(rng, (k, m)).T, wide(rng, (2 * m, 3 * k))[::2, ::3],
+                       wide(rng, (m, k))[::-1, ::-1]]
+            b_views = [wide(rng, (n, k)).T, wide(rng, (3 * k, 2 * n))[::3, 1::2],
+                       wide(rng, (k, n))[::-1]]
+            for a in a_views:
+                for b in b_views:
+                    assert_scalar_fold(matmul(a, b), a, b, (m, k, n))
+            q = wide(rng, (4, m, k))
+            keys = wide(rng, (4, n, k)).transpose(0, 2, 1)
+            assert_scalar_fold(matmul(q, keys), q, keys, (4, m, k, n))
+            assert_scalar_fold(matmul(keys.transpose(0, 2, 1), q.transpose(0, 2, 1)),
+                               keys.transpose(0, 2, 1), q.transpose(0, 2, 1), (4, n, k, m))
+
+    def test_one_column_is_a_sequential_fold(self):
+        # with n = 1 only k is left to reduce over, which numpy would sum
+        # pairwise from 8 terms on; one column must still fold in order
+        rng = np.random.default_rng(31)
+        for k in range(8, 65):
+            for a, b in [(wide(rng, (1, k)), wide(rng, (k, 1))),
+                         (wide(rng, (3, k)), wide(rng, (1, k)).T),
+                         (wide(rng, (2, 3, k)), wide(rng, (2, k, 1)))]:
+                assert_scalar_fold(matmul(a, b), a, b, (a.shape, k))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((3, 0), (0, 1)), ((3, 0), (0, 4)),
+                                                  ((2, 3, 0), (2, 0, 1)), ((2, 3, 0), (2, 0, 5))])
+    def test_empty_inner_dimension_gives_positive_zeros(self, a_shape, b_shape):
+        got = matmul(np.zeros(a_shape), np.zeros(b_shape))
+        assert got.shape == a_shape[:-1] + b_shape[-1:]
+        assert got.tobytes() == np.zeros(got.shape).tobytes()
 
     @pytest.mark.parametrize(
         "a_shape, b_shape, pattern",
@@ -198,6 +257,24 @@ class TestSoftmax:
     def test_pos_inf_raises(self):
         with pytest.raises(NumericsError):
             softmax_rows([[0.0, np.inf]])
+
+    @pytest.mark.parametrize(
+        "rows, pattern",
+        [
+            ([[0.0, np.inf], [np.nan, 1.0]], "NaN"),
+            ([[np.nan, np.inf], [-np.inf, -np.inf]], "NaN"),
+            ([[-np.inf, -np.inf], [0.0, np.inf]], r"\+inf"),
+            ([[-np.inf, -np.inf], [0.0, 1.0]], "fully masked"),
+        ],
+    )
+    def test_bad_input_precedence(self, rows, pattern):
+        # NaN anywhere outranks +inf anywhere, which outranks a masked row
+        with pytest.raises(NumericsError, match=pattern):
+            softmax_rows(rows)
+
+    def test_zero_columns_raise_shape_error(self):
+        with pytest.raises(ShapeError, match="zero columns"):
+            softmax_rows(np.zeros((3, 0)))
 
     def test_masked_tail_leaves_row_bit_identical(self):
         # a causal row followed by j masked entries, as in a full forward
