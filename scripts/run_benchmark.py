@@ -36,10 +36,10 @@ def main() -> None:
         ("identity-key", keygen(config, seed=0, identity=True)),
     ):
         enc = encrypt_model(key, model)
-        fid, _ = compare_arms(model, enc, key, prompts, n_new=0)
         lat = measure_latency(
             model, enc, key, prompts[:10], n_new=args.n_new, repeats=args.repeats
         )
+        fid, _ = compare_arms(model, enc, key, prompts, n_new=0)
         json_path, md_path = emit_report(fid, lat, out_dir / name, model_name=name)
         print(
             f"{name}: fidelity {fid.fidelity:.9f} over {fid.n} prompts, "

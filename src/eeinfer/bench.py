@@ -6,8 +6,10 @@ the argmax next token) between the plaintext pipeline and the full
 ciphertext pipeline after decryption: 1 - mean relative gap. Equivariance
 compares the logits themselves, the decoded tokens and the token round trip.
 Latency times both full pipelines over the same prompts (token encryption
-and decryption included on the ciphertext arm) and reports median seconds
-plus the median of the per-repeat overhead percentages.
+and decryption included on the ciphertext arm) in one loop: per repeat, both
+arms run back to back on each prompt, and the first arm flips after every
+prompt, the order carrying over into the next repeat. It reports median
+seconds plus the median of the per-repeat overhead percentages.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ def _score_arrays(scores_vi, scores_ee) -> tuple[np.ndarray, np.ndarray]:
     if vi.shape[0] == 0:
         raise DomainError("fidelity of empty score lists is undefined")
     for name, arr in (("scores_vi", vi), ("scores_ee", ee)):
-        if (arr < 0).any() or (arr > 1).any():
+        if not ((0 <= arr) & (arr <= 1)).all():
             raise RangeError(f"{name} has entries outside [0, 1]")
     return vi, ee
 
@@ -114,6 +116,8 @@ class LatencyReport:
     def __post_init__(self) -> None:
         if not self.vi_samples or len(self.vi_samples) != len(self.ee_samples):
             raise ShapeError("latency needs one sample per arm per repeat, and a repeat")
+        if not all(0 < s < math.inf for s in (*self.vi_samples, *self.ee_samples)):
+            raise RangeError("latency samples must be finite and > 0 seconds")
         # each repeat's EE-over-VI overhead, in percent
         deltas = [(ee - vi) / vi * 100.0 for vi, ee in zip(self.vi_samples, self.ee_samples)]
         object.__setattr__(self, "vi_seconds", statistics.median(self.vi_samples))
@@ -205,10 +209,9 @@ def measure_latency(
     """Median wall-clock seconds per arm over the same prompts and length.
 
     The EE arm is the full pipeline: encrypt tokens, decode on the encrypted
-    model, decrypt tokens. One untimed warmup pass per arm precedes
-    measurement. Each repeat times every prompt's two arms back to back,
-    alternating which arm goes first, and sums them into that repeat's
-    per-arm samples, so drift in host speed lands on both arms alike; the
+    model, decrypt tokens. Each arm runs once over every prompt untimed, VI
+    first; then the loop the module docstring names sums each arm's seconds
+    per repeat, so drift in host speed lands on both arms alike. The
     reported overhead is the median of the per-repeat paired overheads.
     """
     if repeats < 3:
@@ -216,39 +219,26 @@ def measure_latency(
     if not prompts:
         raise DomainError("latency measurement needs at least one prompt")
     _check_arms(model_vi, model_ee, key)
-
-    def vi_run(p: TokenSeq) -> None:
-        greedy_decode(model_vi, p, n_new)
-
-    def ee_run(p: TokenSeq) -> None:
-        decrypt_tokens(key, greedy_decode(model_ee, encrypt_tokens(key, p), n_new))
-
-    def timed(run, p: TokenSeq) -> float:
-        t0 = time.perf_counter()
-        run(p)
-        return time.perf_counter() - t0
-
-    for run in (vi_run, ee_run):
+    arms = (
+        lambda p: greedy_decode(model_vi, p, n_new),
+        lambda p: decrypt_tokens(key, greedy_decode(model_ee, encrypt_tokens(key, p), n_new)),
+    )
+    for arm in arms:
         for p in prompts:
-            run(p)
-
-    vi_samples: list[float] = []
-    ee_samples: list[float] = []
-    vi_first = True
+            arm(p)
+    samples = []
+    order = [0, 1]  # indices into arms, VI first
     for _ in range(repeats):
-        vi_total = ee_total = 0.0
+        totals = [0.0, 0.0]
         for p in prompts:
-            if vi_first:
-                vi_total += timed(vi_run, p)
-                ee_total += timed(ee_run, p)
-            else:
-                ee_total += timed(ee_run, p)
-                vi_total += timed(vi_run, p)
-            vi_first = not vi_first
-        vi_samples.append(vi_total)
-        ee_samples.append(ee_total)
-
-    return LatencyReport(tuple(vi_samples), tuple(ee_samples))
+            for i in order:
+                t0 = time.perf_counter()
+                arms[i](p)
+                totals[i] += time.perf_counter() - t0
+            order.reverse()
+        samples.append(totals)
+    vi_samples, ee_samples = zip(*samples)
+    return LatencyReport(vi_samples, ee_samples)
 
 
 def emit_report(

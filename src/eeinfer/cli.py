@@ -137,10 +137,10 @@ def cmd_fidelity(resolved: dict) -> None:
     ee = load_model(resolved["ee_model"])
     key = load_key(resolved["key"])
     prompts = bench_mod.load_prompts(resolved["prompts"])
-    fid, eq = bench_mod.compare_arms(vi, ee, key, prompts, resolved["n_new"])
     lat = bench_mod.measure_latency(
         vi, ee, key, prompts, n_new=resolved["n_new"], repeats=resolved["repeats"]
     )
+    fid, eq = bench_mod.compare_arms(vi, ee, key, prompts, resolved["n_new"])
     json_path, md_path = bench_mod.emit_report(
         fid, lat, resolved["out"], model_name=resolved["model_name"]
     )

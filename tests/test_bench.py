@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import statistics
 
 import numpy as np
@@ -21,7 +22,7 @@ from eeinfer.bench import (
     random_prompts,
     save_prompts,
 )
-from eeinfer.encryption import encrypt_model, keygen
+from eeinfer.encryption import decrypt_tokens, encrypt_model, keygen
 from eeinfer.errors import (
     ConfigError,
     DomainError,
@@ -30,7 +31,15 @@ from eeinfer.errors import (
     RangeError,
     ShapeError,
 )
-from eeinfer.model import PLAINTEXT, ModelBundle, TokenSeq, forward, init_model, make_config
+from eeinfer.model import (
+    PLAINTEXT,
+    ModelBundle,
+    TokenSeq,
+    forward,
+    greedy_decode,
+    init_model,
+    make_config,
+)
 from eeinfer.tensor_ops import softmax_rows
 
 score_lists = st.lists(
@@ -62,6 +71,13 @@ class TestFidelity:
             FidelityReport([1.5], [0.5])
         with pytest.raises(RangeError):
             FidelityReport([0.5], [-0.1])
+
+    @pytest.mark.parametrize("vi, ee", [((math.nan,), (0.5,)), ((0.5, 0.2), (0.5, math.nan))])
+    def test_nan_scores(self, vi, ee):
+        # NaN is not in [0, 1]; a NaN fidelity would reach emit_report as the
+        # non-JSON token NaN
+        with pytest.raises(RangeError):
+            FidelityReport(vi, ee)
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(scores=score_lists)
@@ -239,6 +255,34 @@ class TestLatency:
         prompts = random_prompts(micro_model.config, 2, 3, seed=8)
         report = measure_latency(micro_model, enc, key, prompts, n_new=3, repeats=5)
         assert abs(report.delta_t_pct) <= 50.0
+
+    def test_call_order(self, bench_setup, monkeypatch):
+        vi, ee, key = bench_setup
+        prompts = random_prompts(vi.config, 3, 4, seed=12)
+        calls = []
+
+        def recording_decode(model, prompt, n_new):
+            arm = "V" if model is vi else "E"
+            calls.append((arm, prompt if arm == "V" else decrypt_tokens(key, prompt)))
+            return greedy_decode(model, prompt, n_new)
+
+        monkeypatch.setattr("eeinfer.bench.greedy_decode", recording_decode)
+        measure_latency(vi, ee, key, prompts, n_new=1, repeats=3)
+        # one warmup pass per arm, VI first; then per repeat both arms on each
+        # prompt, the first arm flipping after every prompt and across repeats
+        warmup = [("V", p) for p in prompts] + [("E", p) for p in prompts]
+        pairs = ["VE", "EV", "VE", "EV", "VE", "EV", "VE", "EV", "VE"]
+        timed = [(arm, prompts[i % 3]) for i, pair in enumerate(pairs) for arm in pair]
+        assert calls == warmup + timed
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("arm", ["vi", "ee"])
+    def test_samples_must_be_finite_and_positive(self, arm, bad):
+        # a sample is a finite, positive number of seconds; dT divides by the VI ones
+        samples = {"vi": [1.0, 1.0, 1.0], "ee": [1.5, 1.5, 1.5]}
+        samples[arm][1] = bad
+        with pytest.raises(RangeError):
+            LatencyReport(tuple(samples["vi"]), tuple(samples["ee"]))
 
     def test_figures_from_samples(self):
         # the overhead is the median of the repeats' paired overheads (+50%,

@@ -14,7 +14,7 @@ import pytest
 from eeinfer import errors
 from eeinfer.cli import COMMANDS, REQUIRED, _build_parser, _resolve, _rows, main
 from eeinfer.encryption import load_key
-from eeinfer.model import CIPHERTEXT, load_model
+from eeinfer.model import CIPHERTEXT, greedy_decode, load_model
 
 
 def run_cli(*argv) -> int:
@@ -216,6 +216,34 @@ class TestFidelityCommand:
         ) == 5
         assert "fidelity" not in capsys.readouterr().out
         assert not (tmp_path / "fid_mismatch.report.json").exists()
+
+    def test_too_few_repeats_refused_before_decoding(self, ws, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_decode(*args):
+            calls.append(args)
+            return greedy_decode(*args)
+
+        monkeypatch.setattr("eeinfer.bench.greedy_decode", counting_decode)
+        out = tmp_path / "fid_two"
+        assert run_cli(
+            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"],
+            "--key", ws["key"], "--prompts", ws["prompts"], "--out", out,
+            "--n-new", 2, "--repeats", 2,
+        ) == 7
+        assert calls == []
+        assert not (tmp_path / "fid_two.report.json").exists()
+        assert not (tmp_path / "fid_two.resolved_config.json").exists()
+
+    def test_empty_prompts_file(self, ws, tmp_path, capsys):
+        prompts = tmp_path / "empty.jsonl"
+        prompts.write_text("")
+        assert run_cli(
+            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"],
+            "--key", ws["key"], "--prompts", prompts, "--out", tmp_path / "f",
+            "--n-new", 2, "--repeats", 3,
+        ) == 6
+        assert "latency measurement needs at least one prompt" in capsys.readouterr().err
 
 
 class TestAttackCommand:
