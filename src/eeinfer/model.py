@@ -8,11 +8,14 @@ through the deterministic kernel in tensor_ops, which is what makes
 
 The layer arithmetic lives in one place, apply_layer_range. It takes a
 KVCache of its layer range and runs the rows of the next positions against
-the cached keys and values, then appends theirs; on a fresh cache the rows
-are a whole sequence from position 0. forward takes the model or a cache over
-every layer, and greedy decoding fills a cache with the prompt and then feeds
-one token per step. Because the kernels are row-local, the cached rows equal
-a full forward pass byte for byte.
+the cached keys and values, then writes theirs into the cache's next free
+slots; on a fresh cache the rows are a whole sequence from position 0. The
+cache grows in place: its capacity doubles when a call needs more positions,
+up to max_seq_len, so a step copies no cached prefix. Each layer reads its
+tensors from a record that ModelBundle derives once. forward takes the model
+or a cache over every layer, and greedy decoding fills a cache with the
+prompt and then feeds one token per step. Because the kernels are
+row-local, the cached rows equal a full forward pass byte for byte.
 
 A cache holds B requests, and the rows of all of them travel as one
 request-major (B * rows, d_model) array, so every weight product takes all B
@@ -234,12 +237,15 @@ def expected_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 class ModelBundle:
     """Immutable (config, domain, tensors) triple with shape validation.
 
-    ``qkv`` is derived from the tensors, not stored with them: per layer, the
-    weight Wq|Wk|Wv and the bias bq|bk|bv side by side, so that attention
-    makes one product for all three.
+    ``layers`` and ``head`` are derived from the tensors, not stored with
+    them, so that a step reads each tensor by position. Per layer: the
+    attention norm, Wq|Wk|Wv and bq|bk|bv side by side (one product makes all
+    three), Wo, bo, the FFN norm, W1, b1, W2 and b2; the head is the final
+    norm, lm_head.W and lm_head.b. A norm is its gain and, for layernorm, its
+    offset.
     """
 
-    __slots__ = ("config", "domain", "tensors", "qkv")
+    __slots__ = ("config", "domain", "tensors", "layers", "head")
 
     def __init__(self, config: ModelConfig, domain: str, tensors: Mapping[str, np.ndarray]) -> None:
         if domain not in DOMAINS:
@@ -262,19 +268,31 @@ class ModelBundle:
             arr = arr.copy()
             arr.setflags(write=False)
             frozen[name] = arr
-        qkv = []
+        parts = ("gain", "offset") if config.norm_kind == "layernorm" else ("gain",)
+
+        def norm(prefix: str) -> tuple[np.ndarray, ...]:
+            return tuple(frozen[f"{prefix}.{part}"] for part in parts)
+
+        layers = []
         for layer in range(config.n_layers):
-            fused = tuple(
-                np.concatenate([frozen[f"layer{layer}.attn.{kind}{c}"] for c in "qkv"], axis=-1)
+            p = f"layer{layer}."
+            w_qkv, b_qkv = (
+                np.concatenate([frozen[f"{p}attn.{kind}{c}"] for c in "qkv"], axis=-1)
                 for kind in ("W", "b")
             )
-            for arr in fused:
-                arr.setflags(write=False)
-            qkv.append(fused)
+            w_qkv.setflags(write=False)
+            b_qkv.setflags(write=False)
+            layers.append((
+                norm(f"{p}attn_norm"), w_qkv, b_qkv, frozen[f"{p}attn.Wo"], frozen[f"{p}attn.bo"],
+                norm(f"{p}ffn_norm"), frozen[f"{p}ffn.W1"], frozen[f"{p}ffn.b1"],
+                frozen[f"{p}ffn.W2"], frozen[f"{p}ffn.b2"],
+            ))
+        head = (norm("final_norm"), frozen["lm_head.W"], frozen["lm_head.b"])
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "tensors", MappingProxyType(frozen))
-        object.__setattr__(self, "qkv", tuple(qkv))
+        object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "head", head)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ModelBundle is immutable")
@@ -293,14 +311,6 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
         else:
             tensors[name] = rng.normal(0.0, WEIGHT_STD, size=shape)
     return ModelBundle(config, PLAINTEXT, tensors)
-
-
-def _apply_norm(model: ModelBundle, prefix: str, x: np.ndarray) -> np.ndarray:
-    cfg = model.config
-    gain = model.tensors[f"{prefix}.gain"]
-    if cfg.norm_kind == "layernorm":
-        return layer_norm(x, gain, model.tensors[f"{prefix}.offset"], eps=cfg.effective_norm_eps)
-    return rms_norm(x, gain, eps=cfg.effective_norm_eps)
 
 
 def _validate_prompt(model: ModelBundle, tokens: TokenSeq, extra: int = 0) -> None:
@@ -356,8 +366,11 @@ class KVCache:
     Passed to apply_layer_range (or, over every layer, to forward in place
     of the model), it makes the rows given there the next positions of its
     requests: they attend to every cached position of their own request as
-    well, and their keys and values are appended. A cache belongs to one
-    model and one set of requests, which all have the same length.
+    well, and their keys and values fill the next free slots. When a call
+    needs more positions than the buffers hold, their capacity doubles (or
+    grows to what the call needs) up to max_seq_len, and only then is the
+    cached prefix copied. A cache belongs to one model and one set of
+    requests, which all have the same length.
     """
 
     def __init__(self, model: ModelBundle, first: int, last: int, requests: int = 1) -> None:
@@ -365,19 +378,26 @@ class KVCache:
             raise ShapeError(
                 f"layer range ({first}, {last}) invalid for n_layers {model.config.n_layers}"
             )
+        if requests < 1:
+            raise ShapeError(f"a cache needs at least one request, got {requests}")
         self.model = model
         self.layers = range(first, last + 1)
         self.requests = requests
-        cfg = model.config
-        # per layer: (requests * heads, positions, d_head), request-major
-        empty = np.empty((requests * cfg.n_heads, 0, cfg.d_head), dtype=np.float64)
-        self.keys = [empty] * len(self.layers)
-        self.values = [empty] * len(self.layers)
+        self.length = 0  # positions processed so far; the next row's position
+        self.capacity = 0
+        # per layer: keys then values, (2, requests, heads, capacity, d_head)
+        self.kv: list[np.ndarray] = []
 
-    @property
-    def length(self) -> int:
-        """Number of positions processed so far; the next row's position."""
-        return self.keys[0].shape[1]
+    def _reserve(self, end: int) -> None:
+        """Make room for positions up to ``end`` (at most max_seq_len)."""
+        if end <= self.capacity:
+            return
+        cfg = self.model.config
+        self.capacity = min(max(end, 2 * self.capacity), cfg.max_seq_len)
+        shape = (2, self.requests, cfg.n_heads, self.capacity, cfg.d_head)
+        old, self.kv = self.kv, [np.empty(shape, dtype=np.float64) for _ in self.layers]
+        for new, kv in zip(self.kv, old):
+            new[:, :, :, : self.length] = kv[:, :, :, : self.length]
 
 
 def apply_layer_range(
@@ -387,7 +407,8 @@ def apply_layer_range(
 
     The cache holds exactly that layer range, and x holds, request after
     request, each request's rows of the positions after the cached ones; the
-    cache grows by them.
+    cache grows by them. Each request needs at least one row, and the rows
+    must fit in max_seq_len.
     """
     if cache.layers != range(first, last + 1):
         raise ShapeError(
@@ -396,42 +417,59 @@ def apply_layer_range(
         )
     model, cfg, b = cache.model, cache.model.config, cache.requests
     start, rows = cache.length, x.shape[0] // b
+    if rows == 0 or rows * b != x.shape[0]:
+        raise ShapeError(
+            f"{x.shape[0]} rows for a cache of {b} requests; each request needs the same "
+            "number of rows, at least one"
+        )
+    end = start + rows
+    if end > cfg.max_seq_len:
+        raise ShapeError(f"positions {start}..{end - 1} exceed max_seq_len {cfg.max_seq_len}")
+    cache._reserve(end)
     heads, d_head, d_model = cfg.n_heads, cfg.d_head, cfg.d_model
     scale = math.sqrt(d_head)
-    # row r sits at position start + r and sees positions 0..start + r
-    masked = np.arange(start + rows) > np.arange(start, start + rows)[:, None]
-    for i, li in enumerate(cache.layers):
-        p = f"layer{li}"
-        normed = _apply_norm(model, f"{p}.attn_norm", x)
-        w_qkv, b_qkv = model.qkv[li]
-        # q, k and v, each (b*heads, rows, d_head): every request's heads on
-        # the leading axis, so that each attention operation is one call
-        q, k, v = (
-            (matmul(normed, w_qkv) + b_qkv)
-            .reshape(b, rows, 3, heads, d_head)
-            .transpose(2, 0, 3, 1, 4)
-            .reshape(3, b * heads, rows, d_head)
-        )
-        k = cache.keys[i] = np.concatenate((cache.keys[i], k), axis=1)
-        v = cache.values[i] = np.concatenate((cache.values[i], v), axis=1)
-        scores = matmul(q, k.transpose(0, 2, 1)) / scale
-        scores[:, masked] = -np.inf  # causal mask
-        weights = softmax_rows(scores.reshape(b * heads * rows, -1)).reshape(scores.shape)
-        ctx = matmul(weights, v)
+    norm, eps = (layer_norm if cfg.norm_kind == "layernorm" else rms_norm), cfg.effective_norm_eps
+    # row r sits at position start + r and sees positions 0..start + r; a
+    # single row sees every cached position
+    masked = np.arange(end) > np.arange(start, end)[:, None] if rows > 1 else None
+    for kv, layer in zip(cache.kv, model.layers[first : last + 1]):
+        attn_norm, w_qkv, b_qkv, w_o, b_o, ffn_norm, w_1, b_1, w_2, b_2 = layer
+        # (b, rows, q|k|v, heads, d_head), a view of the product
+        qkv = matmul(norm(x, *attn_norm, eps=eps), w_qkv)
+        qkv += b_qkv
+        qkv = qkv.reshape(b, rows, 3, heads, d_head)
+        kv[:, :, :, start:end] = qkv[:, :, 1:].transpose(2, 0, 3, 1, 4)
+        # each (b*heads, positions, d_head): every request's heads on the
+        # leading axis, so that each attention operation is one call
+        q = qkv[:, :, 0].transpose(0, 2, 1, 3).reshape(b * heads, rows, d_head)
+        cached = kv[:, :, :, :end].reshape(2, b * heads, end, d_head)
+        scores = matmul(q, cached[0].transpose(0, 2, 1))
+        scores /= scale
+        if masked is not None:
+            scores[:, masked] = -np.inf  # causal mask
+        weights = softmax_rows(scores.reshape(b * heads * rows, end)).reshape(scores.shape)
+        ctx = matmul(weights, cached[1])
         ctx = ctx.reshape(b, heads, rows, d_head).transpose(0, 2, 1, 3).reshape(b * rows, d_model)
-        x = x + (matmul(ctx, model.tensors[f"{p}.attn.Wo"]) + model.tensors[f"{p}.attn.bo"])
-        normed = _apply_norm(model, f"{p}.ffn_norm", x)
-        hidden = activate(
-            cfg.act_kind,
-            matmul(normed, model.tensors[f"{p}.ffn.W1"]) + model.tensors[f"{p}.ffn.b1"],
-        )
-        x = x + (matmul(hidden, model.tensors[f"{p}.ffn.W2"]) + model.tensors[f"{p}.ffn.b2"])
+        # the bias, then the residual, added in place on the fresh product:
+        # the bytes of x + (product + bias), since addition commutes exactly
+        attended = matmul(ctx, w_o)
+        attended += b_o
+        attended += x
+        hidden = matmul(norm(attended, *ffn_norm, eps=eps), w_1)
+        hidden += b_1
+        x = matmul(activate(cfg.act_kind, hidden), w_2)
+        x += b_2
+        x += attended
+    cache.length = end
     return x
 
 
 def final_logits(model: ModelBundle, x: np.ndarray) -> np.ndarray:
-    x = _apply_norm(model, "final_norm", x)
-    return matmul(x, model.tensors["lm_head.W"]) + model.tensors["lm_head.b"]
+    norm = layer_norm if model.config.norm_kind == "layernorm" else rms_norm
+    final_norm, w, bias = model.head
+    logits = matmul(norm(x, *final_norm, eps=model.config.effective_norm_eps), w)
+    logits += bias
+    return logits
 
 
 def forward(

@@ -22,7 +22,10 @@ Everything downstream leans on three properties of this module:
 
 All inputs are converted to float64 arrays, 2-D except for a batched
 ``matmul``; integer examples in the tests are exact because float64 holds
-small integers exactly.
+small integers exactly. A kernel never writes into its inputs (the model's
+tensors are read-only); it reuses its own temporaries in place instead, with
+the same operations in the same order, so the bytes are those of the plain
+expressions.
 """
 from __future__ import annotations
 
@@ -94,7 +97,7 @@ def matmul(a: object, b: object) -> np.ndarray:
     k = av.shape[-1]
     # without order="C" a transposed b makes k the fastest axis, and reduce
     # would sum it pairwise
-    terms = np.multiply(av[..., :, :, None], bv[..., None, :, :], order="C")
+    terms = np.multiply(av[..., None], bv[..., None, :, :], order="C")
     if bv.shape[-1] != 1 or k == 0:
         return np.add.reduce(terms, axis=-2, initial=0.0)
     terms[..., 0, :] += 0.0  # the fold's leading +0.0: -0.0 + 0.0 is +0.0
@@ -111,9 +114,9 @@ def softmax_rows(a: object) -> np.ndarray:
     x = as_matrix(a, "softmax input")
     if x.shape[1] == 0:
         raise ShapeError("softmax input has zero columns")
-    # np.max propagates NaN, so a row's max is NaN if the row holds one, else
+    # a max propagates NaN, so a row's max is NaN if the row holds one, else
     # +inf if it holds one, else -inf only if every entry is masked
-    row_max = np.max(x, axis=1, keepdims=True)
+    row_max = np.maximum.reduce(x, axis=1, keepdims=True)
     if not np.isfinite(row_max).all():
         if np.isnan(row_max).any():
             raise NumericsError("softmax input contains NaN")
@@ -121,9 +124,11 @@ def softmax_rows(a: object) -> np.ndarray:
             raise NumericsError("softmax input contains +inf")
         raise NumericsError("softmax row is fully masked (all -inf)")
     e = np.exp(x - row_max)
-    # a sequential fold: np.sum adds pairwise once a row has 8 or more
-    # entries, so its rounding would depend on how many masked zeros follow
-    return e / np.cumsum(e, axis=1)[:, -1:]
+    # a sequential fold: np.add.reduce adds pairwise once a row has 8 or
+    # more entries, so its rounding would depend on how many masked zeros
+    # follow
+    e /= np.add.accumulate(e, axis=1)[:, -1:]
+    return e
 
 
 def activate(kind: str, x: object) -> np.ndarray:
@@ -132,10 +137,17 @@ def activate(kind: str, x: object) -> np.ndarray:
     if kind == "relu":
         return np.maximum(v, 0.0)
     if kind == "gelu":
-        return v * 0.5 * (1.0 + erf(v * _INV_SQRT2))
+        # v * 0.5 * (1.0 + erf(v / sqrt 2)) with the operands of + and *
+        # swapped, which IEEE arithmetic gives the same bytes
+        out = erf(v * _INV_SQRT2)
+        out += 1.0
+        out *= v * 0.5
+        return out
     if kind == "silu":
         # expit is the numerically stable sigmoid
-        return v * expit(v)
+        out = expit(v)
+        out *= v
+        return out
     raise ConfigError(f"unknown activation kind {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
@@ -152,7 +164,10 @@ def layer_norm(
     n = v.shape[1]
     centered = v - np.add.reduce(v, axis=1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
-    return centered / np.sqrt(var + eps) * g + b
+    centered /= np.sqrt(var + eps)
+    centered *= g
+    centered += b
+    return centered
 
 
 def rms_norm(x: object, gamma: object, eps: float = 1e-6) -> np.ndarray:
@@ -160,7 +175,9 @@ def rms_norm(x: object, gamma: object, eps: float = 1e-6) -> np.ndarray:
     v = as_matrix(x, "rms_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
     ms = np.add.reduce(v * v, axis=1, keepdims=True) / v.shape[1]
-    return v / np.sqrt(ms + eps) * g
+    out = v / np.sqrt(ms + eps)
+    out *= g
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import eeinfer.model
 from eeinfer.bench import compare_arms
-from eeinfer.encryption import encrypt_model, keygen
+from eeinfer.encryption import encrypt_model, encrypt_tokens, keygen
 from eeinfer.errors import (
     ConfigError,
     DomainError,
@@ -340,12 +340,91 @@ class TestIncremental:
         with pytest.raises(ShapeError):
             forward(KVCache(tiny_model, 1, 1), TokenSeq((1, 2), PLAINTEXT))
 
+    def test_row_count_checked(self):
+        # rows must be a whole, non-zero number per request, and fit in max_seq_len
+        x = np.random.default_rng(0).normal(size=(6, 16))
+        model = init_model(make_config(32, 16, 2, 2, 32, 4), 1)
+        cache = KVCache(model, 0, 1)
+        with pytest.raises(ShapeError, match="max_seq_len 4"):
+            apply_layer_range(cache, x, 0, 1)
+        assert cache.length == 0
+        model = init_model(make_config(32, 16, 2, 2, 32, 8), 1)
+        with pytest.raises(ShapeError, match="3 rows for a cache of 2 requests"):
+            apply_layer_range(KVCache(model, 0, 1, 2), x[:3], 0, 1)
+        with pytest.raises(ShapeError, match="0 rows .* at least one"):
+            apply_layer_range(KVCache(model, 0, 1), x[:0], 0, 1)
+        for requests in (0, -1):
+            with pytest.raises(ShapeError, match="at least one request"):
+                KVCache(model, 0, 1, requests)
+
+    def test_cache_doubles_up_to_max_seq_len(self, micro_model):
+        cache = KVCache(micro_model, 0, 0)
+        capacity = []
+        for pos in range(micro_model.config.max_seq_len):
+            forward(cache, TokenSeq((pos,), PLAINTEXT))
+            capacity.append(cache.capacity)
+        assert capacity == [1, 2, 4, 4, 6, 6]
+
 
 @functools.cache
 def _batch_model(norm_kind: str, act_kind: str, encrypted: bool) -> ModelBundle:
     config = make_config(48, 16, 2, 2, 32, 24, norm_kind=norm_kind, act_kind=act_kind)
     model = init_model(config, 11)
     return encrypt_model(keygen(config, 12), model) if encrypted else model
+
+
+# sha256 per (norm, activation) on _batch_model's config: plaintext forward
+# logits of PAIR_PROMPT, encrypted forward logits of it under key seed 12, and
+# the ids of PAIR_BATCH decoded for 12 steps as one batch; pinned like
+# GOLDEN_LOGITS_SHA256, on every numeric path the kernels offer
+PAIR_PROMPT = (3, 14, 15, 9, 2, 6, 5, 35)
+PAIR_BATCH = [tuple((7 * r + 5 * i) % 48 for i in range(6)) for r in range(3)]
+PAIR_GOLDENS = {
+    ("layernorm", "relu"): (
+        "81f137d70a8ef54cf016fc76e2dcbeba38f21381815a7b0b91be855357065ff4",
+        "9a31d67ac44fe5a6f8fc67edd8a5991fdebcfac196bedfc9f1699c227958f82c",
+        "b1d9f0aaea0faf966d7fa72d72293068d507a46273e2383ebc0bf7e09543868c",
+    ),
+    ("layernorm", "gelu"): (
+        "a3865c842aecc7190ca23900e197ae909310ef6e51d8533380394593ce4258ad",
+        "7db6cdaa4153236276b8fa8821bb193b6741a3acca964c05f86d58dbddb92da9",
+        "0618f0f12c8c06ac4068c0c04177d091253737af8585c88357bd854051e6ac4e",
+    ),
+    ("layernorm", "silu"): (
+        "e14c1a047193b731c71f9e67f1450b7c7ff79b43de6cb8d9815828e08b147347",
+        "d43462efb3d7e24b4a41c5f5d5553c081af4b6c0d636f2ede5464ba3a52eaf69",
+        "0618f0f12c8c06ac4068c0c04177d091253737af8585c88357bd854051e6ac4e",
+    ),
+    ("rmsnorm", "relu"): (
+        "9cf7296e36481f775f78a803a7f352c912c965a504667b48a0c316145b2c1d8f",
+        "90371b339a27eefbe456699b29e19633dac7a71f1ddaed064949e53c5bd0949c",
+        "854b5d6310d96b69f29528194aed99f1c20ee2fb9d92622896567173077f9402",
+    ),
+    ("rmsnorm", "gelu"): (
+        "04764f4bef41a97d7ddf5d6d5f55cb9762f47ef5b6a5895d489651b0ec80d614",
+        "ee467ca53243db766ec802286ace19e77683ee8cca5209485f59597786cbe247",
+        "d9af0a4f95813254ac1f94d5712a1cd8dfa854dc90f6184ff1dddc5c95605352",
+    ),
+    ("rmsnorm", "silu"): (
+        "0a3b09bbd78a9782c0770eabd9c719eecfa5360ad143239bb570ec8b9dce502a",
+        "4d05d0a13c8305922ad8c670e17975672d8f6009838ae0c170e29041a684f66f",
+        "d9af0a4f95813254ac1f94d5712a1cd8dfa854dc90f6184ff1dddc5c95605352",
+    ),
+}
+
+
+@pytest.mark.parametrize("kinds", sorted(PAIR_GOLDENS))
+def test_golden_per_norm_and_activation(kinds):
+    plain, enc = _batch_model(*kinds, False), _batch_model(*kinds, True)
+    key = keygen(plain.config, 12)
+    prompt = TokenSeq(PAIR_PROMPT, PLAINTEXT)
+    outs = greedy_decode(plain, [TokenSeq(p, PLAINTEXT) for p in PAIR_BATCH], 12)
+    got = (
+        hashlib.sha256(forward(plain, prompt).tobytes()).hexdigest(),
+        hashlib.sha256(forward(enc, encrypt_tokens(key, prompt)).tobytes()).hexdigest(),
+        hashlib.sha256(json.dumps([list(out.ids) for out in outs]).encode()).hexdigest(),
+    )
+    assert got == PAIR_GOLDENS[kinds]
 
 
 class TestBatch:

@@ -2,6 +2,7 @@
 permutation-equivariance properties."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from eeinfer.errors import ConfigError, NumericsError, ShapeError
 from eeinfer.tensor_ops import (
+    ACTIVATION_KINDS,
     PermTable,
     activate,
     as_matrix,
@@ -455,3 +457,47 @@ class TestPermTable:
 def test_as_matrix_accepts_lists():
     m = as_matrix([[1, 2]])
     assert m.dtype == np.float64 and m.shape == (1, 2)
+
+
+
+def _kernel_cases() -> list[tuple[str, object, tuple[np.ndarray, ...]]]:
+    """(case, kernel, inputs): every kernel on C-ordered inputs and on
+    transposed views, with the shapes the model passes."""
+    rng = np.random.default_rng(3)
+    x, w = rng.normal(size=(6, 5)), rng.normal(size=(5, 4))
+    g, b = rng.normal(size=5), rng.normal(size=5)
+    xt = np.ascontiguousarray(x.T).T  # x's values as a transposed view
+    heads = rng.normal(size=(3, 4, 5))
+    scores = x.copy()
+    scores[1:, -1] = -np.inf  # masked attention positions
+    cases = [
+        ("matmul", matmul, (x, w)),
+        ("matmul transposed", matmul, (xt, np.ascontiguousarray(w.T).T)),
+        ("matmul one column", matmul, (xt, w[:, :1])),
+        ("matmul batched keys", matmul, (heads[:, :2], heads.transpose(0, 2, 1))),
+        ("softmax_rows", softmax_rows, (scores,)),
+        ("softmax_rows transposed", softmax_rows, (np.ascontiguousarray(scores.T).T,)),
+        ("layer_norm", layer_norm, (x, g, b)),
+        ("layer_norm transposed", layer_norm, (xt, g, b)),
+        ("rms_norm", rms_norm, (x, g)),
+        ("rms_norm transposed", rms_norm, (xt, g)),
+    ]
+    for kind in ACTIVATION_KINDS:
+        act = functools.partial(activate, kind)
+        cases += [(kind, act, (x,)), (f"{kind} transposed", act, (xt,))]
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name, kernel, inputs", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_kernels_leave_inputs_unchanged_and_take_read_only_inputs(name, kernel, inputs):
+    before = [arr.tobytes() for arr in inputs]
+    got = kernel(*inputs)
+    assert [arr.tobytes() for arr in inputs] == before
+    # model tensors are read-only, and a kernel gives the same bytes on them
+    frozen = [arr.copy() for arr in inputs]
+    for arr in frozen:
+        arr.setflags(write=False)
+    assert kernel(*frozen).tobytes() == got.tobytes()
