@@ -24,10 +24,15 @@ Oracle continuations are memoized by decrypted input; the oracle is a pure
 function, so memoization never changes a loss value, only the cost of
 computing it. The oracle takes a list of requests and decodes its memo misses
 in one batched greedy decode per distinct (prompt length, n_new). An
-evaluation hands it one window of pairs at a time: the next pairs it is
-certain to check, because its early stop (below) cannot fire before them
-even if each of them mismatches. So the oracle decodes exactly the prompts a
-pair-by-pair check would, and no loss, flag or trace changes.
+evaluation first scores every pair whose continuation the memo already
+holds, at no decoding cost. It then hands the oracle its memo misses one
+window at a time: the next misses it is certain to check, because its early
+stop (below) cannot fire before them even if each of them mismatches. The
+mismatch count only grows and the hits are all counted before any miss, so
+every miss decoded here is one that a pair-by-pair check in index order
+would also have decoded: the oracle decodes a subset of that check's
+prompts. A complete evaluation checks the same pairs in either order, and a
+given-up one is never accepted, so no loss, flag or trace changes.
 
 Hill climbing keeps every corpus pair's mismatch flag for its incumbent map,
 and scores a swap of ciphertext tokens i and j by re-checking only the pairs
@@ -188,6 +193,11 @@ class GreedyOracle:
             for key, out in zip(group, greedy_decode(self.model, prompts, n_new)):
                 memo[key] = np.asarray(out.ids[length:], dtype=np.int64)
         return [memo[key] for key in keys]
+
+    def known(self, ids: np.ndarray, n_new: int) -> np.ndarray | None:
+        """The memoized continuation of (ids, n_new), or None if it was never
+        decoded; never decodes."""
+        return self._memo.get((np.asarray(ids, dtype=np.int64).tobytes(), n_new))
 
 
 def _check_perm(perm: PermTable, vocab_size: int) -> None:
@@ -370,9 +380,14 @@ class _Search:
         re-checked. The count of mismatches is an integer either way, so the
         loss is bit-identical to a full evaluation.
 
-        With a bound, evaluation stops as soon as the running lower bound
-        reaches it; then breakdown and flags are None, and the returned value
-        is only a lower bound."""
+        The pairs whose continuation the oracle already holds are scored
+        first; the misses are then decoded one window at a time, in index
+        order. With a bound, evaluation stops before a window as soon as the
+        running lower bound reaches it; then breakdown and flags are None, and
+        the returned value is only a lower bound. The count is an integer
+        whatever the order, so a complete evaluation is bit-identical to one
+        in index order; complete or not, it decodes a subset of the prompts a
+        pair-by-pair check in index order would."""
         self.evals += 1
         cfg = self.cfg
         total = 0.0
@@ -396,24 +411,33 @@ class _Search:
                 i, j, incumbent = swap
                 check = sorted(self._touching[i] | self._touching[j])
                 count = sum(incumbent.values()) - sum(incumbent[k] for k in check)
+            # the pairs the oracle already holds are scored first, for free
+            misses = []
+            for k in check:
+                ids = perm_map[pairs[k][0]]
+                replay = oracle.known(ids, pairs[k][2])
+                if replay is None:
+                    misses.append((k, ids))
+                else:
+                    # both int64 and n_new long: equal bytes are equal ids
+                    flags[k] = bad = replay.tobytes() != perm_map[pairs[k][1]].tobytes()
+                    count += bad
             done = 0
-            while done < len(check):
+            while done < len(misses):
                 # the count only grows, so the lower bound below only rises:
                 # the next m pairs are all checked if it stays short of the
                 # bound even when m - 1 of them mismatch (no bound: every pair)
-                m = 0 if bound is not None else len(check) - done
-                while done + m < len(check) and not (
+                m = 0 if bound is not None else len(misses) - done
+                while done + m < len(misses) and not (
                     total + cfg.lambda_cons * ((count + m) / n_pairs) >= bound
                 ):
                     m += 1
                 if m == 0:
                     return total + cfg.lambda_cons * (count / n_pairs), None, None
-                window = check[done : done + m]
-                requests = [(perm_map[pairs[k][0]], pairs[k][2]) for k in window]
-                for k, replay in zip(window, oracle.continuations(requests)):
-                    # both int64 and n_new long: equal bytes are equal ids
-                    bad = replay.tobytes() != perm_map[pairs[k][1]].tobytes()
-                    flags[k] = bad
+                window = misses[done : done + m]
+                requests = [(ids, pairs[k][2]) for k, ids in window]
+                for (k, _), replay in zip(window, oracle.continuations(requests)):
+                    flags[k] = bad = replay.tobytes() != perm_map[pairs[k][1]].tobytes()
                     count += bad
                 done += m
             l_cons = count / n_pairs

@@ -117,7 +117,8 @@ def softmax_rows(a: object) -> np.ndarray:
     # a max propagates NaN, so a row's max is NaN if the row holds one, else
     # +inf if it holds one, else -inf only if every entry is masked
     row_max = np.maximum.reduce(x, axis=1, keepdims=True)
-    if not np.isfinite(row_max).all():
+    # a ufunc reduce, as ndarray.all goes through numpy's Python wrapper
+    if not np.logical_and.reduce(np.isfinite(row_max).ravel()):
         if np.isnan(row_max).any():
             raise NumericsError("softmax input contains NaN")
         if np.isposinf(row_max).any():

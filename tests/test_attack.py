@@ -1,6 +1,7 @@
 """Tests for the vocabulary-recovery attack framework."""
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import hashlib
@@ -665,31 +666,152 @@ class TestSwapEvaluation:
 
     def test_swaps_consult_the_oracle_for_few_pairs(self, vocab50_cfg):
         lookups = 0
-        real = GreedyOracle.continuations
+        real_continuations, real_known = GreedyOracle.continuations, GreedyOracle.known
 
-        def counted(self, requests):
+        def counted_continuations(self, requests):
             nonlocal lookups
             lookups += len(requests)
-            return real(self, requests)
+            return real_continuations(self, requests)
 
-        with patch.object(GreedyOracle, "continuations", counted):
+        def counted_known(self, ids, n_new):
+            nonlocal lookups
+            lookups += 1
+            return real_known(self, ids, n_new)
+
+        with patch.object(GreedyOracle, "continuations", counted_continuations), patch.object(
+            GreedyOracle, "known", counted_known
+        ):
             state = hill_climb(vocab50_cfg, restarts=5)
         # a swap touches about 1.4 of the 30 pairs; re-checking every pair up
-        # to the give-up costs about 23 lookups an evaluation
+        # to the give-up costs about 23 lookups an evaluation. Memo probes and
+        # decode requests both count
         assert lookups < 4 * state.evals_used
 
 
+def _index_order_evaluation(cfg, perm_map, bound, swap):
+    """The reference for _Search.evaluate: the pairs to re-check are checked
+    one at a time in index order, giving up before a pair once the running
+    lower bound reaches the bound. Returns (value, breakdown, flags, the memo
+    keys it decoded); breakdown and flags are None after a give-up."""
+    search = attack._Search(cfg)
+    total, breakdown = 0.0, {}
+    if cfg.lambda_uni > 0:
+        breakdown["unigram"] = attack._unigram_l1(search._enc_freq, perm_map, cfg.ref_unigram)
+        total += cfg.lambda_uni * breakdown["unigram"]
+    if cfg.lambda_bi > 0:
+        breakdown["bigram"] = attack._bigram_l1(search._bigrams, perm_map, cfg.ref_bigram)
+        total += cfg.lambda_bi * breakdown["bigram"]
+    pairs, oracle = cfg.corpus.pairs, cfg.oracle
+    if swap is None:
+        check, count = range(len(pairs)), 0
+    else:
+        i, j, incumbent = swap
+        check = [k for k, (pi, po) in enumerate(pairs) if {i, j} & set(pi + po)]
+        count = sum(bad for k, bad in incumbent.items() if k not in check)
+    before = set(oracle._memo)
+    if bound is not None and total >= bound:
+        return total, None, None, set()
+    flags = {}
+    for k in check:
+        lower = total + cfg.lambda_cons * (count / len(pairs))
+        if bound is not None and lower >= bound:
+            return lower, None, None, set(oracle._memo) - before
+        pi, po = pairs[k]
+        [replay] = oracle.continuations([(perm_map[list(pi)], len(po))])
+        flags[k] = bad = replay.tolist() != perm_map[list(po)].tolist()
+        count += bad
+    breakdown["consistency"] = count / len(pairs)
+    total += cfg.lambda_cons * breakdown["consistency"]
+    return total, breakdown, flags, set(oracle._memo) - before
+
+
+class TestEvaluationOrder:
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(
+        case=swap_landscapes(),
+        warm=st.lists(st.booleans(), min_size=8, max_size=8),
+        use_swap=st.booleans(),
+        bound_at_loss=st.booleans(),
+    )
+    def test_memo_hits_first_agrees_with_index_order(self, case, warm, use_swap, bound_at_loss):
+        """Scoring the memo hits before decoding any miss changes no complete
+        result, and decodes a subset of the index order's prompts."""
+        cfg, start, (i, j), bound = case
+        model = cfg.oracle.model
+        cand = start.copy()
+        cand[i], cand[j] = cand[j], cand[i]
+        # full evaluations on an oracle of their own, so that the compared
+        # memos hold only the warmed prompts
+        cold = dataclasses.replace(cfg, oracle=GreedyOracle(model))
+        if bound_at_loss:
+            # the candidate's own loss as the bound: both orders give up as
+            # soon as the last mismatch is counted, each at its own point
+            bound = attack._Search(cold).evaluate(cand)[0]
+        swap = None
+        if use_swap:
+            swap = (i, j, attack._Search(cold).evaluate(start)[2])
+        # the same random subset of the candidate's prompts is memoized on
+        # both sides before the evaluation
+        prompts = [(cand[list(pi)], len(po)) for (pi, po), w in zip(cfg.corpus.pairs, warm) if w]
+        ours, theirs = (dataclasses.replace(cfg, oracle=GreedyOracle(model)) for _ in range(2))
+        for side in (ours, theirs):
+            side.oracle.continuations(prompts)
+        warmed = set(ours.oracle._memo)
+        value, breakdown, flags = attack._Search(ours).evaluate(cand, bound, swap)
+        decoded = set(ours.oracle._memo) - warmed
+        want, want_breakdown, want_flags, want_decoded = _index_order_evaluation(
+            theirs, cand, bound, swap
+        )
+        if breakdown is not None and want_breakdown is not None:
+            assert value.hex() == want.hex()
+            assert {k: x.hex() for k, x in breakdown.items()} == {
+                k: x.hex() for k, x in want_breakdown.items()
+            }
+            assert flags == want_flags
+        elif breakdown is not None:
+            assert value >= bound
+        elif want_breakdown is not None:
+            assert want >= bound
+        assert decoded <= want_decoded
+
+
 # after each vocab-50 search on a fresh oracle: the number of memo keys and
-# the sha256 of repr(sorted(keys)), recorded when the oracle decoded one
-# prompt per greedy_decode call, so with one call per key
+# the sha256 of repr(sorted(keys)), recorded once memo hits were scored
+# before any miss was decoded
 ORACLE_MEMO_AFTER = {
-    "random_sampling": (1049, "194e6e28c20587072e649268fa8d434dd26a94753a87759522df9e65c7996cd6"),
-    "hill_climb": (1234, "000fb279700f96d73bfe7b29347cf808dd5b39a24e2f5ca5f5a30074665526ea"),
+    "random_sampling": (823, "e081061de6e753725d63513c913ae8178614d6a518dc36f8a4d847f917e50a80"),
+    "hill_climb": (1078, "cfd3f086cf049147fc0eb5e89c356ac2431dd67eb63f27d60afec728bddcb015"),
+}
+
+# the memo keys of the same searches when evaluations checked their pairs in
+# index order, as a base64 np.packbits of a 50 x 50 bit map: bit (a, b) is
+# set when the 2-token prompt [a, b] was decoded with n_new 1
+ORACLE_MEMO_INDEX_ORDER = {
+    "random_sampling": (
+        "4sAiQCxL2OJTSEZ0ggBWt8GGSESe0RJrSCG4uZjncwwiQSUPQEfDCBAjX6HGa6osjJBp6EKajezTHsIPJWsagi"
+        "YBQAGoddAApEzYkYnsipymNrGsEhCMRUoQJJXVfyYirEIApVwcybDZgMd21BKKU4a7al+AgABgDXM2KQCIlDMT"
+        "JRSXgTXDw4BMtHpxhNvwARE1CIYx0I0ZqQaIVgEHcwki5RjGAiDLEEO3wGQR/wZGlAkFAzezlIsD8UABkzwlAm"
+        "HIjp6lACFRi/kPiZl8//m77/18bSRgY+0MEL15GEPwpQH5F0gKV+zNIh3WUGscQhhPahFGhVh2GqBHHlcf4gFb"
+        "It++Qb2IcGjCQ+rVxivse2g4QbBsAQ58+eK0q9sfRIdAcJksgCSRYcBtSCg6BFdwobEkIyV/EA=="
+    ),
+    "hill_climb": (
+        "v/f///9//8PSJbbbmUgkAHDVT/P93vv384gDABYERveg0SU32bngJEgldkcpiTtvf/scp0ASAUSAAIAFAJgYED"
+        "SJATdsIEkSUB2BGQJAEBFEYgDBIAVTv/rW/33//GgZAhldiRACRIRTYmqI1CUE27MAJhEkNEBgGkBABZEQA1iO"
+        "EURv/f//7//1jDRMbVZsQAkQWAUQ+4puV7/f9+3/5Pn5kQAkACB2Qv6LS/vb/4gCABZDYm6AkAAV3ZxAOEBtFm"
+        "agGhAPNYEaA0CEB2Z7bf7tP/4YiAQJKSYH7A0bWjz7/z/Gn9/+74HRIYRfuKggQHFSb3i/Q39f+84CRJNf/uPg"
+        "wAU3279oNEhN1u4wCQJbXfP/d8/X/v/n/f/n9/398vwF/XfO4AEQURUF////////wUvwNbX/cA=="
+    ),
 }
 
 
+def _bitmap_keys(packed: str) -> set[tuple[bytes, int]]:
+    bits = np.unpackbits(np.frombuffer(base64.b64decode(packed), dtype=np.uint8), count=2500)
+    rows, cols = np.nonzero(bits.reshape(50, 50))
+    return {(np.asarray([a, b], dtype=np.int64).tobytes(), 1) for a, b in zip(rows, cols)}
+
+
 @pytest.mark.parametrize("search", sorted(ORACLE_MEMO_AFTER))
-def test_oracle_decodes_the_same_prompts_in_fewer_calls(vocab50_cfg, search):
+def test_oracle_decodes_a_subset_of_the_prompts_in_fewer_calls(vocab50_cfg, search):
     cfg = dataclasses.replace(vocab50_cfg, oracle=GreedyOracle(vocab50_cfg.oracle.model))
     calls = 0
     real = attack.greedy_decode
@@ -707,6 +829,7 @@ def test_oracle_decodes_the_same_prompts_in_fewer_calls(vocab50_cfg, search):
     keys = sorted(cfg.oracle._memo)
     n_keys, digest = ORACLE_MEMO_AFTER[search]
     assert (len(keys), hashlib.sha256(repr(keys).encode()).hexdigest()) == (n_keys, digest)
+    assert set(keys) < _bitmap_keys(ORACLE_MEMO_INDEX_ORDER[search])
     assert calls < n_keys
 
 
