@@ -20,6 +20,18 @@ vocabularies only), best-of-M random draws, and 2-swap hill climbing with
 random restarts. All three report an AttackState whose trace records every
 improvement of the running best.
 
+Random sampling draws its candidates a block at a time, with one
+``Generator.permuted`` call over rows of the identity: row by row, these are
+the maps of as many successive ``permutation`` draws, and the generator ends
+in the same state. One numpy pass scores the unigram losses of the whole
+block, each row reduced on its own with the bits of a 1-D sum. Hill
+climbing builds and scores the next swaps of its sweep the same way, and
+drops the scores left after an accept unread. Scoring a row is not an
+evaluation: ``_Search.evaluate`` then takes the rows one at a time, in
+order, with their precomputed scores, and only it counts, applies the
+bound, asks the oracle and extends the trace. So every draw, evaluation
+count, memo key and result is that of scoring one candidate at a time.
+
 Oracle continuations are memoized by decrypted input; the oracle is a pure
 function, so memoization never changes a loss value, only the cost of
 computing it. The oracle takes a list of requests and decodes its memo misses
@@ -62,6 +74,18 @@ from .model import PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
 from .tensor_ops import PermTable
 
 BRUTE_FORCE_MAX_VOCAB = 9
+
+# random sampling draws and scores its candidates this many at a time. At
+# budget 20 000 on vocab 50 it ran about 1.7x as fast as one draw at a time
+# with blocks of 64, and 1.8x with 256 up to the whole budget; 1024 keeps a
+# block's maps and losses to 16 KiB per vocabulary token (800 KiB at vocab
+# 50), where the whole budget at once would hold 16 MiB
+_SAMPLE_BLOCK = 1024
+# hill climbing scores the next this many swaps of its sweep at a time, and
+# drops the rest of a chunk unread after an accept. At budget 20 000 on vocab
+# 50, chunks of one swap ran about 1.6x slower than scoring swaps one by one
+# without blocks, and chunks of 64 about 10-15% faster
+_SWAP_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -130,10 +154,11 @@ def _token_freq(corpus: TranscriptCorpus) -> np.ndarray:
     return counts / counts.sum()
 
 
-def _decrypt_freq(enc_freq: np.ndarray, perm_map: np.ndarray) -> np.ndarray:
-    # the decrypted distribution is the encrypted one rescattered
-    dec = np.empty(enc_freq.shape[0], dtype=np.float64)
-    dec[perm_map] = enc_freq
+def _decrypt_freq(enc_freq: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """The decrypted distribution of each row of a (B, n) block of maps: the
+    encrypted one rescattered, in one fancy-index scatter."""
+    dec = np.empty(maps.shape, dtype=np.float64)
+    dec[np.arange(maps.shape[0])[:, None], maps] = enc_freq
     return dec
 
 
@@ -156,7 +181,7 @@ def _bigram_counts(corpus: TranscriptCorpus) -> list[tuple[int, int, dict[int, i
 def empirical_unigram(corpus: TranscriptCorpus, perm: PermTable) -> np.ndarray:
     """Distribution of perm-decrypted corpus tokens (inputs and outputs)."""
     _check_perm(perm, corpus.vocab_size)
-    return _decrypt_freq(_token_freq(corpus), perm.map)
+    return _decrypt_freq(_token_freq(corpus), perm.map[None])[0]
 
 
 def empirical_bigram(corpus: TranscriptCorpus, perm: PermTable) -> dict[int, dict[int, float]]:
@@ -205,8 +230,16 @@ def _check_perm(perm: PermTable, vocab_size: int) -> None:
         raise ShapeError(f"permutation size {perm.n} does not match vocab_size {vocab_size}")
 
 
-def _unigram_l1(enc_freq: np.ndarray, perm_map: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.abs(_decrypt_freq(enc_freq, perm_map) - ref).sum())
+def _unigram_l1(enc_freq: np.ndarray, maps: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The unigram L1 loss of each row of a (B, n) block of maps.
+
+    Each row is reduced on its own, in numpy's pairwise order for a
+    contiguous row, so a row's loss has the bits of the 1-D sum of that
+    row's |dec - ref|."""
+    dec = _decrypt_freq(enc_freq, maps)
+    dec -= ref
+    np.abs(dec, out=dec)
+    return np.add.reduce(dec, axis=1)
 
 
 def _bigram_l1(
@@ -363,15 +396,26 @@ class _Search:
         self.breakdown: dict[str, float] = {}
         self.trace: list[tuple[int, float]] = []
 
+    def unigrams(self, maps: np.ndarray) -> list[float] | list[None]:
+        """The unigram loss of each row of a (B, n) block of maps, for
+        ``evaluate``'s ``unigram``; None for each row when that term is off."""
+        if self.cfg.lambda_uni > 0:
+            return _unigram_l1(self._enc_freq, maps, self.cfg.ref_unigram).tolist()
+        return [None] * maps.shape[0]
+
     def evaluate(
         self,
         perm_map: np.ndarray,
         bound: float | None = None,
         swap: tuple[int, int, dict[int, bool]] | None = None,
+        unigram: float | None = None,
     ) -> tuple[float, dict[str, float] | None, dict[int, bool] | None]:
         """Count and score one candidate: (loss, breakdown, mismatch flags of
         the re-checked pairs). A complete evaluation strictly below the best
         so far becomes the best and extends the trace.
+
+        ``unigram`` is perm_map's row of ``unigrams`` over a block; without
+        it the candidate is scored as a block of one, with the same bits.
 
         A full evaluation re-checks every corpus pair against the oracle.
         ``swap=(i, j, flags)`` says perm_map is an incumbent with per-pair
@@ -393,7 +437,7 @@ class _Search:
         total = 0.0
         breakdown: dict[str, float] = {}
         if cfg.lambda_uni > 0:
-            l_uni = _unigram_l1(self._enc_freq, perm_map, cfg.ref_unigram)
+            l_uni = self.unigrams(perm_map[None])[0] if unigram is None else unigram
             breakdown["unigram"] = l_uni
             total += cfg.lambda_uni * l_uni
         if cfg.lambda_bi > 0:
@@ -490,9 +534,12 @@ def random_sampling(cfg: AttackConfig, M: int) -> AttackState:
     n = cfg.corpus.vocab_size
     search = _Search(cfg)
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(M):
-        cand = rng.permutation(n).astype(np.int64)
-        search.evaluate(cand, bound=search.loss)
+    for done in range(0, M, _SAMPLE_BLOCK):
+        # row by row, the draws of as many successive rng.permutation(n)
+        identity = np.tile(np.arange(n, dtype=np.int64), (min(_SAMPLE_BLOCK, M - done), 1))
+        block = rng.permuted(identity, axis=1)
+        for cand, unigram in zip(block, search.unigrams(block)):
+            search.evaluate(cand, bound=search.loss, unigram=unigram)
     return search.state("completed")
 
 
@@ -510,7 +557,8 @@ def hill_climb(cfg: AttackConfig, restarts: int = 1) -> AttackState:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     n = cfg.corpus.vocab_size
     search = _Search(cfg)
-    swaps = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # every transposition (i, j), i < j, in lexicographic order
+    swap_i, swap_j = np.triu_indices(n, 1)
     seeds = np.random.SeedSequence(cfg.seed).spawn(restarts)
     budget = cfg.budget
 
@@ -526,14 +574,12 @@ def hill_climb(cfg: AttackConfig, restarts: int = 1) -> AttackState:
         certified = cur_loss == 0.0
 
         while not certified and search.evals < budget:
-            for si in rng.permutation(len(swaps)):
+            order = rng.permutation(swap_i.size)
+            for i, j, cand, unigram in _swapped(search, cur, swap_i[order], swap_j[order]):
                 if search.evals >= budget:
                     break
-                i, j = swaps[si]
-                cand = cur.copy()
-                cand[i], cand[j] = cand[j], cand[i]
                 value, breakdown, changed = search.evaluate(
-                    cand, bound=cur_loss, swap=(i, j, flags)
+                    cand, bound=cur_loss, swap=(i, j, flags), unigram=unigram
                 )
                 if breakdown is not None and value < cur_loss:
                     cur, cur_loss, cur_breakdown = cand, value, breakdown
@@ -551,6 +597,17 @@ def hill_climb(cfg: AttackConfig, restarts: int = 1) -> AttackState:
     )
     search.map = np.asarray(ids, dtype=np.int64)
     return search.state("certified" if certified else "budget_exhausted")
+
+
+def _swapped(search: _Search, cur: np.ndarray, swap_i: np.ndarray, swap_j: np.ndarray):
+    """(i, j, cur with entries i and j swapped, its unigram loss) for each
+    swap in turn, built and scored _SWAP_CHUNK swaps at a time."""
+    for lo in range(0, swap_i.size, _SWAP_CHUNK):
+        ii, jj = swap_i[lo : lo + _SWAP_CHUNK], swap_j[lo : lo + _SWAP_CHUNK]
+        rows = np.arange(ii.size)
+        block = np.repeat(cur[None], ii.size, axis=0)
+        block[rows, ii], block[rows, jj] = cur[jj], cur[ii]
+        yield from zip(ii.tolist(), jj.tolist(), block, search.unigrams(block))
 
 
 def recovery_rate(perm: PermTable, true_perm: PermTable, corpus: TranscriptCorpus) -> float:

@@ -61,6 +61,14 @@ def consistency_penalty(perm, corpus, oracle):
     return total_loss(perm, AttackConfig(corpus=corpus, lambda_cons=1.0, oracle=oracle))[0]
 
 
+def unigram_reference(enc_freq, perm_map, ref):
+    """One candidate's unigram L1 loss, written out: rescatter the encrypted
+    frequencies, then one 1-D sum."""
+    dec = np.empty(enc_freq.shape[0])
+    dec[perm_map] = enc_freq
+    return float(np.abs(dec - ref).sum())
+
+
 @pytest.fixture(scope="module")
 def small_model():
     # vocab 6 so brute force stays within its enumeration cap; seed chosen so
@@ -200,6 +208,23 @@ class TestUnigram:
         dist = empirical_unigram(small_corpus, perm_of(*range(6)))
         assert dist.sum() == pytest.approx(1.0)
         assert dist.shape == (6,)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(v=st.integers(2, 300), b=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_block_rows_equal_the_one_candidate_reference(self, v, b, seed):
+        """Each row of a block's losses has the bits of that map's loss
+        scored on its own."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 4, size=v)
+        counts[rng.integers(v)] += 1
+        enc_freq = counts / counts.sum()
+        ref = rng.dirichlet(np.ones(v))
+        maps = rng.permuted(np.tile(np.arange(v, dtype=np.int64), (b, 1)), axis=1)
+        got = attack._unigram_l1(enc_freq, maps, ref)
+        assert got.shape == (b,)
+        assert [x.hex() for x in got.tolist()] == [
+            unigram_reference(enc_freq, m, ref).hex() for m in maps
+        ]
 
 
 class TestBigram:
@@ -484,6 +509,31 @@ class TestRandomSampling:
         with pytest.raises(ConfigError):
             random_sampling(_uni_cfg(small_corpus, ref), M=0)
 
+    def test_blocks_equal_one_draw_at_a_time(self, vocab50_cfg):
+        """Across two block boundaries, drawing and scoring a block at a time
+        gives the state and the oracle memo of one permutation draw and one
+        evaluation per candidate."""
+        m = 2 * attack._SAMPLE_BLOCK + 3
+        ours, theirs = (
+            dataclasses.replace(vocab50_cfg, oracle=GreedyOracle(vocab50_cfg.oracle.model))
+            for _ in range(2)
+        )
+        got = random_sampling(ours, m)
+        search = attack._Search(theirs)
+        rng = np.random.default_rng(theirs.seed)
+        for _ in range(m):
+            cand = rng.permutation(theirs.corpus.vocab_size).astype(np.int64)
+            search.evaluate(cand, bound=search.loss)
+        want = search.state("completed")
+        assert got.perm.map.tolist() == want.perm.map.tolist()
+        assert got.loss.hex() == want.loss.hex()
+        assert dict(got.component_breakdown) == dict(want.component_breakdown)
+        assert (got.evals_used, got.trace, got.terminated) == (
+            want.evals_used, want.trace, want.terminated
+        )
+        assert got.evals_used == m
+        assert sorted(ours.oracle._memo) == sorted(theirs.oracle._memo)
+
 
 # first seed whose restart-0 draw is small_key's true map [2, 5, 4, 3, 0, 1],
 # found by search
@@ -655,8 +705,8 @@ class TestSwapEvaluation:
         # each accept, is checked the same way against its incumbent's flags
         real = attack._Search.evaluate
 
-        def checked(self, perm_map, bound=None, swap=None):
-            got = real(self, perm_map, bound, swap)
+        def checked(self, perm_map, bound=None, swap=None, unigram=None):
+            got = real(self, perm_map, bound, swap, unigram)
             if swap is not None:
                 _assert_swap_matches_full(self.cfg, perm_map, bound, swap[2], got)
             return got
@@ -696,7 +746,7 @@ def _index_order_evaluation(cfg, perm_map, bound, swap):
     search = attack._Search(cfg)
     total, breakdown = 0.0, {}
     if cfg.lambda_uni > 0:
-        breakdown["unigram"] = attack._unigram_l1(search._enc_freq, perm_map, cfg.ref_unigram)
+        breakdown["unigram"] = unigram_reference(search._enc_freq, perm_map, cfg.ref_unigram)
         total += cfg.lambda_uni * breakdown["unigram"]
     if cfg.lambda_bi > 0:
         breakdown["bigram"] = attack._bigram_l1(search._bigrams, perm_map, cfg.ref_bigram)
