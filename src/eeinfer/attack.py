@@ -47,13 +47,13 @@ prompts. A complete evaluation checks the same pairs in either order, and a
 given-up one is never accepted, so no loss, flag or trace changes.
 
 Hill climbing keeps every corpus pair's mismatch flag for its incumbent map,
-and scores a swap of ciphertext tokens i and j by re-checking only the pairs
-that contain i or j (Jakobsen's swap update for substitution ciphers): no
-other pair can change, and the mismatch count is an integer, so the loss is
-bit-identical to a full evaluation. Candidate evaluations may stop
-early once a partial lower bound proves the candidate cannot beat the
-incumbent; such evaluations never produce accepted states, so reported losses
-are always fully evaluated.
+and their count next to them, and scores a swap of ciphertext tokens i and j
+by re-checking only the pairs that contain i or j (Jakobsen's swap update for
+substitution ciphers): no other pair can change, and the mismatch count is an
+integer, so the loss is bit-identical to a full evaluation. Candidate
+evaluations may stop early once a partial lower bound proves the candidate
+cannot beat the incumbent; such evaluations never produce accepted states, so
+reported losses are always fully evaluated.
 """
 from __future__ import annotations
 
@@ -407,7 +407,7 @@ class _Search:
         self,
         perm_map: np.ndarray,
         bound: float | None = None,
-        swap: tuple[int, int, dict[int, bool]] | None = None,
+        swap: tuple[int, int, dict[int, bool], int] | None = None,
         unigram: float | None = None,
     ) -> tuple[float, dict[str, float] | None, dict[int, bool] | None]:
         """Count and score one candidate: (loss, breakdown, mismatch flags of
@@ -418,11 +418,12 @@ class _Search:
         it the candidate is scored as a block of one, with the same bits.
 
         A full evaluation re-checks every corpus pair against the oracle.
-        ``swap=(i, j, flags)`` says perm_map is an incumbent with per-pair
-        mismatch flags ``flags`` whose entries i and j were swapped: only the
-        pairs containing ciphertext token i or j can change, so only they are
-        re-checked. The count of mismatches is an integer either way, so the
-        loss is bit-identical to a full evaluation.
+        ``swap=(i, j, flags, mismatches)`` says perm_map is an incumbent with
+        per-pair mismatch flags ``flags``, ``mismatches`` of them set, whose
+        entries i and j were swapped: only the pairs containing ciphertext
+        token i or j can change, so only they are re-checked. The count of
+        mismatches is an integer either way, so the loss is bit-identical to
+        a full evaluation.
 
         The pairs whose continuation the oracle already holds are scored
         first; the misses are then decoded one window at a time, in index
@@ -452,9 +453,9 @@ class _Search:
             if swap is None:
                 check, count = range(n_pairs), 0
             else:
-                i, j, incumbent = swap
+                i, j, incumbent, mismatches = swap
                 check = sorted(self._touching[i] | self._touching[j])
-                count = sum(incumbent.values()) - sum(incumbent[k] for k in check)
+                count = mismatches - sum(incumbent[k] for k in check)
             # the pairs the oracle already holds are scored first, for free
             misses = []
             for k in check:
@@ -571,6 +572,7 @@ def hill_climb(cfg: AttackConfig, restarts: int = 1) -> AttackState:
         cur = rng.permutation(n).astype(np.int64)
         # the first, full evaluation supplies every pair's mismatch flag
         cur_loss, cur_breakdown, flags = search.evaluate(cur)
+        mismatches = sum(flags.values())
         certified = cur_loss == 0.0
 
         while not certified and search.evals < budget:
@@ -579,10 +581,11 @@ def hill_climb(cfg: AttackConfig, restarts: int = 1) -> AttackState:
                 if search.evals >= budget:
                     break
                 value, breakdown, changed = search.evaluate(
-                    cand, bound=cur_loss, swap=(i, j, flags), unigram=unigram
+                    cand, bound=cur_loss, swap=(i, j, flags, mismatches), unigram=unigram
                 )
                 if breakdown is not None and value < cur_loss:
                     cur, cur_loss, cur_breakdown = cand, value, breakdown
+                    mismatches += sum(changed.values()) - sum(flags[k] for k in changed)
                     flags.update(changed)
                     certified = cur_loss == 0.0
                     break

@@ -10,8 +10,8 @@ The layer arithmetic lives in one place, apply_layer_range. It takes a
 KVCache of its layer range and runs the rows of the next positions against
 the cached keys and values, then writes theirs into the cache's next free
 slots; on a fresh cache the rows are a whole sequence from position 0. The
-cache grows in place: its capacity doubles when a call needs more positions,
-up to max_seq_len, so a step copies no cached prefix. Each layer reads its
+cache's buffers are sized for max_seq_len positions when it is made and
+written in place, so a step copies no cached prefix. Each layer reads its
 tensors from a record that ModelBundle derives once. forward takes the model
 or a cache over every layer, and greedy decoding fills a cache with the
 prompt and then feeds one token per step. Because the kernels are
@@ -366,11 +366,10 @@ class KVCache:
     Passed to apply_layer_range (or, over every layer, to forward in place
     of the model), it makes the rows given there the next positions of its
     requests: they attend to every cached position of their own request as
-    well, and their keys and values fill the next free slots. When a call
-    needs more positions than the buffers hold, their capacity doubles (or
-    grows to what the call needs) up to max_seq_len, and only then is the
-    cached prefix copied. A cache belongs to one model and one set of
-    requests, which all have the same length.
+    well, and their keys and values fill the next free slots. Each layer's
+    buffer holds max_seq_len positions from the start, so no call copies the
+    cached prefix. A cache belongs to one model and one set of requests,
+    which all have the same length.
     """
 
     def __init__(self, model: ModelBundle, first: int, last: int, requests: int = 1) -> None:
@@ -384,20 +383,10 @@ class KVCache:
         self.layers = range(first, last + 1)
         self.requests = requests
         self.length = 0  # positions processed so far; the next row's position
-        self.capacity = 0
-        # per layer: keys then values, (2, requests, heads, capacity, d_head)
-        self.kv: list[np.ndarray] = []
-
-    def _reserve(self, end: int) -> None:
-        """Make room for positions up to ``end`` (at most max_seq_len)."""
-        if end <= self.capacity:
-            return
-        cfg = self.model.config
-        self.capacity = min(max(end, 2 * self.capacity), cfg.max_seq_len)
-        shape = (2, self.requests, cfg.n_heads, self.capacity, cfg.d_head)
-        old, self.kv = self.kv, [np.empty(shape, dtype=np.float64) for _ in self.layers]
-        for new, kv in zip(self.kv, old):
-            new[:, :, :, : self.length] = kv[:, :, :, : self.length]
+        cfg = model.config
+        # per layer: keys then values, (2, requests, heads, max_seq_len, d_head)
+        shape = (2, requests, cfg.n_heads, cfg.max_seq_len, cfg.d_head)
+        self.kv = [np.empty(shape, dtype=np.float64) for _ in self.layers]
 
 
 def apply_layer_range(
@@ -406,9 +395,9 @@ def apply_layer_range(
     """Run layers first..last inclusive on a residual-stream state.
 
     The cache holds exactly that layer range, and x holds, request after
-    request, each request's rows of the positions after the cached ones; the
-    cache grows by them. Each request needs at least one row, and the rows
-    must fit in max_seq_len.
+    request, each request's rows of the positions after the cached ones,
+    which the cache then holds too. Each request needs at least one row, and
+    the rows must fit in max_seq_len.
     """
     if cache.layers != range(first, last + 1):
         raise ShapeError(
@@ -425,7 +414,6 @@ def apply_layer_range(
     end = start + rows
     if end > cfg.max_seq_len:
         raise ShapeError(f"positions {start}..{end - 1} exceed max_seq_len {cfg.max_seq_len}")
-    cache._reserve(end)
     heads, d_head, d_model = cfg.n_heads, cfg.d_head, cfg.d_model
     scale = math.sqrt(d_head)
     norm, eps = (layer_norm if cfg.norm_kind == "layernorm" else rms_norm), cfg.effective_norm_eps
@@ -479,8 +467,8 @@ def forward(
     equal-length sequences, (B, len(each), vocab_size).
 
     With a KVCache over every layer in place of the model, the tokens
-    continue the cached sequences, one per request, and the cache grows by
-    them.
+    continue the cached sequences, one per request, and the cache then holds
+    them too.
     """
     batch = [tokens] if isinstance(tokens, TokenSeq) else list(tokens)
     cache = model if isinstance(model, KVCache) else KVCache(

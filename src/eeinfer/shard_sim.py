@@ -321,21 +321,22 @@ def run_pipeline(
         )
 
     ids = list(prompt.ids)
-    # sent[s]: everything hop s has offered shard s so far, for a spare to
-    # prefill from: the token ids (the list decoding appends to) for shard 0,
-    # the rows shard s - 1 has emitted for later shards
-    sent: list = [ids] + [np.empty((0, enc_model.config.d_model))] * (len(plan.ranges) - 1)
+    # emitted[s, p]: the row shard s has emitted at position p, which hop
+    # s + 1 sends; a spare prefills from every row before len(ids)
+    cfg = enc_model.config
+    emitted = np.empty((len(plan.ranges) - 1, cfg.max_seq_len, cfg.d_model))
     for token_index in range(n_new):
         for s, (first, last) in enumerate(plan.ranges):
             deliver(s)
             cache = caches[s]
-            rows = sent[s][cache.length :]
             if s == 0:
+                rows = ids[cache.length :]
                 transport.send(json.dumps({"request_id": request_id, "token_ids": rows}).encode())
                 token_ids = json.loads(transport.recv())["token_ids"]
                 entry = {"kind": "tokens_in", "token_ids": list(token_ids)}
                 x = embed_positions(enc_model, token_ids, start=cache.length)
             else:
+                rows = emitted[s - 1, cache.length : len(ids)]
                 transport.send(encode_frame(ActivationFrame(request_id, s, rows)))
                 frame = decode_frame(transport.recv())
                 entry = {
@@ -347,10 +348,9 @@ def run_pipeline(
                 x = frame.payload
             log({"to_node": assignment[s], "shard": s, **entry})
             x = apply_layer_range(cache, x, first, last)
-            if s + 1 < len(sent):
-                # x holds the rows that end at position len(ids); a spare
-                # recomputed all of them
-                sent[s + 1] = np.concatenate((sent[s + 1][: len(ids) - x.shape[0]], x))
+            if s < len(emitted):
+                # x holds the rows that end at position len(ids)
+                emitted[s, len(ids) - x.shape[0] : len(ids)] = x
         logits = final_logits(enc_model, x[-1:])
         next_id = int(np.argmax(logits[0]))
         deliver()

@@ -698,7 +698,7 @@ class TestSwapEvaluation:
         _, _, flags = search.evaluate(start)
         cand = start.copy()
         cand[i], cand[j] = cand[j], cand[i]
-        got = search.evaluate(cand, bound, (i, j, flags))
+        got = search.evaluate(cand, bound, (i, j, flags, sum(flags.values())))
         _assert_swap_matches_full(cfg, cand, bound, flags, got)
 
         # every swap evaluation of a hill climb from the start map, so after
@@ -708,6 +708,8 @@ class TestSwapEvaluation:
         def checked(self, perm_map, bound=None, swap=None, unigram=None):
             got = real(self, perm_map, bound, swap, unigram)
             if swap is not None:
+                # the count kept next to the flags is theirs after every accept
+                assert swap[3] == sum(swap[2].values())
                 _assert_swap_matches_full(self.cfg, perm_map, bound, swap[2], got)
             return got
 
@@ -755,7 +757,7 @@ def _index_order_evaluation(cfg, perm_map, bound, swap):
     if swap is None:
         check, count = range(len(pairs)), 0
     else:
-        i, j, incumbent = swap
+        i, j, incumbent, _ = swap
         check = [k for k, (pi, po) in enumerate(pairs) if {i, j} & set(pi + po)]
         count = sum(bad for k, bad in incumbent.items() if k not in check)
     before = set(oracle._memo)
@@ -799,7 +801,8 @@ class TestEvaluationOrder:
             bound = attack._Search(cold).evaluate(cand)[0]
         swap = None
         if use_swap:
-            swap = (i, j, attack._Search(cold).evaluate(start)[2])
+            flags = attack._Search(cold).evaluate(start)[2]
+            swap = (i, j, flags, sum(flags.values()))
         # the same random subset of the candidate's prompts is memoized on
         # both sides before the evaluation
         prompts = [(cand[list(pi)], len(po)) for (pi, po), w in zip(cfg.corpus.pairs, warm) if w]

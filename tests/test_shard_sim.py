@@ -307,6 +307,23 @@ class TestPipeline:
                 assert sent == (n_prompt + t if full else 1), e
         assert resent == len(failures)
 
+    def test_spare_prefills_from_the_rows_layers_before_it_emitted(self, deep_enc, enc_prompt):
+        # the spare's first frame resends every row shard 1 emitted so far:
+        # the bytes of layers 0..1 applied to the ids up to that position
+        plan = plan_shards(deep_enc.config, 4)
+        broker = BrokerConfig(seed=6, latency_lo=0.001, latency_hi=0.01, failures=((2, 8),),
+                              spares=1)
+        out, transcript = run_pipeline(deep_enc, plan, broker, enc_prompt, 5)
+        entries = transcript.entries
+        at = next(i for i, e in enumerate(entries) if e["kind"] == "reassign")
+        frame = next(e for e in entries[at:] if e["kind"] == "frame" and e["shard"] == 2)
+        assert frame["to_node"] == 4 and frame["token_index"] > 0
+        n = frame["seq_len"]
+        assert n == len(enc_prompt) + frame["token_index"]
+        x = embed_positions(deep_enc, out.ids[:n])
+        x = apply_layer_range(KVCache(deep_enc, 0, 1), x, 0, 1)
+        assert frame["payload_sha256"] == hashlib.sha256(x.tobytes()).hexdigest()
+
     def test_golden_failover_run(self, deep_enc, enc_prompt, tmp_path):
         # values computed before the pipeline's hop loop was rewritten; the
         # transcript file's SHA-256 is its hash
