@@ -28,23 +28,32 @@ block, each row reduced on its own with the bits of a 1-D sum. Hill
 climbing builds and scores the next swaps of its sweep the same way, and
 drops the scores left after an accept unread. Scoring a row is not an
 evaluation: ``_Search.evaluate`` then takes the rows one at a time, in
-order, with their precomputed scores, and only it counts, applies the
-bound, asks the oracle and extends the trace. So every draw, evaluation
-count, memo key and result is that of scoring one candidate at a time.
+order, with their precomputed scores, and only it applies the bound, asks
+the oracle and extends the trace. A random draw whose weighted unigram term
+(0 with that term off) already reaches the best so far is counted by
+``_Search.sample`` without an ``evaluate`` call: ``evaluate`` would stop it
+at its first bound check, because the bigram term is never negative, and a
+draw stopped there changes nothing but the count. The draws between two
+calls are counted before the next one, so every draw, evaluation count,
+trace index, memo key and result is that of scoring one candidate at a
+time.
 
 Oracle continuations are memoized by decrypted input; the oracle is a pure
 function, so memoization never changes a loss value, only the cost of
 computing it. The oracle takes a list of requests and decodes its memo misses
-in one batched greedy decode per distinct (prompt length, n_new). An
-evaluation first scores every pair whose continuation the memo already
-holds, at no decoding cost. It then hands the oracle its memo misses one
-window at a time: the next misses it is certain to check, because its early
-stop (below) cannot fire before them even if each of them mismatches. The
-mismatch count only grows and the hits are all counted before any miss, so
-every miss decoded here is one that a pair-by-pair check in index order
-would also have decoded: the oracle decodes a subset of that check's
-prompts. A complete evaluation checks the same pairs in either order, and a
-given-up one is never accepted, so no loss, flag or trace changes.
+in one batched greedy decode per distinct (prompt length, n_new). A candidate
+decrypts every corpus pair with one gather over the corpus ids laid end to
+end; a pair's prompt and expected continuation are slices of those int64
+bytes, which key the memo and compare with its continuations as they are. An
+evaluation first scores every pair whose continuation the memo already holds,
+at no decoding cost. It then hands the oracle its memo misses one window at a
+time: the next misses it is certain to check, because its early stop (below)
+cannot fire before them even if each of them mismatches. The mismatch count
+only grows and the hits are all counted before any miss, so every miss decoded
+here is one that a pair-by-pair check in index order would also have decoded:
+the oracle decodes a subset of that check's prompts. A complete evaluation
+checks the same pairs in either order, and a given-up one is never accepted,
+so no loss, flag or trace changes.
 
 Hill climbing keeps every corpus pair's mismatch flag for its incumbent map,
 and their count next to them, and scores a swap of ciphertext tokens i and j
@@ -200,29 +209,35 @@ class GreedyOracle:
         if model.domain != PLAINTEXT:
             raise ConfigError("the oracle needs the plaintext model")
         self.model = model
-        self._memo: dict[tuple[bytes, int], np.ndarray] = {}
+        # (bytes of the ids as int64, n_new) -> bytes of the continuation as int64
+        self._memo: dict[tuple[bytes, int], bytes] = {}
 
     def continuations(self, requests: Sequence[tuple[np.ndarray, int]]) -> list[np.ndarray]:
         """For each (ids, n_new) request, the n_new ids greedy decoding
-        appends to ids. The memo misses are decoded in one greedy_decode call
-        per distinct (len(ids), n_new)."""
+        appends to ids, as a read-only int64 array. The memo misses are
+        decoded in one greedy_decode call per distinct (len(ids), n_new)."""
         memo = self._memo
-        # the memo key is the bytes of the ids as int64
-        keys = [(np.asarray(ids, dtype=np.int64).tobytes(), n_new) for ids, n_new in requests]
+        keys = []
         misses: dict[tuple[int, int], dict[tuple[bytes, int], np.ndarray]] = {}
-        for key, (ids, n_new) in zip(keys, requests):
+        for ids, n_new in requests:
+            ids = np.asarray(ids, dtype=np.int64)
+            key = (ids.tobytes(), n_new)
+            keys.append(key)
             if key not in memo:
                 misses.setdefault((len(ids), n_new), {})[key] = ids
         for (length, n_new), group in misses.items():
-            prompts = [TokenSeq(tuple(int(t) for t in ids), PLAINTEXT) for ids in group.values()]
+            prompts = [TokenSeq(tuple(ids.tolist()), PLAINTEXT) for ids in group.values()]
             for key, out in zip(group, greedy_decode(self.model, prompts, n_new)):
-                memo[key] = np.asarray(out.ids[length:], dtype=np.int64)
-        return [memo[key] for key in keys]
+                memo[key] = np.asarray(out.ids[length:], dtype=np.int64).tobytes()
+        return [np.frombuffer(memo[key], dtype=np.int64) for key in keys]
 
-    def known(self, ids: np.ndarray, n_new: int) -> np.ndarray | None:
-        """The memoized continuation of (ids, n_new), or None if it was never
-        decoded; never decodes."""
-        return self._memo.get((np.asarray(ids, dtype=np.int64).tobytes(), n_new))
+    def known(self, ids: bytes, n_new: int) -> bytes | None:
+        """The memoized continuation of the ids whose int64 bytes are ``ids``,
+        as int64 bytes, or None if it was never decoded; never decodes.
+
+        Equal int64 bytes are equal ids, so a caller can compare the result
+        with the bytes of the continuation it expects."""
+        return self._memo.get((ids, n_new))
 
 
 def _check_perm(perm: PermTable, vocab_size: int) -> None:
@@ -379,10 +394,16 @@ class _Search:
     def __init__(self, cfg: AttackConfig) -> None:
         self.cfg = cfg
         self._enc_freq = _token_freq(cfg.corpus)
-        self._pairs = [
-            (np.asarray(pi, dtype=np.int64), np.asarray(po, dtype=np.int64), len(po))
-            for pi, po in cfg.corpus.pairs
-        ]
+        # every pair's input then output ids, end to end, and per pair the
+        # byte offsets of its input, output and end in them, and its n_new:
+        # one gather and one tobytes decrypt every pair of a candidate
+        flat: list[int] = []
+        self._spans: list[tuple[int, int, int, int]] = []
+        for pi, po in cfg.corpus.pairs:
+            at = 8 * len(flat)
+            flat += pi + po
+            self._spans.append((at, at + 8 * len(pi), 8 * len(flat), len(po)))
+        self._flat = np.asarray(flat, dtype=np.int64)
         # ciphertext token -> the pairs that contain it, in input or output
         self._touching: list[set[int]] = [set() for _ in range(cfg.corpus.vocab_size)]
         for k, (pi, po) in enumerate(cfg.corpus.pairs):
@@ -425,14 +446,21 @@ class _Search:
         mismatches is an integer either way, so the loss is bit-identical to
         a full evaluation.
 
-        The pairs whose continuation the oracle already holds are scored
-        first; the misses are then decoded one window at a time, in index
-        order. With a bound, evaluation stops before a window as soon as the
-        running lower bound reaches it; then breakdown and flags are None, and
-        the returned value is only a lower bound. The count is an integer
-        whatever the order, so a complete evaluation is bit-identical to one
-        in index order; complete or not, it decodes a subset of the prompts a
-        pair-by-pair check in index order would."""
+        Each pair's prompt and expected continuation are slices of the int64
+        bytes of every pair decrypted by perm_map at once: the memo is probed
+        with the prompt's bytes and answers with the continuation's, so a pair
+        is checked by comparing bytes. The pairs whose continuation the oracle
+        already holds are scored first; the misses are then decoded one window
+        at a time, in index order. With a bound, evaluation stops before a
+        window as soon as the running lower bound reaches it; then breakdown
+        and flags are None, and the returned value is only a lower bound. The
+        count is an integer whatever the order, so a complete evaluation is
+        bit-identical to one in index order; complete or not, it decodes a
+        subset of the prompts a pair-by-pair check in index order would.
+
+        ``sample`` counts a random draw without calling this method when this
+        method would stop it at its first bound check; every other
+        evaluation, and every evaluation of the other searches, is a call."""
         self.evals += 1
         cfg = self.cfg
         total = 0.0
@@ -449,23 +477,24 @@ class _Search:
             return total, None, None
         flags: dict[int, bool] = {}
         if cfg.lambda_cons > 0:
-            pairs, oracle, n_pairs = self._pairs, cfg.oracle, len(self._pairs)
+            spans, oracle, n_pairs = self._spans, cfg.oracle, len(self._spans)
             if swap is None:
                 check, count = range(n_pairs), 0
             else:
                 i, j, incumbent, mismatches = swap
                 check = sorted(self._touching[i] | self._touching[j])
                 count = mismatches - sum(incumbent[k] for k in check)
+            # every pair decrypted, as int64 bytes: equal bytes are equal ids
+            dec = perm_map[self._flat].tobytes()
             # the pairs the oracle already holds are scored first, for free
             misses = []
             for k in check:
-                ids = perm_map[pairs[k][0]]
-                replay = oracle.known(ids, pairs[k][2])
+                start, mid, end, n_new = spans[k]
+                replay = oracle.known(dec[start:mid], n_new)
                 if replay is None:
-                    misses.append((k, ids))
+                    misses.append(k)
                 else:
-                    # both int64 and n_new long: equal bytes are equal ids
-                    flags[k] = bad = replay.tobytes() != perm_map[pairs[k][1]].tobytes()
+                    flags[k] = bad = replay != dec[mid:end]
                     count += bad
             done = 0
             while done < len(misses):
@@ -480,9 +509,12 @@ class _Search:
                 if m == 0:
                     return total + cfg.lambda_cons * (count / n_pairs), None, None
                 window = misses[done : done + m]
-                requests = [(ids, pairs[k][2]) for k, ids in window]
-                for (k, _), replay in zip(window, oracle.continuations(requests)):
-                    flags[k] = bad = replay.tobytes() != perm_map[pairs[k][1]].tobytes()
+                requests = [
+                    (np.frombuffer(dec[spans[k][0] : spans[k][1]], dtype=np.int64), spans[k][3])
+                    for k in window
+                ]
+                for k, replay in zip(window, oracle.continuations(requests)):
+                    flags[k] = bad = replay.tobytes() != dec[spans[k][1] : spans[k][2]]
                     count += bad
                 done += m
             l_cons = count / n_pairs
@@ -492,6 +524,25 @@ class _Search:
             self.loss, self.map, self.breakdown = total, perm_map.copy(), breakdown
             self.trace.append((self.evals, total))
         return total, breakdown, flags
+
+    def sample(self, block: np.ndarray) -> None:
+        """Evaluate each row of a (B, n) block of random draws in order, as
+        ``evaluate(row, bound=self.loss, unigram=...)`` would, but only count
+        a row whose weighted unigram term (0 with that term off) already
+        reaches the best so far: ``evaluate`` would stop it at its first
+        bound check, since its total starts at that term and a non-negative
+        bigram term cannot lower it."""
+        unigrams = self.unigrams(block)
+        lambda_uni = self.cfg.lambda_uni
+        terms = lambda_uni * np.asarray(unigrams) if lambda_uni > 0 else np.zeros(len(block))
+        done = 0
+        # the best only falls, so the rows that need a call are among these
+        for r in np.flatnonzero(terms < self.loss).tolist():
+            if terms[r] < self.loss:
+                self.evals += r - done
+                self.evaluate(block[r], bound=self.loss, unigram=unigrams[r])
+                done = r + 1
+        self.evals += len(block) - done
 
     def state(self, terminated: str) -> AttackState:
         return AttackState(
@@ -538,9 +589,7 @@ def random_sampling(cfg: AttackConfig, M: int) -> AttackState:
     for done in range(0, M, _SAMPLE_BLOCK):
         # row by row, the draws of as many successive rng.permutation(n)
         identity = np.tile(np.arange(n, dtype=np.int64), (min(_SAMPLE_BLOCK, M - done), 1))
-        block = rng.permuted(identity, axis=1)
-        for cand, unigram in zip(block, search.unigrams(block)):
-            search.evaluate(cand, bound=search.loss, unigram=unigram)
+        search.sample(rng.permuted(identity, axis=1))
     return search.state("completed")
 
 

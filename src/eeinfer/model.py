@@ -170,8 +170,8 @@ class TokenSeq:
     def __post_init__(self) -> None:
         if self.domain not in DOMAINS:
             raise DomainError(f"domain must be one of {DOMAINS}, got {self.domain!r}")
-        ids = tuple(int(i) for i in self.ids)
-        if any(i < 0 for i in ids):
+        ids = tuple(map(int, self.ids))
+        if ids and min(ids) < 0:
             raise RangeError("token ids must be non-negative")
         object.__setattr__(self, "ids", ids)
 
@@ -353,9 +353,15 @@ def _validate_batch(model: ModelBundle, batch: list[TokenSeq], extra: int) -> No
 def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.ndarray:
     """Token embedding plus learned absolute positional rows; ids[0] sits at
     position ``start``. ids is one request's ids or a (B, rows) batch of
-    them; the result is request-major, (B * rows, d_model)."""
+    them; the result is request-major, (B * rows, d_model). The positions
+    must fit in max_seq_len."""
     idx = np.asarray(ids, dtype=np.int64)
-    pos = model.tensors["pos_embedding"][start : start + idx.shape[-1]]
+    end = start + idx.shape[-1]
+    if end > model.config.max_seq_len:
+        raise ShapeError(
+            f"positions {start}..{end - 1} exceed max_seq_len {model.config.max_seq_len}"
+        )
+    pos = model.tensors["pos_embedding"][start:end]
     return (model.tensors["embedding"][idx] + pos).reshape(-1, model.config.d_model)
 
 
@@ -434,7 +440,7 @@ def apply_layer_range(
         scores = matmul(q, cached[0].transpose(0, 2, 1))
         scores /= scale
         if masked is not None:
-            scores[:, masked] = -np.inf  # causal mask
+            np.copyto(scores, -np.inf, where=masked)  # causal mask
         weights = softmax_rows(scores.reshape(b * heads * rows, end)).reshape(scores.shape)
         ctx = matmul(weights, cached[1])
         ctx = ctx.reshape(b, heads, rows, d_head).transpose(0, 2, 1, 3).reshape(b * rows, d_model)
@@ -501,11 +507,12 @@ def greedy_decode(
     ids = [list(seq.ids) for seq in batch]
     cache = KVCache(model, 0, model.config.n_layers - 1, len(batch))
     fresh = batch
-    for _ in range(n_new):
+    for step in range(n_new):
         chosen = np.argmax(forward(cache, fresh)[:, -1], axis=1).tolist()
         for row, t in zip(ids, chosen):
             row.append(t)
-        fresh = [TokenSeq((t,), model.domain) for t in chosen]
+        if step + 1 < n_new:
+            fresh = [TokenSeq((t,), model.domain) for t in chosen]
     out = [TokenSeq(tuple(row), model.domain) for row in ids]
     return out[0] if isinstance(prompts, TokenSeq) else out
 

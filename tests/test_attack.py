@@ -525,14 +525,67 @@ class TestRandomSampling:
             cand = rng.permutation(theirs.corpus.vocab_size).astype(np.int64)
             search.evaluate(cand, bound=search.loss)
         want = search.state("completed")
-        assert got.perm.map.tolist() == want.perm.map.tolist()
-        assert got.loss.hex() == want.loss.hex()
-        assert dict(got.component_breakdown) == dict(want.component_breakdown)
-        assert (got.evals_used, got.trace, got.terminated) == (
-            want.evals_used, want.trace, want.terminated
-        )
+        _assert_same_state(got, want)
         assert got.evals_used == m
         assert sorted(ours.oracle._memo) == sorted(theirs.oracle._memo)
+
+    @pytest.mark.parametrize(
+        "weights", [w for w in itertools.product((0.0, 1.0), (0.0, 0.5), (0.0, 1.0)) if any(w)]
+    )
+    def test_bound_decided_draws_are_counted_without_a_call(
+        self, small_model, small_key, small_corpus, weights
+    ):
+        """Counting the rows whose weighted unigram term reaches the best so
+        far without an evaluate call gives the state and the oracle memo of
+        one call per row, for every weighting. On vocab 6 the draws reach a
+        loss of 0, after which rows are counted with the unigram term off
+        too."""
+        m = attack._SAMPLE_BLOCK + 977
+        truth = small_key.vocab_perm.inverse()
+        lambda_uni, lambda_bi, lambda_cons = weights
+        ours, theirs = (
+            AttackConfig(
+                corpus=small_corpus, lambda_uni=lambda_uni, lambda_bi=lambda_bi,
+                lambda_cons=lambda_cons, ref_unigram=empirical_unigram(small_corpus, truth),
+                ref_bigram=empirical_bigram(small_corpus, truth),
+                oracle=GreedyOracle(small_model), seed=2,
+            )
+            for _ in range(2)
+        )
+        calls = 0
+        real = attack._Search.evaluate
+
+        def counted(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(self, *args, **kwargs)
+
+        with patch.object(attack._Search, "evaluate", counted):
+            got = random_sampling(ours, m)
+        search = attack._Search(theirs)
+        rng = np.random.default_rng(theirs.seed)
+        for _ in range(m):
+            cand = rng.permutation(theirs.corpus.vocab_size).astype(np.int64)
+            search.evaluate(cand, bound=search.loss, unigram=search.unigrams(cand[None])[0])
+        want = search.state("completed")
+        _assert_same_state(got, want)
+        assert got.evals_used == m
+        assert sorted(ours.oracle._memo) == sorted(theirs.oracle._memo)
+        # the best reached 0 within the draws, and later draws were counted
+        assert want.loss == 0.0 and want.trace[-1][0] < m
+        assert calls < m
+
+
+def _assert_same_state(got, want):
+    """Every AttackState field equal, the losses to the bit."""
+    assert got.perm.map.tolist() == want.perm.map.tolist()
+    assert got.loss.hex() == want.loss.hex()
+    assert {k: x.hex() for k, x in got.component_breakdown.items()} == {
+        k: x.hex() for k, x in want.component_breakdown.items()
+    }
+    assert (got.evals_used, got.trace, got.terminated) == (
+        want.evals_used, want.trace, want.terminated
+    )
 
 
 # first seed whose restart-0 draw is small_key's true map [2, 5, 4, 3, 0, 1],
@@ -826,6 +879,59 @@ class TestEvaluationOrder:
         elif want_breakdown is not None:
             assert want >= bound
         assert decoded <= want_decoded
+
+    def test_unequal_pair_lengths_agree_with_index_order(self):
+        """On pairs whose inputs and outputs differ in length, from each other
+        and from pair to pair, full and swap evaluations read each pair's own
+        ids: they agree with the index-order reference, with and without a
+        bound."""
+        v, rng = 6, np.random.default_rng(23)
+        oracle = _oracle(v)
+        truth = rng.permutation(v)
+        encrypt = np.argsort(truth)
+        pairs = []
+        for k, (n_in, n_new) in enumerate([(1, 3), (4, 1), (2, 2), (3, 1), (1, 1), (4, 3), (2, 3)]):
+            pi = rng.integers(0, v, n_in)
+            if k % 2:
+                po = rng.integers(0, v, n_new)
+            else:
+                [replay] = oracle.continuations([(truth[pi], n_new)])
+                po = encrypt[replay]
+            pairs.append((tuple(pi.tolist()), tuple(po.tolist())))
+        corpus = TranscriptCorpus(pairs=tuple(pairs), vocab_size=v)
+        cfg = AttackConfig(corpus=corpus, lambda_cons=1.0, oracle=oracle)
+        full_losses = set()
+        for _ in range(30):
+            start = rng.permutation(v).astype(np.int64)
+            i, j = rng.choice(v, 2, replace=False).tolist()
+            cand = start.copy()
+            cand[i], cand[j] = cand[j], cand[i]
+            flags = _index_order_evaluation(cfg, start, None, None)[2]
+            # every prompt of the candidate a memo hit, or every one a miss
+            for swap, bound, warm in itertools.product(
+                (None, (i, j, flags, sum(flags.values()))), (None, 0.5), (False, True)
+            ):
+                ours, theirs = (
+                    dataclasses.replace(cfg, oracle=GreedyOracle(oracle.model)) for _ in range(2)
+                )
+                if warm:
+                    ours.oracle.continuations([(cand[list(pi)], len(po)) for pi, po in pairs])
+                before = set(ours.oracle._memo)
+                value, breakdown, got_flags = attack._Search(ours).evaluate(cand, bound, swap)
+                want, want_breakdown, want_flags, decoded = _index_order_evaluation(
+                    theirs, cand, bound, swap
+                )
+                if breakdown is not None and want_breakdown is not None:
+                    assert value.hex() == want.hex()
+                    assert breakdown == want_breakdown and got_flags == want_flags
+                    full_losses.add(value)
+                elif breakdown is not None:
+                    assert value >= bound
+                elif want_breakdown is not None:
+                    assert want >= bound
+                assert set(ours.oracle._memo) - before <= decoded
+        # both consistent and inconsistent pairs were scored
+        assert len(full_losses) > 2
 
 
 # after each vocab-50 search on a fresh oracle: the number of memo keys and

@@ -357,6 +357,18 @@ class TestIncremental:
             with pytest.raises(ShapeError, match="at least one request"):
                 KVCache(model, 0, 1, requests)
 
+    def test_positions_past_max_seq_len_refused(self, tiny_model):
+        # two ids from the last position would share its positional row, and
+        # one id past it would embed as zero rows
+        last = tiny_model.config.max_seq_len - 1
+        assert embed_positions(tiny_model, (1,), start=last).shape == (1, tiny_model.config.d_model)
+        with pytest.raises(ShapeError, match=f"positions {last}..{last + 1} exceed max_seq_len"):
+            embed_positions(tiny_model, (1, 2), start=last)
+        with pytest.raises(ShapeError, match=f"positions {last + 1}..{last + 1} exceed max_seq_len"):
+            embed_positions(tiny_model, (1,), start=last + 1)
+        with pytest.raises(ShapeError, match="exceed max_seq_len"):
+            embed_positions(tiny_model, [(1, 2), (3, 4)], start=last)
+
     def test_cache_is_allocated_once(self, tiny_model):
         # every layer's buffer holds max_seq_len positions from the start,
         # and a prefill and one-row steps write into those same arrays
