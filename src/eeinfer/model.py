@@ -354,9 +354,12 @@ def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.nda
     """Token embedding plus learned absolute positional rows; ids[0] sits at
     position ``start``. ids is one request's ids or a (B, rows) batch of
     them; the result is request-major, (B * rows, d_model). The positions
-    must fit in max_seq_len."""
+    must fit in 0..max_seq_len - 1."""
     idx = np.asarray(ids, dtype=np.int64)
     end = start + idx.shape[-1]
+    if start < 0:
+        # a negative slice start would count from the end of the table
+        raise ShapeError(f"positions {start}..{end - 1} start before position 0")
     if end > model.config.max_seq_len:
         raise ShapeError(
             f"positions {start}..{end - 1} exceed max_seq_len {model.config.max_seq_len}"

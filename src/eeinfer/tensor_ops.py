@@ -3,14 +3,15 @@
 Everything downstream leans on three properties of this module:
 
 * ``matmul`` reduces over the inner dimension in ascending index order, always.
-  BLAS and einsum were measured to break that order (blocked/SIMD partial
-  sums), so the product is one explicit fold: ``np.add.reduce`` over k of a
-  C-ordered tensor of every product (``matmul`` says why C order, and when
-  ``np.add.accumulate`` stands in). That keeps repeated runs, and pipelines
-  that split a computation across workers, bit-identical. Both operands may
-  carry one matching leading batch axis (attention runs every head in one
-  call); each slice of the result has the bytes of the 2-D product of that
-  slice.
+  BLAS, and an einsum that sums over k, were measured to break that order
+  (blocked/SIMD partial sums), so the product is one explicit fold:
+  ``np.add.reduce`` over k of a C-ordered tensor of every product, built by
+  a broadcast multiply or by an einsum that sums nothing (``matmul`` says
+  which, why C order, and when ``np.add.accumulate`` stands in). That keeps
+  repeated runs, and pipelines that split a computation across workers,
+  bit-identical. Both operands may carry one matching leading batch axis
+  (attention runs every head in one call); each slice of the result has the
+  bytes of the 2-D product of that slice.
 * Every kernel is row-local: row i of the output depends only on row i of the
   inputs, bit for bit, however many rows there are and however many masked
   (``-inf``) softmax entries follow the row's last live one. That is what
@@ -41,6 +42,12 @@ from .errors import ConfigError, NumericsError, ShapeError
 ACTIVATION_KINDS = ("relu", "gelu", "silu")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# products of two or more rows with at least this many terms (batch * m * k
+# * n) are built k-major by einsum: on a 2-core x86 host with numpy 2.4 it
+# was 0.82-1.04x the broadcast's time per call at 2048 terms, 0.9-1.2x at
+# 1024, and 0.4-0.8x from 4096 on (table in CHANGES.md)
+_KMAJOR_TERMS = 2048
 
 
 def as_matrix(x: object, name: str = "input") -> np.ndarray:
@@ -74,13 +81,26 @@ def matmul(a: object, b: object) -> np.ndarray:
     the same batch size; then out[s] is the 2-D product of a[s] and b[s],
     byte for byte.
 
-    Every product is built at once in a C-ordered (batch, m, k, n) tensor,
-    so a call holds m * k * n doubles per slice, and np.add.reduce folds it
-    over k. numpy sums pairwise only along the fastest axis; C order keeps
-    that axis n even when an operand is a transposed view (attention's keys),
-    so the fold adds one k at a time. A one-column product (n = 1) has no
-    other axis and takes np.add.accumulate, which is always sequential. With
-    k = 0 every entry is +0.0.
+    Every product is built at once in a C-ordered tensor, so a call holds
+    m * k * n doubles per slice, and np.add.reduce folds it over k. numpy
+    sums pairwise only along the fastest axis; C order keeps that axis n
+    even when an operand is a transposed view (attention's keys), so the
+    fold adds one k at a time. The tensor has one of two layouts, chosen
+    from the shapes alone:
+
+    * (batch, m, k, n), from a broadcast multiply, for one-row products
+      (every cached decode step) and products of fewer than _KMAJOR_TERMS
+      terms in all. A one-column product (n = 1), m * n = 1 included, has
+      no other axis and takes np.add.accumulate, which is always sequential.
+    * (batch, k, m, n), from an einsum that sums over nothing, for products
+      of two or more rows and at least _KMAJOR_TERMS terms (a prefill). An
+      entry is 0.0 + a[i,kk]*b[kk,j], which only turns -0.0 into +0.0, and
+      the fold from +0.0 absorbs that. The fold over axis -3 runs a block
+      of m * n >= 2 entries at a time, so it never sums pairwise. einsum
+      builds a term in about 0.8 ns against 1.5 ns, but costs more per call:
+      below about 2048 terms, or with one row, it is the slower one.
+
+    With k = 0 every entry is +0.0.
     """
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
@@ -95,8 +115,11 @@ def matmul(a: object, b: object) -> np.ndarray:
             f"matmul dimension mismatch: {_dims(av.shape)} times {_dims(bv.shape)}"
         )
     k = av.shape[-1]
-    # without order="C" a transposed b makes k the fastest axis, and reduce
-    # would sum it pairwise
+    # without order="C" a transposed operand can make k the fastest axis,
+    # and reduce would sum it pairwise
+    if av.shape[-2] > 1 and av.size * bv.shape[-1] >= _KMAJOR_TERMS:
+        terms = np.einsum("...mk,...kn->...kmn", av, bv, order="C")
+        return np.add.reduce(terms, axis=-3, initial=0.0)
     terms = np.multiply(av[..., None], bv[..., None, :, :], order="C")
     if bv.shape[-1] != 1 or k == 0:
         return np.add.reduce(terms, axis=-2, initial=0.0)

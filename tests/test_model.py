@@ -258,24 +258,29 @@ class TestIncremental:
     @pytest.mark.parametrize("kinds", [("layernorm", "gelu"), ("rmsnorm", "silu")])
     @pytest.mark.parametrize("encrypted", [False, True])
     def test_cached_steps_equal_forward_bytes(self, kinds, encrypted):
-        # 40 positions, so attention rows are long enough for a pairwise
-        # sum to round differently from a sequential one
-        config = make_config(48, 16, 2, 2, 32, 40, norm_kind=kinds[0], act_kind=kinds[1])
-        model = init_model(config, 5)
-        if encrypted:
-            model = encrypt_model(keygen(config, 6), model)
-        prompt = TokenSeq(tuple(range(3, 15)), model.domain)
-        out = greedy_decode(model, prompt, 28)
-        full = forward(model, out)
-        cache = KVCache(model, 0, config.n_layers - 1)
-        steps = [forward(cache, prompt)]
-        for pos in range(len(prompt), len(out)):
-            steps.append(forward(cache, TokenSeq(out.ids[pos : pos + 1], model.domain)))
-        cached = np.concatenate(steps)
-        for pos in range(len(out)):
-            assert cached[pos].tobytes() == full[pos].tobytes(), pos
-        # greedy decoding picked the argmax of the full pass at every step
-        assert out.ids[len(prompt) :] == tuple(int(t) for t in np.argmax(full[len(prompt) - 1 : -1], axis=1))
+        # 40 positions, so attention rows are long enough for a pairwise sum
+        # to round differently from a sequential one; then the toy config
+        # (vocab 128, d_model 32, 2 layers, 4 heads), whose 16-row prefill
+        # builds its products k-major while its one-row steps do not
+        for dims, prompt_len, n_new in [((48, 16, 2, 2, 32, 40), 12, 28),
+                                        ((128, 32, 2, 4, 64, 64), 16, 32)]:
+            config = make_config(*dims, norm_kind=kinds[0], act_kind=kinds[1])
+            model = init_model(config, 5)
+            if encrypted:
+                model = encrypt_model(keygen(config, 6), model)
+            prompt = TokenSeq(tuple(range(3, 3 + prompt_len)), model.domain)
+            out = greedy_decode(model, prompt, n_new)
+            full = forward(model, out)
+            cache = KVCache(model, 0, config.n_layers - 1)
+            steps = [forward(cache, prompt)]
+            for pos in range(len(prompt), len(out)):
+                steps.append(forward(cache, TokenSeq(out.ids[pos : pos + 1], model.domain)))
+            cached = np.concatenate(steps)
+            for pos in range(len(out)):
+                assert cached[pos].tobytes() == full[pos].tobytes(), (dims, pos)
+            # greedy decoding picked the argmax of the full pass at every step
+            picked = np.argmax(full[len(prompt) - 1 : -1], axis=1)
+            assert out.ids[len(prompt) :] == tuple(int(t) for t in picked), dims
 
     def test_rows_split_over_a_cache_equal_one_pass(self, tiny_model):
         x = embed_positions(tiny_model, (1, 2, 3, 4))
@@ -368,6 +373,16 @@ class TestIncremental:
             embed_positions(tiny_model, (1,), start=last + 1)
         with pytest.raises(ShapeError, match="exceed max_seq_len"):
             embed_positions(tiny_model, [(1, 2), (3, 4)], start=last)
+
+    def test_positions_before_zero_refused(self, tiny_model):
+        # a negative start would slice positional rows from the end of the
+        # table (start -3: positions max_seq_len - 3 on), or too few of them
+        with pytest.raises(ShapeError, match=r"positions -3\.\.-2 start before position 0"):
+            embed_positions(tiny_model, [3, 4], start=-3)
+        with pytest.raises(ShapeError, match=r"positions -1\.\.0 start before position 0"):
+            embed_positions(tiny_model, [3, 4], start=-1)
+        with pytest.raises(ShapeError, match="start before position 0"):
+            embed_positions(tiny_model, [(3, 4)], start=-1)
 
     def test_cache_is_allocated_once(self, tiny_model):
         # every layer's buffer holds max_seq_len positions from the start,

@@ -90,6 +90,9 @@ class TestMatmul:
         # outputs from one entry to tens of thousands, with one row or column
         shapes += [(1, 32, 256), (1, 32, 257), (256, 5, 1), (257, 5, 1), (16, 32, 16),
                    (16, 32, 17), (1, 64, 1), (1, 1, 1), (48, 32, 128), (300, 3, 1), (1, 7, 600)]
+        # either side of the k-major switch at 2048 terms (2+ rows), the
+        # toy model's 16-row prefill, and a long one-entry fold
+        shapes += [(2, 31, 33), (2, 32, 32), (2, 8, 129), (16, 32, 96), (1, 4096, 1)]
         for m, k, n in shapes:
             a = rng.normal(0, 10, (m, k))
             b = rng.normal(0, 10, (k, n))
@@ -110,6 +113,8 @@ class TestMatmul:
         shapes = [tuple(rng.integers(1, 10, size=4)) for _ in range(30)]
         shapes += [(4, 16, 8, 256 // 16), (4, 16, 8, 256 // 16 + 1), (3, 1, 32, 256),
                    (2, 1, 32, 256 + 1), (2, 256 + 1, 3, 1), (4, 1, 64, 8), (1, 1, 1, 1)]
+        # slices each below the k-major switch, the call at or above it
+        shapes += [(4, 2, 16, 16), (8, 2, 8, 17), (4, 3, 9, 25)]
         for bsz, m, k, n in shapes:
             a = rng.normal(0, 10, (bsz, m, k))
             b = rng.normal(0, 10, (bsz, k, n))
@@ -130,7 +135,8 @@ class TestMatmul:
         # entry whose terms are all -0.0 must still fold to +0.0
         rng = np.random.default_rng(23)
         for m, k, n in [(1, 1, 1), (2, 1, 3), (3, 9, 1), (1, 8, 2), (3, 9, 2), (5, 16, 7),
-                        (2, 33, 3), (4, 64, 16), (48, 32, 128)]:
+                        (2, 33, 3), (4, 64, 16), (48, 32, 128), (2, 32, 32), (16, 32, 96),
+                        (256, 8, 1)]:
             a, b = wide(rng, (m, k)), wide(rng, (k, n))
             a[0], b[:, 0] = -0.0, np.abs(b[:, 0])
             got = matmul(a, b)
@@ -141,7 +147,11 @@ class TestMatmul:
         # attention passes k.transpose(0, 2, 1): the product tensor must keep
         # n, not k, as its fastest axis whatever the operands' layout
         rng = np.random.default_rng(29)
-        for m, k, n in [(1, 8, 2), (4, 16, 3), (6, 32, 9), (3, 64, 2)]:
+        # (16, 8, 16) is attention at the toy model's prefill size, at and
+        # above the k-major switch; (12, 17, 8) batched came out with other
+        # bytes from an einsum without order="C"
+        for m, k, n in [(1, 8, 2), (4, 16, 3), (6, 32, 9), (3, 64, 2), (16, 8, 16), (12, 17, 8),
+                        (2, 32, 32)]:
             a_views = [wide(rng, (k, m)).T, wide(rng, (2 * m, 3 * k))[::2, ::3],
                        wide(rng, (m, k))[::-1, ::-1]]
             b_views = [wide(rng, (n, k)).T, wide(rng, (3 * k, 2 * n))[::3, 1::2],
@@ -164,6 +174,46 @@ class TestMatmul:
                          (wide(rng, (3, k)), wide(rng, (1, k)).T),
                          (wide(rng, (2, 3, k)), wide(rng, (2, k, 1)))]:
                 assert_scalar_fold(matmul(a, b), a, b, (a.shape, k))
+        # above the k-major switch: many rows, two rows with a long k, and
+        # one-entry products (m * n = 1), alone and batched
+        for a_shape, b_shape in [((256, 8), (8, 1)), ((2, 1024), (1024, 1)),
+                                 ((1, 3000), (3000, 1)), ((4, 1, 600), (4, 600, 1)),
+                                 ((3, 40, 20), (3, 20, 1))]:
+            a, b = wide(rng, a_shape), wide(rng, b_shape)
+            a.flat[::7] = -0.0
+            assert_scalar_fold(matmul(a, b), a, b, a_shape)
+            bt = np.swapaxes(np.swapaxes(b, -1, -2).copy(), -1, -2)
+            assert_scalar_fold(matmul(a, bt), a, bt, a_shape)
+
+    def test_rows_of_a_k_major_product_equal_each_row_alone(self, monkeypatch):
+        # a prefill's rows must have the bytes of the one-row steps that a
+        # cached decode computes them with: the whole product is built k-major
+        # by einsum, each row alone by the broadcast multiply
+        einsum_calls = []
+
+        def counting_einsum(*args, **kwargs):
+            einsum_calls.append(args[0])
+            return real_einsum(*args, **kwargs)
+
+        real_einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        rng = np.random.default_rng(37)
+        for a_shape, b_shape in [((16, 32), (32, 96)), ((2, 32), (32, 32)), ((40, 64), (64, 1)),
+                                 ((4, 16, 8), (4, 8, 16)), ((8, 2, 8), (8, 8, 17))]:
+            a, b = wide(rng, a_shape), wide(rng, b_shape)
+            a[..., 0, :] = -0.0
+            einsum_calls.clear()
+            got = matmul(a, b)
+            assert len(einsum_calls) == 1, a_shape
+            for i in range(a.shape[-2]):
+                row = matmul(a[..., i : i + 1, :], b)
+                assert got[..., i : i + 1, :].tobytes() == row.tobytes(), (a_shape, i)
+            assert len(einsum_calls) == 1, a_shape
+        # one row, or fewer than 2048 terms in all, stays on the broadcast
+        for a_shape, b_shape in [((1, 64), (64, 1024)), ((2, 31), (31, 33)), ((4, 2, 16), (4, 16, 15))]:
+            einsum_calls.clear()
+            matmul(wide(rng, a_shape), wide(rng, b_shape))
+            assert not einsum_calls, a_shape
 
     @pytest.mark.parametrize("a_shape, b_shape", [((3, 0), (0, 1)), ((3, 0), (0, 4)),
                                                   ((2, 3, 0), (2, 0, 1)), ((2, 3, 0), (2, 0, 5))])
