@@ -162,6 +162,18 @@ def compare_arms(
     _check_arms(model_vi, model_ee, key)
     if not prompts:
         raise DomainError("fidelity needs at least one prompt")
+    return _compare_arms(model_vi, model_ee, key, prompts, n_new)
+
+
+def _compare_arms(
+    model_vi: ModelBundle,
+    model_ee: ModelBundle,
+    key: EEKey,
+    prompts: Sequence[TokenSeq],
+    n_new: int,
+) -> tuple[FidelityReport, EquivarianceReport]:
+    """compare_arms on arms and prompts already checked: measure_latency's
+    checks cover compare_arms' too."""
     scores_vi: list[float] = []
     scores_ee: list[float] = []
     max_diff = 0.0

@@ -140,7 +140,8 @@ def cmd_fidelity(resolved: dict) -> None:
     lat = bench_mod.measure_latency(
         vi, ee, key, prompts, n_new=resolved["n_new"], repeats=resolved["repeats"]
     )
-    fid, eq = bench_mod.compare_arms(vi, ee, key, prompts, resolved["n_new"])
+    # measure_latency checked the arms, which encrypts the VI model once
+    fid, eq = bench_mod._compare_arms(vi, ee, key, prompts, resolved["n_new"])
     json_path, md_path = bench_mod.emit_report(
         fid, lat, resolved["out"], model_name=resolved["model_name"]
     )

@@ -13,9 +13,15 @@ slots; on a fresh cache the rows are a whole sequence from position 0. The
 cache's buffers are sized for max_seq_len positions when it is made and
 written in place, so a step copies no cached prefix. Each layer reads its
 tensors from a record that ModelBundle derives once. forward takes the model
-or a cache over every layer, and greedy decoding fills a cache with the
-prompt and then feeds one token per step. Because the kernels are
-row-local, the cached rows equal a full forward pass byte for byte.
+or a cache over every layer, and greedy decoding prefills a cache with the
+prompt through forward, then steps through the three pieces, as a pipeline
+shard does. Because the kernels are row-local, the cached rows equal a full
+forward pass byte for byte.
+
+Operands are checked once, where they enter: ModelBundle checks every
+weight, embed_positions the ids and positions, apply_layer_range and
+final_logits the rows. The kernels run unchecked from there (tensor_ops
+says which bodies this module binds).
 
 A cache holds B requests, and the rows of all of them travel as one
 request-major (B * rows, d_model) array, so every weight product takes all B
@@ -49,7 +55,10 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .tensor_ops import ACTIVATION_KINDS, activate, layer_norm, matmul, rms_norm, softmax_rows
+from .tensor_ops import ACTIVATION_KINDS, activate, softmax_rows
+# the unchecked bodies: ModelBundle checked the weights, and apply_layer_range
+# and final_logits check the rows once per call
+from .tensor_ops import _layer_norm as layer_norm, _matmul as matmul, _rms_norm as rms_norm
 
 PLAINTEXT = "plaintext"
 CIPHERTEXT = "ciphertext"
@@ -353,9 +362,23 @@ def _validate_batch(model: ModelBundle, batch: list[TokenSeq], extra: int) -> No
 def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.ndarray:
     """Token embedding plus learned absolute positional rows; ids[0] sits at
     position ``start``. ids is one request's ids or a (B, rows) batch of
-    them; the result is request-major, (B * rows, d_model). The positions
-    must fit in 0..max_seq_len - 1."""
-    idx = np.asarray(ids, dtype=np.int64)
+    them; the result is request-major, (B * rows, d_model). The ids must be
+    integers in 0..vocab_size - 1 and the positions must fit in
+    0..max_seq_len - 1."""
+    idx = np.asarray(ids)
+    if idx.size == 0:
+        idx = idx.astype(np.int64)
+    elif idx.dtype.kind not in "iu":
+        # a float would be truncated and a bool taken as 0 or 1
+        raise RangeError(f"token ids must be integers, got {idx.dtype} id {idx.flat[0].item()!r}")
+    else:
+        # ufunc reduces, as ndarray.min and max go through numpy's Python wrapper
+        lo, hi = np.minimum.reduce(idx, axis=None), np.maximum.reduce(idx, axis=None)
+        if lo < 0 or hi >= model.config.vocab_size:
+            raise RangeError(
+                f"token id {lo if lo < 0 else hi} out of range for vocab_size "
+                f"{model.config.vocab_size}"
+            )
     end = start + idx.shape[-1]
     if start < 0:
         # a negative slice start would count from the end of the table
@@ -398,6 +421,17 @@ class KVCache:
         self.kv = [np.empty(shape, dtype=np.float64) for _ in self.layers]
 
 
+def _as_rows(model: ModelBundle, x: object) -> np.ndarray:
+    """x as float64 residual-stream rows, refused unless (rows, d_model)."""
+    rows = np.asarray(x, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != model.config.d_model:
+        raise ShapeError(
+            f"rows must be 2-D with d_model {model.config.d_model} columns, got shape "
+            f"{rows.shape}"
+        )
+    return rows
+
+
 def apply_layer_range(
     cache: KVCache, x: np.ndarray, first: int, last: int
 ) -> np.ndarray:
@@ -405,14 +439,16 @@ def apply_layer_range(
 
     The cache holds exactly that layer range, and x holds, request after
     request, each request's rows of the positions after the cached ones,
-    which the cache then holds too. Each request needs at least one row, and
-    the rows must fit in max_seq_len.
+    which the cache then holds too: (B * rows, d_model), converted to
+    float64. Each request needs at least one row, and the rows must fit in
+    max_seq_len.
     """
     if cache.layers != range(first, last + 1):
         raise ShapeError(
             f"cache holds layers {cache.layers.start}..{cache.layers.stop - 1}, "
             f"not {first}..{last}"
         )
+    x = _as_rows(cache.model, x)
     model, cfg, b = cache.model, cache.model.config, cache.requests
     start, rows = cache.length, x.shape[0] // b
     if rows == 0 or rows * b != x.shape[0]:
@@ -462,6 +498,9 @@ def apply_layer_range(
 
 
 def final_logits(model: ModelBundle, x: np.ndarray) -> np.ndarray:
+    """The final norm and lm_head on (rows, d_model) rows, converted to
+    float64: (rows, vocab_size) logits."""
+    x = _as_rows(model, x)
     norm = layer_norm if model.config.norm_kind == "layernorm" else rms_norm
     final_norm, w, bias = model.head
     logits = matmul(norm(x, *final_norm, eps=model.config.effective_norm_eps), w)
@@ -502,21 +541,24 @@ def greedy_decode(
 
     prompts is one TokenSeq, and one comes back, or a list of equal-length
     ones, decoded together as one batch, and a list comes back. The prompts
-    fill a KV cache in one forward pass; each later pass feeds only the
-    tokens chosen last. Each request gets the tokens it would get alone.
+    are checked once and prefill a KV cache through forward; each later
+    step runs the tokens chosen last through the three pieces a pipeline
+    shard runs (embed_positions, apply_layer_range, final_logits). Each
+    request gets the tokens it would get alone.
     """
     batch = [prompts] if isinstance(prompts, TokenSeq) else list(prompts)
     _validate_batch(model, batch, n_new)
-    ids = [list(seq.ids) for seq in batch]
-    cache = KVCache(model, 0, model.config.n_layers - 1, len(batch))
-    fresh = batch
+    last = model.config.n_layers - 1
+    cache = KVCache(model, 0, last, len(batch))
+    new = np.empty((len(batch), n_new), dtype=np.int64)
     for step in range(n_new):
-        chosen = np.argmax(forward(cache, fresh)[:, -1], axis=1).tolist()
-        for row, t in zip(ids, chosen):
-            row.append(t)
-        if step + 1 < n_new:
-            fresh = [TokenSeq((t,), model.domain) for t in chosen]
-    out = [TokenSeq(tuple(row), model.domain) for row in ids]
+        if step == 0:
+            logits = forward(cache, batch)[:, -1]
+        else:
+            x = embed_positions(model, new[:, step - 1 : step], start=cache.length)
+            logits = final_logits(model, apply_layer_range(cache, x, 0, last))
+        new[:, step] = logits.argmax(axis=1)
+    out = [TokenSeq(seq.ids + tuple(row), model.domain) for seq, row in zip(batch, new.tolist())]
     return out[0] if isinstance(prompts, TokenSeq) else out
 
 

@@ -21,12 +21,19 @@ Everything downstream leans on three properties of this module:
   commute with permutations of the feature axis. The encryption layer is built
   entirely on that fact, and the property suite pins it down.
 
-All inputs are converted to float64 arrays, 2-D except for a batched
-``matmul``; integer examples in the tests are exact because float64 holds
-small integers exactly. A kernel never writes into its inputs (the model's
-tensors are read-only); it reuses its own temporaries in place instead, with
-the same operations in the same order, so the bytes are those of the plain
-expressions.
+Every public kernel converts its inputs to float64 arrays, 2-D except for a
+batched ``matmul``, and checks their shapes; integer examples in the tests
+are exact because float64 holds small integers exactly. ``matmul``,
+``layer_norm`` and ``rms_norm`` then call one unchecked body, ``_matmul``,
+``_layer_norm`` and ``_rms_norm``, which holds all of their arithmetic. The
+model binds those bodies under the public names: its weights were checked
+once by ``ModelBundle`` and its rows once on entry to ``apply_layer_range``
+or ``final_logits``, so a decode step does not check them again.
+``softmax_rows`` and ``activate`` have no such body, since their checks
+(NaN, +inf, fully masked rows, the activation kind) test the data. A kernel
+never writes into its inputs (the model's tensors are read-only); it reuses
+its own temporaries in place instead, with the same operations in the same
+order, so the bytes are those of the plain expressions.
 """
 from __future__ import annotations
 
@@ -114,6 +121,11 @@ def matmul(a: object, b: object) -> np.ndarray:
         raise ShapeError(
             f"matmul dimension mismatch: {_dims(av.shape)} times {_dims(bv.shape)}"
         )
+    return _matmul(av, bv)
+
+
+def _matmul(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """matmul's arithmetic on float64 operands whose shapes it has checked."""
     k = av.shape[-1]
     # without order="C" a transposed operand can make k the fastest axis,
     # and reduce would sum it pairwise
@@ -185,6 +197,11 @@ def layer_norm(
     v = as_matrix(x, "layer_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
     b = _as_vector(beta, v.shape[1], "beta")
+    return _layer_norm(v, g, b, eps)
+
+
+def _layer_norm(v: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """layer_norm's arithmetic on a float64 matrix and vectors of its width."""
     n = v.shape[1]
     centered = v - np.add.reduce(v, axis=1, keepdims=True) / n
     var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
@@ -198,6 +215,11 @@ def rms_norm(x: object, gamma: object, eps: float = 1e-6) -> np.ndarray:
     """Per-row division by the root mean square, then a gamma scale."""
     v = as_matrix(x, "rms_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
+    return _rms_norm(v, g, eps)
+
+
+def _rms_norm(v: np.ndarray, g: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """rms_norm's arithmetic on a float64 matrix and a vector of its width."""
     ms = np.add.reduce(v * v, axis=1, keepdims=True) / v.shape[1]
     out = v / np.sqrt(ms + eps)
     out *= g

@@ -13,7 +13,7 @@ import pytest
 
 from eeinfer import errors
 from eeinfer.cli import COMMANDS, REQUIRED, _build_parser, _resolve, _rows, main
-from eeinfer.encryption import load_key
+from eeinfer.encryption import encrypt_model, load_key
 from eeinfer.model import CIPHERTEXT, greedy_decode, load_model
 
 
@@ -234,6 +234,22 @@ class TestFidelityCommand:
         assert calls == []
         assert not (tmp_path / "fid_two.report.json").exists()
         assert not (tmp_path / "fid_two.resolved_config.json").exists()
+
+    def test_arms_checked_once(self, ws, tmp_path, monkeypatch):
+        # checking the arms encrypts the VI model; both reports share one check
+        calls = []
+
+        def counting_encrypt(*args):
+            calls.append(args)
+            return encrypt_model(*args)
+
+        monkeypatch.setattr("eeinfer.bench.encrypt_model", counting_encrypt)
+        assert run_cli(
+            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"],
+            "--key", ws["key"], "--prompts", ws["prompts"], "--out", tmp_path / "fid_once",
+            "--n-new", 2, "--repeats", 3,
+        ) == 0
+        assert len(calls) == 1
 
     def test_empty_prompts_file(self, ws, tmp_path, capsys):
         prompts = tmp_path / "empty.jsonl"

@@ -36,6 +36,7 @@ from eeinfer.model import (
     config_fingerprint,
     embed_positions,
     expected_tensor_shapes,
+    final_logits,
     forward,
     greedy_decode,
     init_model,
@@ -384,6 +385,20 @@ class TestIncremental:
         with pytest.raises(ShapeError, match="start before position 0"):
             embed_positions(tiny_model, [(3, 4)], start=-1)
 
+    def test_ids_outside_the_vocab_or_not_integers_refused(self):
+        # -1 would embed id 7 and 8 fail as a bare IndexError; a float would
+        # be truncated to its integer part and True taken as id 1
+        model = init_model(make_config(8, 8, 1, 1, 16, 6), 1)
+        for ids, bad in [([-1], "token id -1 "), ([8], "token id 8 "), ([[2, 3], [9, 1]], "id 9 "),
+                         ([1.5], "1.5"), (np.array([[1.9]]), "1.9"), ([True], "True")]:
+            with pytest.raises(RangeError, match=bad):
+                embed_positions(model, ids)
+        for empty in ([], [[]]):
+            assert embed_positions(model, empty).shape == (0, 8)
+        rows = model.tensors["embedding"][[0, 7]] + model.tensors["pos_embedding"][:2]
+        for ids in ([0, 7], np.array([0, 7], dtype=np.uint8)):
+            assert embed_positions(model, ids).tobytes() == rows.tobytes()
+
     def test_cache_is_allocated_once(self, tiny_model):
         # every layer's buffer holds max_seq_len positions from the start,
         # and a prefill and one-row steps write into those same arrays
@@ -490,6 +505,54 @@ def test_golden_greedy_ids_per_norm_and_activation(kinds):
     key = keygen(config, 7)
     enc_out = greedy_decode(encrypt_model(key, model), encrypt_tokens(key, prompt), 8)
     assert decrypt_tokens(key, enc_out) == out
+
+
+def reference_greedy(model: ModelBundle, prompts: list[TokenSeq], n_new: int) -> list[TokenSeq]:
+    """The decode loop as it was before greedy_decode stepped through the
+    pieces: the prefill and every step through forward on the cache."""
+    cache = KVCache(model, 0, model.config.n_layers - 1, len(prompts))
+    ids = [list(p.ids) for p in prompts]
+    fresh = prompts
+    for _ in range(n_new):
+        chosen = np.argmax(forward(cache, fresh)[:, -1], axis=1).tolist()
+        for row, t in zip(ids, chosen):
+            row.append(t)
+        fresh = [TokenSeq((t,), model.domain) for t in chosen]
+    return [TokenSeq(tuple(row), model.domain) for row in ids]
+
+
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+@pytest.mark.parametrize("act_kind", ACTIVATION_KINDS)
+@pytest.mark.parametrize("encrypted", [False, True])
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 6), st.integers(0, 2**31 - 1))
+def test_greedy_decode_equals_reference_loop(norm_kind, act_kind, encrypted, b, length, n_new, seed):
+    model = _batch_model(norm_kind, act_kind, encrypted)
+    rng = np.random.default_rng(seed)
+    prompts = [
+        TokenSeq(tuple(rng.integers(0, 48, size=length).tolist()), model.domain) for _ in range(b)
+    ]
+    assert greedy_decode(model, prompts, n_new) == reference_greedy(model, prompts, n_new)
+
+
+class TestRows:
+    @pytest.mark.parametrize("shape", [(16,), (2, 1, 16), (2, 15), (2, 17), (0,)])
+    def test_rows_that_are_not_d_model_wide_refused(self, tiny_model, shape):
+        x = np.ones(shape)
+        cache = KVCache(tiny_model, 0, 1)
+        with pytest.raises(ShapeError, match="2-D with d_model 16 columns"):
+            apply_layer_range(cache, x, 0, 1)
+        assert cache.length == 0
+        with pytest.raises(ShapeError, match="2-D with d_model 16 columns"):
+            final_logits(tiny_model, x)
+
+    def test_float32_and_integer_rows_give_float64_bytes(self, tiny_model):
+        rng = np.random.default_rng(4)
+        for rows in (rng.normal(size=(3, 16)).astype(np.float32), rng.integers(-3, 4, (3, 16))):
+            wide = rows.astype(np.float64)
+            got = apply_layer_range(KVCache(tiny_model, 0, 1), rows, 0, 1)
+            assert got.tobytes() == apply_layer_range(KVCache(tiny_model, 0, 1), wide, 0, 1).tobytes()
+            assert final_logits(tiny_model, rows).tobytes() == final_logits(tiny_model, wide).tobytes()
 
 
 class TestBatch:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import eeinfer.model
 from eeinfer.errors import ConfigError, NumericsError, ShapeError
 from eeinfer.tensor_ops import (
     ACTIVATION_KINDS,
@@ -508,6 +509,28 @@ def test_as_matrix_accepts_lists():
     m = as_matrix([[1, 2]])
     assert m.dtype == np.float64 and m.shape == (1, 2)
 
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(0, 40), st.integers(1, 20),
+       st.sampled_from([(), (3,)]), st.booleans())
+def test_model_kernels_give_the_public_kernels_bytes(seed, m, k, n, batch, transposed):
+    # the model binds the unchecked bodies under the public names; on valid
+    # operands they must be the same arithmetic, both matmul layouts included
+    # (m >= 2 and m * k * n >= 2048 builds k-major)
+    rng = np.random.default_rng(seed)
+    a, b = wide(rng, batch + (m, k)), wide(rng, batch + (k, n))
+    x, g, beta = wide(rng, (m, n)), wide(rng, (n,)), wide(rng, (n,))
+    for arr in (a, b, x):
+        arr[rng.random(arr.shape) < 0.2] = -0.0
+        arr[rng.random(arr.shape) < 0.1] = 0.0
+    if transposed:
+        a, x = (np.ascontiguousarray(v.swapaxes(-1, -2)).swapaxes(-1, -2) for v in (a, x))
+        b = b[..., ::-1, :]
+    assert eeinfer.model.matmul(a, b).tobytes() == matmul(a, b).tobytes()
+    assert (eeinfer.model.layer_norm(x, g, beta, eps=1e-5).tobytes()
+            == layer_norm(x, g, beta, eps=1e-5).tobytes())
+    assert eeinfer.model.rms_norm(x, g, eps=1e-6).tobytes() == rms_norm(x, g, eps=1e-6).tobytes()
 
 
 def _kernel_cases() -> list[tuple[str, object, tuple[np.ndarray, ...]]]:
