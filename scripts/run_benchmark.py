@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from eeinfer.bench import compare_arms, emit_report, measure_latency, random_prompts
+from eeinfer.bench import _compare_arms, emit_report, measure_latency, random_prompts
 from eeinfer.encryption import encrypt_model, keygen
 from eeinfer.model import init_model, make_config
 
@@ -39,7 +39,8 @@ def main() -> None:
         lat = measure_latency(
             model, enc, key, prompts[:10], n_new=args.n_new, repeats=args.repeats
         )
-        fid, _ = compare_arms(model, enc, key, prompts, n_new=0)
+        # measure_latency checked the arms, which encrypts the model once
+        fid, _ = _compare_arms(model, enc, key, prompts, n_new=0)
         json_path, md_path = emit_report(fid, lat, out_dir / name, model_name=name)
         print(
             f"{name}: fidelity {fid.fidelity:.9f} over {fid.n} prompts, "

@@ -52,6 +52,7 @@ from .errors import (
     DomainError,
     FormatError,
     IntegrityError,
+    NumericsError,
     RangeError,
     ShapeError,
 )
@@ -244,7 +245,7 @@ def expected_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 class ModelBundle:
-    """Immutable (config, domain, tensors) triple with shape validation.
+    """Immutable (config, domain, tensors) triple of checked shapes and finite entries.
 
     ``layers`` and ``head`` are derived from the tensors, not stored with
     them, so that a step reads each tensor by position. Per layer: the
@@ -274,6 +275,9 @@ class ModelBundle:
                 raise IntegrityError(
                     f"tensor {name!r} has shape {arr.shape}, config implies {shape}"
                 )
+            # a ufunc reduce: argmax would pick a NaN logit and decode on silently
+            if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+                raise NumericsError(f"tensor {name!r} holds a NaN or infinite entry")
             arr = arr.copy()
             arr.setflags(write=False)
             frozen[name] = arr

@@ -2,16 +2,12 @@
 
 Everything downstream leans on three properties of this module:
 
-* ``matmul`` reduces over the inner dimension in ascending index order, always.
-  BLAS, and an einsum that sums over k, were measured to break that order
-  (blocked/SIMD partial sums), so the product is one explicit fold:
-  ``np.add.reduce`` over k of a C-ordered tensor of every product, built by
-  a broadcast multiply or by an einsum that sums nothing (``matmul`` says
-  which, why C order, and when ``np.add.accumulate`` stands in). That keeps
-  repeated runs, and pipelines that split a computation across workers,
-  bit-identical. Both operands may carry one matching leading batch axis
-  (attention runs every head in one call); each slice of the result has the
-  bytes of the 2-D product of that slice.
+* ``matmul`` reduces over the inner dimension in ascending index order,
+  always, in numpy's scalar matmul loop, since BLAS was measured to break
+  that order (``matmul`` says how). That keeps repeated runs, and pipelines
+  that split a computation across workers, bit-identical. Both operands may
+  carry one matching leading batch axis (attention runs every head in one
+  call); each slice of the result has the bytes of that slice's product.
 * Every kernel is row-local: row i of the output depends only on row i of the
   inputs, bit for bit, however many rows there are and however many masked
   (``-inf``) softmax entries follow the row's last live one. That is what
@@ -50,13 +46,6 @@ ACTIVATION_KINDS = ("relu", "gelu", "silu")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# products of two or more rows with at least this many terms (batch * m * k
-# * n) are built k-major by einsum: on a 2-core x86 host with numpy 2.4 it
-# was 0.82-1.04x the broadcast's time per call at 2048 terms, 0.9-1.2x at
-# 1024, and 0.4-0.8x from 4096 on (table in CHANGES.md)
-_KMAJOR_TERMS = 2048
-
-
 def as_matrix(x: object, name: str = "input") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting anything else."""
     arr = np.asarray(x, dtype=np.float64)
@@ -88,26 +77,15 @@ def matmul(a: object, b: object) -> np.ndarray:
     the same batch size; then out[s] is the 2-D product of a[s] and b[s],
     byte for byte.
 
-    Every product is built at once in a C-ordered tensor, so a call holds
-    m * k * n doubles per slice, and np.add.reduce folds it over k. numpy
-    sums pairwise only along the fastest axis; C order keeps that axis n
-    even when an operand is a transposed view (attention's keys), so the
-    fold adds one k at a time. The tensor has one of two layouts, chosen
-    from the shapes alone:
-
-    * (batch, m, k, n), from a broadcast multiply, for one-row products
-      (every cached decode step) and products of fewer than _KMAJOR_TERMS
-      terms in all. A one-column product (n = 1), m * n = 1 included, has
-      no other axis and takes np.add.accumulate, which is always sequential.
-    * (batch, k, m, n), from an einsum that sums over nothing, for products
-      of two or more rows and at least _KMAJOR_TERMS terms (a prefill). An
-      entry is 0.0 + a[i,kk]*b[kk,j], which only turns -0.0 into +0.0, and
-      the fold from +0.0 absorbs that. The fold over axis -3 runs a block
-      of m * n >= 2 entries at a time, so it never sums pairwise. einsum
-      builds a term in about 0.8 ns against 1.5 ns, but costs more per call:
-      below about 2048 terms, or with one row, it is the slower one.
-
-    With k = 0 every entry is +0.0.
+    Each row of each slice runs as its own one-row product in numpy's scalar
+    matmul loop, which sets an entry to 0 and then adds a[i,kk]*b[kk,j] for
+    kk ascending. Reversed columns (a negative stride) keep the right operand
+    from BLAS, and no m * k * n tensor is built. One column (n = 1) would go
+    to BLAS's dot, so it takes the broadcast fold, _fold. A numpy whose loop
+    fused the multiply-add, or sent such operands to BLAS, would give other
+    bytes: a probe at import sets _ROWS_EXACT, and if it fails every product
+    takes _fold. The contract covers finite operands; with a NaN the two
+    paths may differ in its sign bit. With k = 0 every entry is +0.0.
     """
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
@@ -126,17 +104,38 @@ def matmul(a: object, b: object) -> np.ndarray:
 
 def _matmul(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """matmul's arithmetic on float64 operands whose shapes it has checked."""
-    k = av.shape[-1]
-    # without order="C" a transposed operand can make k the fastest axis,
-    # and reduce would sum it pairwise
-    if av.shape[-2] > 1 and av.size * bv.shape[-1] >= _KMAJOR_TERMS:
-        terms = np.einsum("...mk,...kn->...kmn", av, bv, order="C")
-        return np.add.reduce(terms, axis=-3, initial=0.0)
+    if _ROWS_EXACT and bv.shape[-1] > 1:
+        return _rows(av, bv)
+    return _fold(av, bv)
+
+
+def _rows(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Every row as a one-row product in numpy's scalar loop; a fresh C-ordered result."""
+    out = np.empty(av.shape[:-1] + bv.shape[-1:])
+    np.matmul(av[..., :, None, :], bv[..., None, :, ::-1], out=out[..., :, None, ::-1])
+    return out
+
+
+def _fold(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """np.add.reduce over k of a C-ordered (..., m, k, n) tensor of every product:
+    C order keeps n fastest even for a transposed operand, so k is never summed
+    pairwise; with one column, np.add.accumulate keeps the fold sequential."""
     terms = np.multiply(av[..., None], bv[..., None, :, :], order="C")
-    if bv.shape[-1] != 1 or k == 0:
+    if bv.shape[-1] != 1 or av.shape[-1] == 0:
         return np.add.reduce(terms, axis=-2, initial=0.0)
     terms[..., 0, :] += 0.0  # the fold's leading +0.0: -0.0 + 0.0 is +0.0
     return np.add.accumulate(terms, axis=-2, out=terms)[..., -1, :].copy()
+
+
+def _rows_exact() -> bool:
+    """Whether _rows gives _fold's bytes on terms from 2**-60 to 2**60, which a
+    pairwise sum, BLAS or a fused multiply-add round differently."""
+    rng = np.random.default_rng(0)
+    a, b = (rng.normal(size=s) * 2.0 ** rng.integers(-30, 31, size=s) for s in ((3, 67), (67, 5)))
+    return _rows(a, b).tobytes() == _fold(a, b).tobytes()
+
+
+_ROWS_EXACT = _rows_exact()
 
 
 def softmax_rows(a: object) -> np.ndarray:

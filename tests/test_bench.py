@@ -5,7 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import runpy
 import statistics
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,8 @@ from eeinfer.model import (
     make_config,
 )
 from eeinfer.tensor_ops import softmax_rows
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 score_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=12
@@ -322,6 +327,27 @@ class TestReportEmission:
         for cell in (cells[3], cells[4], cells[5]):
             whole, frac = cell.split(".")
             assert len(frac) == 2
+
+
+    def test_benchmark_script_encrypts_twice_per_key(self, tmp_path, monkeypatch, capsys):
+        # one encrypt_model builds the EE arm and one checks it in
+        # measure_latency; the fidelity report reuses that check
+        calls = []
+
+        def counting_encrypt(*args):
+            calls.append(args)
+            return encrypt_model(*args)
+
+        monkeypatch.setattr("eeinfer.encryption.encrypt_model", counting_encrypt)
+        monkeypatch.setattr("eeinfer.bench.encrypt_model", counting_encrypt)
+        monkeypatch.setattr(sys, "argv", [
+            "run_benchmark.py", "--n-prompts", "3", "--n-new", "2", "--repeats", "3",
+            "--out-dir", str(tmp_path)])
+        runpy.run_path(str(SCRIPTS / "run_benchmark.py"), run_name="__main__")
+        assert len(calls) == 4
+        out = capsys.readouterr().out
+        assert "random-key: fidelity 1.000000000 over 3 prompts" in out
+        assert "identity-key: fidelity 1.000000000 over 3 prompts" in out
 
 
 class TestPromptIO:

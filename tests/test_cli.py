@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from eeinfer import errors
 from eeinfer.cli import COMMANDS, REQUIRED, _build_parser, _resolve, _rows, main
 from eeinfer.encryption import encrypt_model, load_key
-from eeinfer.model import CIPHERTEXT, greedy_decode, load_model
+from eeinfer.model import (CIPHERTEXT, greedy_decode, init_model, load_model, make_config,
+                           save_model)
 
 
 def run_cli(*argv) -> int:
@@ -178,6 +180,21 @@ class TestInfer:
     def test_bad_prompt_ids(self, ws):
         assert run_cli("infer", "--model", ws["model"], "--prompt", "1,x",
                        "--n-new", 1) == 2
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("lm_head.b", (3,), np.nan), ("lm_head.W", (0, 7), np.inf),
+        ("layer0.ffn.W2", (0, 0), np.nan), ("embedding", (14, 0), -np.inf)])
+    def test_non_finite_weight_is_numerics_error(self, tmp_path, capsys, name, index, value):
+        # before the check, each of these decoded 1 2 3 on without an error
+        model = init_model(make_config(16, 8, 1, 2, 16, 16), 1)
+        tensors = dict(model.tensors)
+        tensors[name] = tensors[name].copy()
+        tensors[name][index] = value
+        path = tmp_path / "bad.eem"
+        save_model(types.SimpleNamespace(config=model.config, domain=model.domain,
+                                         tensors=tensors), path)
+        assert run_cli("infer", "--model", path, "--prompt", "1 2 3", "--n-new", 4) == 14
+        assert capsys.readouterr().out == ""
 
 
 class TestFidelityCommand:

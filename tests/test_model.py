@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from eeinfer.errors import (
     DomainError,
     FormatError,
     IntegrityError,
+    NumericsError,
     RangeError,
     ShapeError,
     VersionError,
@@ -50,6 +52,22 @@ from eeinfer.tensor_ops import ACTIVATION_KINDS
 # logits bytes, produced once by the reference run and frozen as a regression
 # pin on the whole numeric path
 GOLDEN_LOGITS_SHA256 = "5ef97aa8a3e037dee3ba96a383dcb0364a8aa7326a99330422787d92d8800980"
+
+
+# (tensor, entry, value) that the parent of the finite-weights check decoded
+# on silently on make_config(16, 8, 1, 2, 16, 16), seed 1, prompt 1 2 3 (argmax
+# picks the first NaN logit): 3 3 3 3, 5 13 7 7, 0 0 0 0, and 7 15 15 15 for
+# an embedding row the request never reads
+NON_FINITE_ENTRIES = [("lm_head.b", (3,), np.nan), ("lm_head.W", (0, 7), np.inf),
+                      ("layer0.ffn.W2", (0, 0), np.nan), ("embedding", (14, 0), -np.inf)]
+
+
+def with_entry(model: ModelBundle, name: str, index: tuple[int, ...], value: float) -> dict:
+    """``model``'s tensors with one entry of ``name`` set to ``value``."""
+    tensors = dict(model.tensors)
+    tensors[name] = tensors[name].copy()
+    tensors[name][index] = value
+    return tensors
 
 
 def zero_lm_head(model: ModelBundle) -> ModelBundle:
@@ -154,6 +172,20 @@ class TestInit:
         tensors["lm_head.b"] = np.zeros(7)
         with pytest.raises(IntegrityError, match="shape"):
             ModelBundle(tiny_config, PLAINTEXT, tensors)
+
+    @pytest.mark.parametrize("name, index, value", NON_FINITE_ENTRIES)
+    def test_bundle_rejects_non_finite_entries(self, name, index, value, tmp_path):
+        config = make_config(16, 8, 1, 2, 16, 16)
+        model = init_model(config, 1)
+        tensors = with_entry(model, name, index, value)
+        with pytest.raises(NumericsError, match=f"tensor '{name}' holds a NaN or infinite entry"):
+            ModelBundle(config, PLAINTEXT, tensors)
+        # a file written with the entry is refused on load: save_model only
+        # reads config, domain and tensors
+        path = tmp_path / "bad.eem"
+        save_model(types.SimpleNamespace(config=config, domain=PLAINTEXT, tensors=tensors), path)
+        with pytest.raises(NumericsError, match=name):
+            load_model(path)
 
     def test_bundle_immutable(self, tiny_model):
         with pytest.raises(AttributeError):
@@ -262,7 +294,7 @@ class TestIncremental:
         # 40 positions, so attention rows are long enough for a pairwise sum
         # to round differently from a sequential one; then the toy config
         # (vocab 128, d_model 32, 2 layers, 4 heads), whose 16-row prefill
-        # builds its products k-major while its one-row steps do not
+        # runs 16 rows to a matmul call and its steps one
         for dims, prompt_len, n_new in [((48, 16, 2, 2, 32, 40), 12, 28),
                                         ((128, 32, 2, 4, 64, 64), 16, 32)]:
             config = make_config(*dims, norm_kind=kinds[0], act_kind=kinds[1])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import eeinfer.model
+from eeinfer import tensor_ops
 from eeinfer.errors import ConfigError, NumericsError, ShapeError
 from eeinfer.tensor_ops import (
     ACTIVATION_KINDS,
@@ -56,6 +58,43 @@ def assert_scalar_fold(got: np.ndarray, a: np.ndarray, b: np.ndarray, case: obje
         assert got[s].tobytes() == scalar_matmul(a[s], b[s]).tobytes(), case
 
 
+def on_both_paths(test):
+    """Run a matmul test on the row path (``_ROWS_EXACT`` True) and then on the
+    broadcast fold that stands in when the import probe fails; the test keeps
+    its own name."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for rows_exact in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tensor_ops, "_ROWS_EXACT", rows_exact)
+                test(*args, **kwargs)
+
+    return run
+
+
+def pairwise_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each entry's terms summed as a balanced tree: an order other than the fold's."""
+    terms = a[..., :, None, :] * np.swapaxes(b, -1, -2)[..., None, :, :]
+    while terms.shape[-1] > 1:
+        if terms.shape[-1] % 2:
+            terms = np.concatenate([terms, np.zeros(terms.shape[:-1] + (1,))], axis=-1)
+        terms = terms[..., 0::2] + terms[..., 1::2]
+    return terms[..., 0] + 0.0
+
+
+def fused_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The fold in ascending k with a fused multiply-add: each step rounds
+    acc + a*b once, computed exactly with fractions."""
+    out = np.empty(a.shape[:-1] + b.shape[-1:])
+    for i, j in np.ndindex(out.shape):
+        acc = 0.0
+        for kk in range(a.shape[-1]):
+            acc = float(Fraction(acc) + Fraction(a[i, kk]) * Fraction(b[kk, j]))
+        out[i, j] = acc
+    return out
+
+
 finite_elems = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -69,10 +108,12 @@ def matrix_and_col_perm(draw, max_rows: int = 5, max_cols: int = 8):
 
 
 class TestMatmul:
+    @on_both_paths
     def test_identity_exact(self):
         a = np.array([[1.5, -2.0], [0.25, 9.0]])
         assert np.array_equal(matmul(np.eye(2), a), a)
 
+    @on_both_paths
     def test_hand_case(self):
         got = matmul([[1, 2], [3, 4]], [[5, 6], [7, 8]])
         assert np.array_equal(got, [[19.0, 22.0], [43.0, 50.0]])
@@ -85,14 +126,15 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             matmul(np.zeros(3), np.zeros((3, 2)))
 
+    @on_both_paths
     def test_bit_exact_against_scalar_fold(self):
         rng = np.random.default_rng(7)
         shapes = [tuple(rng.integers(1, 12, size=3)) for _ in range(50)]
         # outputs from one entry to tens of thousands, with one row or column
         shapes += [(1, 32, 256), (1, 32, 257), (256, 5, 1), (257, 5, 1), (16, 32, 16),
                    (16, 32, 17), (1, 64, 1), (1, 1, 1), (48, 32, 128), (300, 3, 1), (1, 7, 600)]
-        # either side of the k-major switch at 2048 terms (2+ rows), the
-        # toy model's 16-row prefill, and a long one-entry fold
+        # two rows with 2046 to 2064 terms, the toy model's 16-row prefill,
+        # and a long one-entry fold
         shapes += [(2, 31, 33), (2, 32, 32), (2, 8, 129), (16, 32, 96), (1, 4096, 1)]
         for m, k, n in shapes:
             a = rng.normal(0, 10, (m, k))
@@ -107,6 +149,7 @@ class TestMatmul:
             assert not np.signbit(zeros).any() and zeros.tobytes() == scalar_matmul(
                 np.full((m, k), -0.0), b).tobytes()
 
+    @on_both_paths
     def test_batched_slices_bit_exact(self):
         # each slice of a batched product has the bytes of the 2-D product of
         # that slice
@@ -114,7 +157,7 @@ class TestMatmul:
         shapes = [tuple(rng.integers(1, 10, size=4)) for _ in range(30)]
         shapes += [(4, 16, 8, 256 // 16), (4, 16, 8, 256 // 16 + 1), (3, 1, 32, 256),
                    (2, 1, 32, 256 + 1), (2, 256 + 1, 3, 1), (4, 1, 64, 8), (1, 1, 1, 1)]
-        # slices each below the k-major switch, the call at or above it
+        # batches of two- and three-row slices
         shapes += [(4, 2, 16, 16), (8, 2, 8, 17), (4, 3, 9, 25)]
         for bsz, m, k, n in shapes:
             a = rng.normal(0, 10, (bsz, m, k))
@@ -130,6 +173,7 @@ class TestMatmul:
             zeros = matmul(np.full((bsz, m, k), -0.0), b)
             assert not np.signbit(zeros).any()
 
+    @on_both_paths
     def test_wide_magnitudes_and_signed_zeros_bit_exact(self):
         # terms from 1e-8 to 1e8 lose low bits at every partial sum, so any
         # other summation order (pairwise, blocked) shows in the bytes; an
@@ -144,13 +188,14 @@ class TestMatmul:
             assert not np.signbit(got[0]).any()
             assert_scalar_fold(got, a, b, (m, k, n))
 
+    @on_both_paths
     def test_transposed_and_strided_views_bit_exact(self):
-        # attention passes k.transpose(0, 2, 1): the product tensor must keep
-        # n, not k, as its fastest axis whatever the operands' layout
+        # attention passes k.transpose(0, 2, 1): the fold must add one k at a
+        # time whatever the operands' layout
         rng = np.random.default_rng(29)
-        # (16, 8, 16) is attention at the toy model's prefill size, at and
-        # above the k-major switch; (12, 17, 8) batched came out with other
-        # bytes from an einsum without order="C"
+        # (16, 8, 16) is attention at the toy model's prefill size; (12, 17,
+        # 8) batched came out with other bytes from an einsum without
+        # order="C"
         for m, k, n in [(1, 8, 2), (4, 16, 3), (6, 32, 9), (3, 64, 2), (16, 8, 16), (12, 17, 8),
                         (2, 32, 32)]:
             a_views = [wide(rng, (k, m)).T, wide(rng, (2 * m, 3 * k))[::2, ::3],
@@ -166,6 +211,7 @@ class TestMatmul:
             assert_scalar_fold(matmul(keys.transpose(0, 2, 1), q.transpose(0, 2, 1)),
                                keys.transpose(0, 2, 1), q.transpose(0, 2, 1), (4, n, k, m))
 
+    @on_both_paths
     def test_one_column_is_a_sequential_fold(self):
         # with n = 1 only k is left to reduce over, which numpy would sum
         # pairwise from 8 terms on; one column must still fold in order
@@ -175,8 +221,9 @@ class TestMatmul:
                          (wide(rng, (3, k)), wide(rng, (1, k)).T),
                          (wide(rng, (2, 3, k)), wide(rng, (2, k, 1)))]:
                 assert_scalar_fold(matmul(a, b), a, b, (a.shape, k))
-        # above the k-major switch: many rows, two rows with a long k, and
-        # one-entry products (m * n = 1), alone and batched
+        # many rows, two rows with a long k, and one-entry products
+        # (m * n = 1), which numpy would compute with BLAS's dot, alone and
+        # batched
         for a_shape, b_shape in [((256, 8), (8, 1)), ((2, 1024), (1024, 1)),
                                  ((1, 3000), (3000, 1)), ((4, 1, 600), (4, 600, 1)),
                                  ((3, 40, 20), (3, 20, 1))]:
@@ -186,42 +233,79 @@ class TestMatmul:
             bt = np.swapaxes(np.swapaxes(b, -1, -2).copy(), -1, -2)
             assert_scalar_fold(matmul(a, bt), a, bt, a_shape)
 
-    def test_rows_of_a_k_major_product_equal_each_row_alone(self, monkeypatch):
+    @on_both_paths
+    def test_rows_of_a_product_equal_each_row_alone(self, monkeypatch):
         # a prefill's rows must have the bytes of the one-row steps that a
-        # cached decode computes them with: the whole product is built k-major
-        # by einsum, each row alone by the broadcast multiply
-        einsum_calls = []
+        # cached decode computes them with; on the row path a product of two
+        # or more columns is one _rows call however many rows it has, and a
+        # one-column product takes the broadcast fold
+        rows_calls = []
 
-        def counting_einsum(*args, **kwargs):
-            einsum_calls.append(args[0])
-            return real_einsum(*args, **kwargs)
+        def counting_rows(*args):
+            rows_calls.append(args[0].shape)
+            return real_rows(*args)
 
-        real_einsum = np.einsum
-        monkeypatch.setattr(np, "einsum", counting_einsum)
+        real_rows = tensor_ops._rows
+        monkeypatch.setattr(tensor_ops, "_rows", counting_rows)
         rng = np.random.default_rng(37)
         for a_shape, b_shape in [((16, 32), (32, 96)), ((2, 32), (32, 32)), ((40, 64), (64, 1)),
-                                 ((4, 16, 8), (4, 8, 16)), ((8, 2, 8), (8, 8, 17))]:
+                                 ((4, 16, 8), (4, 8, 16)), ((8, 2, 8), (8, 8, 17)),
+                                 ((1, 64), (64, 1024)), ((2, 31), (31, 33)),
+                                 ((4, 2, 16), (4, 16, 15))]:
             a, b = wide(rng, a_shape), wide(rng, b_shape)
             a[..., 0, :] = -0.0
-            einsum_calls.clear()
+            calls = 1 if tensor_ops._ROWS_EXACT and b_shape[-1] > 1 else 0
+            rows_calls.clear()
             got = matmul(a, b)
-            assert len(einsum_calls) == 1, a_shape
+            assert rows_calls == [a_shape] * calls, a_shape
             for i in range(a.shape[-2]):
                 row = matmul(a[..., i : i + 1, :], b)
                 assert got[..., i : i + 1, :].tobytes() == row.tobytes(), (a_shape, i)
-            assert len(einsum_calls) == 1, a_shape
-        # one row, or fewer than 2048 terms in all, stays on the broadcast
-        for a_shape, b_shape in [((1, 64), (64, 1024)), ((2, 31), (31, 33)), ((4, 2, 16), (4, 16, 15))]:
-            einsum_calls.clear()
-            matmul(wide(rng, a_shape), wide(rng, b_shape))
-            assert not einsum_calls, a_shape
+            assert len(rows_calls) == calls * (1 + a.shape[-2]), a_shape
+            assert_scalar_fold(got, a, b, a_shape)
 
     @pytest.mark.parametrize("a_shape, b_shape", [((3, 0), (0, 1)), ((3, 0), (0, 4)),
                                                   ((2, 3, 0), (2, 0, 1)), ((2, 3, 0), (2, 0, 5))])
+    @on_both_paths
     def test_empty_inner_dimension_gives_positive_zeros(self, a_shape, b_shape):
         got = matmul(np.zeros(a_shape), np.zeros(b_shape))
         assert got.shape == a_shape[:-1] + b_shape[-1:]
         assert got.tobytes() == np.zeros(got.shape).tobytes()
+
+    @on_both_paths
+    def test_empty_products_have_their_shape(self):
+        for a_shape, b_shape in [((0, 3), (3, 4)), ((2, 3), (3, 0)), ((0, 0), (0, 0)),
+                                 ((0, 2, 3), (0, 3, 4)), ((2, 0, 3), (2, 3, 4)),
+                                 ((2, 3, 4), (2, 4, 0)), ((2, 3, 0), (2, 0, 0))]:
+            got = matmul(np.ones(a_shape), np.ones(b_shape))
+            assert got.shape == a_shape[:-1] + b_shape[-1:] and got.size == 0, a_shape
+
+    @on_both_paths
+    def test_results_are_fresh_c_ordered_and_writable(self):
+        # the model adds biases and residuals in place on a product
+        rng = np.random.default_rng(41)
+        for a, b in [(wide(rng, (5, 7)), wide(rng, (7, 3))),
+                     (wide(rng, (7, 5)).T, wide(rng, (3, 7)).T),
+                     (wide(rng, (5, 7)), wide(rng, (7, 1))),
+                     (wide(rng, (4, 3, 8)), wide(rng, (4, 6, 8)).transpose(0, 2, 1)),
+                     (wide(rng, (4, 1, 8)), wide(rng, (4, 8, 6))[..., ::-1])]:
+            got = matmul(a, b)
+            assert got.flags.c_contiguous and got.flags.writeable, (a.shape, b.shape)
+            assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+            got += 1.0
+
+    @pytest.mark.parametrize("other", [pairwise_rows, fused_rows, lambda a, b: a @ b],
+                             ids=["pairwise", "fused-multiply-add", "blas"])
+    def test_probe_refuses_any_other_order(self, monkeypatch, other):
+        # if numpy's loop summed in another order, fused the multiply-add or
+        # went to BLAS, the probe fails and every product takes the fold
+        monkeypatch.setattr(tensor_ops, "_rows", other)
+        assert tensor_ops._rows_exact() is False
+        monkeypatch.setattr(tensor_ops, "_ROWS_EXACT", tensor_ops._rows_exact())
+        rng = np.random.default_rng(43)
+        for m, k, n in [(3, 67, 5), (16, 32, 96), (1, 40, 8)]:
+            a, b = wide(rng, (m, k)), wide(rng, (k, n))
+            assert_scalar_fold(matmul(a, b), a, b, (m, k, n))
 
     @pytest.mark.parametrize(
         "a_shape, b_shape, pattern",
@@ -237,12 +321,14 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=pattern):
             matmul(np.zeros(a_shape), np.zeros(b_shape))
 
+    @on_both_paths
     def test_repeat_runs_bit_identical(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(9, 7))
         b = rng.normal(size=(7, 5))
         assert matmul(a, b).tobytes() == matmul(a, b).tobytes()
 
+    @on_both_paths
     def test_perm_conjugation_cancels_exactly_on_integers(self):
         # With integer-valued entries every partial sum is exact, so
         # (A P^T)(P x) = A x holds bitwise, any permutation.
@@ -514,10 +600,10 @@ def test_as_matrix_accepts_lists():
 @settings(deadline=None, derandomize=True, max_examples=80)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(0, 40), st.integers(1, 20),
        st.sampled_from([(), (3,)]), st.booleans())
+@on_both_paths
 def test_model_kernels_give_the_public_kernels_bytes(seed, m, k, n, batch, transposed):
     # the model binds the unchecked bodies under the public names; on valid
-    # operands they must be the same arithmetic, both matmul layouts included
-    # (m >= 2 and m * k * n >= 2048 builds k-major)
+    # operands they must be the same arithmetic, on either matmul path
     rng = np.random.default_rng(seed)
     a, b = wide(rng, batch + (m, k)), wide(rng, batch + (k, n))
     x, g, beta = wide(rng, (m, n)), wide(rng, (n,)), wide(rng, (n,))
