@@ -8,8 +8,11 @@ travel shard to shard as checksummed binary frames that carry only the rows
 of the positions the next shard has not seen: the whole prompt at the first
 step, one row per step after it. In every message of step t the rows end at
 position P + t, P being the prompt length. The last shard computes logits
-and returns the argmax token id, still in ciphertext. A seeded virtual clock
-assigns each delivery a latency draw, so a run is a pure function of (model,
+and returns the argmax token id, still in ciphertext. One hop builds and
+checks one frame on the sending side and parses it once on the receiving
+side, checking only its bytes. A seeded virtual clock assigns each delivery a
+latency; a request draws all of them at once and sums them in order, the
+same values as one draw per delivery, so a run is a pure function of (model,
 plan, broker config, prompt) and replays bit-for-bit.
 
 Shard s starts on node s, and the spares are numbered after the shards.
@@ -22,9 +25,9 @@ every row the upstream shard has emitted for later ones) and the spare
 prefills from that.
 
 The transcript records every exchange (token fields verbatim, activation
-payloads as SHA-256 hashes) and is the input to the blindness audit, which
-verifies that no plaintext token sequence or plaintext boundary activation
-ever appeared on the wire.
+payloads as SHA-256 hashes of the payload bytes received) and is the input to
+the blindness audit, which verifies that no plaintext token sequence or
+plaintext boundary activation ever appeared on the wire.
 """
 from __future__ import annotations
 
@@ -67,6 +70,7 @@ FRAME_MAGIC = b"EEFR"
 FRAME_VERSION = 2
 _FRAME_HEADER = struct.Struct("<4sBQHII")
 _CRC = struct.Struct("<I")
+_WIRE_F8 = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,11 @@ def _plan_matches(plan: ShardPlan, config: ModelConfig) -> None:
         )
 
 
+def _is_count(value: object) -> bool:
+    """An integer >= 0; numpy integers count, a bool does not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True, eq=False)
 class ActivationFrame:
     """One hop's encrypted residual activations (seq_len x d_model, f64): the
@@ -124,11 +133,10 @@ class ActivationFrame:
             raise RangeError(f"request_id {self.request_id} does not fit in u64")
         if not (0 <= self.shard_index < 2**16):
             raise RangeError(f"shard_index {self.shard_index} does not fit in u16")
-        payload = np.asarray(self.payload, dtype=np.float64)
+        payload = np.array(self.payload, dtype=np.float64, order="C")
         if payload.ndim != 2 or payload.shape[0] < 1 or payload.shape[1] < 1:
             raise ShapeError(f"payload must be 2D and non-empty, got shape {payload.shape}")
-        payload = payload.copy()
-        payload.flags.writeable = False
+        payload.setflags(write=False)
         object.__setattr__(self, "payload", payload)
 
     @property
@@ -173,15 +181,19 @@ def decode_frame(data: bytes) -> ActivationFrame:
     if len(data) > expected:
         raise FormatError(f"{len(data) - expected} trailing bytes after frame", offset=expected)
     (stored_crc,) = _CRC.unpack_from(data, expected - _CRC.size)
-    actual_crc = zlib.crc32(data[: expected - _CRC.size])
+    actual_crc = zlib.crc32(memoryview(data)[: expected - _CRC.size])
     if stored_crc != actual_crc:
         raise IntegrityError(
             f"frame checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
-    payload = np.frombuffer(
-        data, dtype="<f8", count=seq_len * d_model, offset=_FRAME_HEADER.size
-    ).reshape(seq_len, d_model)
-    return ActivationFrame(request_id=request_id, shard_index=shard_index, payload=payload)
+    payload = np.ndarray((seq_len, d_model), _WIRE_F8, data, _FRAME_HEADER.size)
+    payload = payload.astype(np.float64)
+    payload.setflags(write=False)
+    # the header's field widths bound every value __post_init__ checks, so
+    # the decoded frame skips it and its second payload copy
+    frame = object.__new__(ActivationFrame)
+    vars(frame).update(request_id=request_id, shard_index=shard_index, payload=payload)
+    return frame
 
 
 class InProcessTransport:
@@ -213,16 +225,18 @@ class BrokerConfig:
     spares: int = 0
 
     def __post_init__(self) -> None:
+        if not _is_count(self.seed):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         # NaN fails every comparison, so this refuses it too
         if not 0 <= self.latency_lo <= self.latency_hi < np.inf:
             raise ConfigError("latency bounds need 0 <= lo <= hi, both finite")
-        if self.spares < 0:
-            raise ConfigError("spares must be >= 0")
-        failures = tuple((int(n), int(s)) for n, s in self.failures)
+        if not _is_count(self.spares):
+            raise ConfigError(f"spares must be an integer >= 0, got {self.spares!r}")
+        failures = tuple(self.failures)
         for node, step in failures:
-            if node < 0 or step < 0:
-                raise ConfigError(f"failure injection ({node}, {step}) invalid")
-        object.__setattr__(self, "failures", failures)
+            if not (_is_count(node) and _is_count(step)):
+                raise ConfigError(f"failure injection ({node!r}, {step!r}) invalid")
+        object.__setattr__(self, "failures", tuple((int(n), int(s)) for n, s in failures))
 
 
 class Transcript:
@@ -270,18 +284,30 @@ def run_pipeline(
         raise DomainError("the shard pipeline runs the encrypted model only")
     _plan_matches(plan, enc_model.config)
     _validate_prompt(enc_model, prompt, extra=n_new)
+    # checked before the first message; the frame header holds a u64
+    if not (_is_count(request_id) and int(request_id) < 2**64):
+        raise RangeError(f"request_id {request_id!r} is not an integer in 0..2**64-1")
 
-    rng = np.random.default_rng(broker.seed)
+    n_shards = len(plan.ranges)
     transport = transport if transport is not None else InProcessTransport()
     transcript = Transcript()
-    assignment = list(range(len(plan.ranges)))
-    n_nodes = len(plan.ranges) + broker.spares
+    entries = transcript.entries
+    assignment = list(range(n_shards))
+    n_nodes = n_shards + broker.spares
     caches = [KVCache(enc_model, first, last) for first, last in plan.ranges]
+    # the clock after each delivery: one latency draw per delivery, summed in
+    # order, the same values as one scalar draw and one += per delivery; a sum
+    # past the largest float is refused at its delivery, below
+    draws = np.random.default_rng(broker.seed).uniform(
+        broker.latency_lo, broker.latency_hi, size=n_new * (n_shards + 1)
+    )
+    with np.errstate(over="ignore"):
+        times = np.add.accumulate(draws).tolist()
+    dead_from: dict[int, int] = {}  # the delivery count from which a node is dead
+    for node, step in broker.failures:
+        dead_from[node] = min(step, dead_from.get(node, step))
     clock = 0.0
     deliveries = 0
-
-    def is_dead(node: int) -> bool:
-        return any(node == fn and deliveries >= fs for fn, fs in broker.failures)
 
     def deliver(shard: int | None = None) -> None:
         """Advance the clock and the delivery counter for one message; one
@@ -289,11 +315,13 @@ def run_pipeline(
         nonlocal clock, deliveries
         # a spare is picked among nodes alive at this delivery count, and a
         # dead node stays dead, so one move always lands on a live node
-        if shard is not None and is_dead(assignment[shard]):
+        if shard is not None and deliveries >= dead_from.get(assignment[shard], math.inf):
             node = assignment[shard]
             transcript.add(kind="failure", node=node, time=clock)
             candidates = [
-                n for n in range(n_nodes) if n not in assignment and not is_dead(n)
+                n
+                for n in range(n_nodes)
+                if n not in assignment and deliveries < dead_from.get(n, math.inf)
             ]
             if not candidates:
                 raise PipelineError(
@@ -305,8 +333,8 @@ def run_pipeline(
             assignment[shard] = candidates[0]
             # the cache died with the node
             caches[shard] = KVCache(enc_model, *plan.ranges[shard])
+        clock = times[deliveries]
         deliveries += 1
-        clock += float(rng.uniform(broker.latency_lo, broker.latency_hi))
         if not math.isfinite(clock):
             # finite bounds can still add up past the largest float
             raise ConfigError(
@@ -314,39 +342,41 @@ def run_pipeline(
                 f"virtual clock at delivery {deliveries}"
             )
 
-    def log(entry: dict) -> None:
-        # a dict merge, not keyword arguments: this runs for every message
-        transcript.entries.append(
-            {"step": deliveries, "time": clock, "token_index": token_index, **entry}
-        )
-
     ids = list(prompt.ids)
     # emitted[s, p]: the row shard s has emitted at position p, which hop
     # s + 1 sends; a spare prefills from every row before len(ids)
     cfg = enc_model.config
-    emitted = np.empty((len(plan.ranges) - 1, cfg.max_seq_len, cfg.d_model))
+    emitted = np.empty((n_shards - 1, cfg.max_seq_len, cfg.d_model))
     for token_index in range(n_new):
         for s, (first, last) in enumerate(plan.ranges):
             deliver(s)
             cache = caches[s]
             if s == 0:
-                rows = ids[cache.length :]
-                transport.send(json.dumps({"request_id": request_id, "token_ids": rows}).encode())
+                # the bytes json.dumps gives for {"request_id": ..., "token_ids": [...]}
+                rows = ", ".join(map(str, ids[cache.length :])).encode()
+                transport.send(b'{"request_id": %d, "token_ids": [%s]}' % (request_id, rows))
                 token_ids = json.loads(transport.recv())["token_ids"]
-                entry = {"kind": "tokens_in", "token_ids": list(token_ids)}
+                entries.append(
+                    {"step": deliveries, "time": clock, "token_index": token_index,
+                     "to_node": assignment[0], "shard": 0, "kind": "tokens_in",
+                     "token_ids": token_ids}
+                )
                 x = embed_positions(enc_model, token_ids, start=cache.length)
             else:
                 rows = emitted[s - 1, cache.length : len(ids)]
                 transport.send(encode_frame(ActivationFrame(request_id, s, rows)))
-                frame = decode_frame(transport.recv())
-                entry = {
-                    "kind": "frame",
-                    "from_node": assignment[s - 1],
-                    "seq_len": frame.seq_len,
-                    "payload_sha256": _payload_hash(frame.payload),
-                }
+                data = transport.recv()
+                frame = decode_frame(data)
+                # the bytes _payload_hash(frame.payload) would serialize
+                payload = memoryview(data)[_FRAME_HEADER.size : -_CRC.size]
+                payload_sha256 = hashlib.sha256(payload).hexdigest()
+                entries.append(
+                    {"step": deliveries, "time": clock, "token_index": token_index,
+                     "to_node": assignment[s], "shard": s, "kind": "frame",
+                     "from_node": assignment[s - 1], "seq_len": frame.seq_len,
+                     "payload_sha256": payload_sha256}
+                )
                 x = frame.payload
-            log({"to_node": assignment[s], "shard": s, **entry})
             x = apply_layer_range(cache, x, first, last)
             if s < len(emitted):
                 # x holds the rows that end at position len(ids)
@@ -354,9 +384,12 @@ def run_pipeline(
         logits = final_logits(enc_model, x[-1:])
         next_id = int(np.argmax(logits[0]))
         deliver()
-        transport.send(json.dumps({"request_id": request_id, "token_id": next_id}).encode())
+        transport.send(b'{"request_id": %d, "token_id": %d}' % (request_id, next_id))
         token_id = int(json.loads(transport.recv())["token_id"])
-        log({"kind": "token_out", "from_node": assignment[-1], "token_id": token_id})
+        entries.append(
+            {"step": deliveries, "time": clock, "token_index": token_index, "kind": "token_out",
+             "from_node": assignment[-1], "token_id": token_id}
+        )
         ids.append(token_id)
     return TokenSeq(tuple(ids), CIPHERTEXT), transcript
 

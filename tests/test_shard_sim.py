@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
+import warnings
 import zlib
 from collections import deque
 
@@ -43,6 +45,7 @@ from eeinfer.shard_sim import (
     PlaintextContext,
     ShardPlan,
     Transcript,
+    _payload_hash,
     audit_blindness,
     decode_frame,
     encode_frame,
@@ -50,6 +53,21 @@ from eeinfer.shard_sim import (
     run_pipeline,
     save_transcript,
 )
+
+
+class Recording:
+    """A caller-supplied binding: a FIFO that keeps every message."""
+
+    def __init__(self):
+        self.queue = deque()
+        self.sent = []
+
+    def send(self, data):
+        self.sent.append(data)
+        self.queue.append(data)
+
+    def recv(self):
+        return self.queue.popleft()
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +187,23 @@ class TestFrames:
         with pytest.raises(RangeError):
             ActivationFrame(request_id=0, shard_index=70000, payload=np.zeros((1, 1)))
 
+    def test_payload_is_an_owned_read_only_copy(self):
+        # built on the sending side from a view, and parsed from a buffer the
+        # receiver may reuse: neither frame shares memory with its source
+        rows = np.arange(24.0).reshape(4, 6)
+        frame = ActivationFrame(request_id=7, shard_index=2, payload=rows[1:3, ::2])
+        blob = bytearray(encode_frame(frame))
+        again = decode_frame(blob)
+        expected = rows[1:3, ::2].copy()
+        rows[:] = -1.0
+        blob[24:-4] = bytes(len(blob) - 28)
+        for f in (frame, again):
+            p = f.payload
+            assert p.dtype == np.float64 and p.flags.c_contiguous and p.flags.aligned
+            assert p.flags.owndata and not p.flags.writeable
+            assert p.tobytes() == expected.tobytes()
+        assert (again.request_id, again.shard_index, again.seq_len, again.d_model) == (7, 2, 2, 3)
+
     @settings(deadline=None, derandomize=True, max_examples=30)
     @given(
         seed=st.integers(0, 10_000),
@@ -224,20 +259,6 @@ class TestPipeline:
 
     def test_socket_binding_matches_in_process(self, deep_enc, enc_prompt):
         # any object with send/recv can carry the pipeline's messages
-        class Recording:
-            """A caller-supplied binding: a FIFO that keeps every message."""
-
-            def __init__(self):
-                self.queue = deque()
-                self.sent = []
-
-            def send(self, data):
-                self.sent.append(data)
-                self.queue.append(data)
-
-            def recv(self):
-                return self.queue.popleft()
-
         plan = plan_shards(deep_enc.config, 2)
         broker = BrokerConfig(seed=4, latency_lo=0.001, latency_hi=0.01)
         out_q, t_q = run_pipeline(deep_enc, plan, broker, enc_prompt, 4)
@@ -248,6 +269,14 @@ class TestPipeline:
         # per token: token ids in, one frame between the two shards, token out
         assert len(rec.sent) == 4 * 3 and not rec.queue
         assert sum(m.startswith(FRAME_MAGIC) for m in rec.sent) == 4
+        # token messages are the bytes json.dumps gives; a frame's recorded
+        # hash is that of its decoded payload
+        for message, entry in zip(rec.sent, t_r.entries):
+            if entry["kind"] == "frame":
+                assert entry["payload_sha256"] == _payload_hash(decode_frame(message).payload)
+            else:
+                fields = {k: entry[k] for k in ("token_ids", "token_id") if k in entry}
+                assert message == json.dumps({"request_id": 0, **fields}).encode()
 
     def test_failure_reassigns_and_preserves_output(self, deep_enc, enc_prompt):
         plan = plan_shards(deep_enc.config, 4)
@@ -374,6 +403,42 @@ class TestPipeline:
             BrokerConfig(spares=-1)
         with pytest.raises(ConfigError):
             BrokerConfig(failures=((-1, 0),))
+        # integers only: a seed numpy would refuse mid-run, a spares count
+        # that failed at the first failover, and a node 1.7 that became 1
+        for bad in (
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"spares": 1.5},
+            {"spares": True},
+            {"failures": ((1.7, 3),)},
+            {"failures": ((1, 3.0),)},
+            {"failures": ((True, 3),)},
+        ):
+            with pytest.raises(ConfigError):
+                BrokerConfig(**bad)
+        broker = BrokerConfig(seed=np.int64(3), spares=np.int64(1), failures=((np.int64(2), 4),))
+        assert broker.failures == ((2, 4),) and type(broker.failures[0][0]) is int
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize("request_id", [-1, 2**64, True, 1.5])
+    def test_request_id_checked_before_any_message(
+        self, deep_enc, enc_prompt, n_shards, request_id
+    ):
+        rec = Recording()
+        with pytest.raises(RangeError, match="request_id"):
+            run_pipeline(deep_enc, plan_shards(deep_enc.config, n_shards), BrokerConfig(),
+                         enc_prompt, 2, request_id=request_id, transport=rec)
+        assert rec.sent == [] and not rec.queue
+
+    def test_largest_request_id_goes_on_the_wire(self, deep_enc, enc_prompt):
+        rec = Recording()
+        run_pipeline(deep_enc, plan_shards(deep_enc.config, 2), BrokerConfig(), enc_prompt, 1,
+                     request_id=2**64 - 1, transport=rec)
+        tokens, frame, token_out = rec.sent
+        assert tokens.startswith(b'{"request_id": 18446744073709551615, "token_ids": [')
+        assert decode_frame(frame).request_id == 2**64 - 1
+        assert token_out.startswith(b'{"request_id": 18446744073709551615, "token_id": ')
 
     @pytest.mark.parametrize(
         "lo, hi", [(0.0, np.inf), (np.inf, np.inf), (np.nan, np.nan), (0.0, np.nan)]
@@ -381,6 +446,24 @@ class TestPipeline:
     def test_broker_refuses_non_finite_latency(self, lo, hi):
         with pytest.raises(ConfigError, match="finite"):
             BrokerConfig(latency_lo=lo, latency_hi=hi)
+
+    @pytest.mark.parametrize("lo, hi", [(0.001, 0.01), (0.0, 1e300), (0.25, 0.25)])
+    def test_clock_is_one_scalar_draw_per_delivery_summed_in_order(
+        self, deep_enc, enc_prompt, lo, hi
+    ):
+        # the reference loop: one draw and one += per delivery; a failover
+        # draws nothing and is logged at the clock of the delivery before it
+        plan = plan_shards(deep_enc.config, 3)
+        broker = BrokerConfig(seed=13, latency_lo=lo, latency_hi=hi, failures=((1, 4),), spares=1)
+        _, transcript = run_pipeline(deep_enc, plan, broker, enc_prompt, 4)
+        rng = np.random.default_rng(13)
+        clock, expected = 0.0, []
+        for entry in transcript.entries:
+            if "step" in entry:
+                clock += float(rng.uniform(lo, hi))
+            expected.append(clock)
+        assert [e["time"] for e in transcript.entries] == expected
+        assert [e["kind"] for e in transcript.entries].count("reassign") == 1
 
     @pytest.mark.parametrize("lo, hi", [(1e308, 1e308), (0.0, 1.7e308)])
     def test_clock_overflow_is_config_error(self, deep_enc, enc_prompt, lo, hi):
@@ -390,6 +473,68 @@ class TestPipeline:
         broker = BrokerConfig(seed=1, latency_lo=lo, latency_hi=hi)
         with pytest.raises(ConfigError, match=r"latency bounds .*overflow the virtual clock"):
             run_pipeline(deep_enc, plan, broker, enc_prompt, 4)
+
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1e308), (0.0, 1.7e308)])
+    def test_clock_overflow_sends_what_it_sent_before(self, deep_enc, enc_prompt, lo, hi):
+        # the error text and the one message sent before it, the first
+        # token message, were recorded before the latency draws were
+        # batched; no warning either
+        plan = plan_shards(deep_enc.config, 2)
+        rec = Recording()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                run_pipeline(deep_enc, plan, BrokerConfig(seed=1, latency_lo=lo, latency_hi=hi),
+                             enc_prompt, 4, transport=rec)
+        assert str(info.value) == (
+            f"latency bounds ({lo!r}, {hi!r}) overflow the virtual clock at delivery 2"
+        )
+        assert hashlib.sha256(b"".join(rec.sent)).hexdigest() == (
+            "0a36a0800f36f112ad17f8bb689b4414fdeb408afc705f4b011a23e92a6bfd5a"
+        )
+
+    def test_golden_sweep(self):
+        # computed before the hop loop took one frame build per hop and one
+        # latency draw per request: the wire bytes of every case, then its
+        # output ids and transcript hash, or its error class and text
+        digest = hashlib.sha256()
+        for norm, act in (("layernorm", "gelu"), ("rmsnorm", "silu")):
+            config = make_config(32, 16, 4, 2, 32, 16, norm_kind=norm, act_kind=act)
+            model = init_model(config, seed=21)
+            for identity in (False, True):
+                key = keygen(config, seed=55, identity=identity)
+                enc = encrypt_model(key, model)
+                prompt = encrypt_tokens(key, TokenSeq((3, 14, 15, 9, 2, 6), PLAINTEXT))
+                for n in range(1, config.n_layers + 1):
+                    last, spare = n - 1, n
+                    schedules = (
+                        ((), 0),
+                        (((last, 5),), 1),  # one failure, one spare
+                        (((0, 0),), 1),  # dead before the first delivery
+                        (((last, 5),), 0),  # one failure, no spare
+                        (((last, 5), (spare, 9)), 2),  # the spare dies too
+                        (((0, 0), (spare, 0)), 2),  # the first spare is dead already
+                        (((0, 3), (last, 7), (spare, 12)), 2),  # three failures, two spares
+                    )
+                    for failures, spares in schedules:
+                        for lo, hi in ((0.001, 0.01), (0.0, 0.0), (0.0, 1e308)):
+                            broker = BrokerConfig(seed=5, latency_lo=lo, latency_hi=hi,
+                                                  failures=failures, spares=spares)
+                            rec = Recording()
+                            try:
+                                out, transcript = run_pipeline(
+                                    enc, plan_shards(config, n), broker, prompt, 5,
+                                    request_id=n, transport=rec,
+                                )
+                                case = f"{out.ids} {transcript.hash()}"
+                            except (ConfigError, PipelineError) as exc:
+                                case = f"{type(exc).__name__}: {exc}"
+                            for message in rec.sent:
+                                digest.update(struct.pack("<I", len(message)) + message)
+                            digest.update(case.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "20a6a2c87f8885181adaa8ee9532ea6bd037da48365ed043fa1a7df358969ba9"
+        )
 
 
 class TestAudit:
