@@ -25,9 +25,9 @@ every row the upstream shard has emitted for later ones) and the spare
 prefills from that.
 
 The transcript records every exchange (token fields verbatim, activation
-payloads as SHA-256 hashes of the payload bytes received) and is the input to
-the blindness audit, which verifies that no plaintext token sequence or
-plaintext boundary activation ever appeared on the wire.
+payloads as SHA-256 hashes) and is the input to the blindness audit, which
+verifies that no plaintext token sequence or plaintext boundary activation
+ever appeared on the wire.
 """
 from __future__ import annotations
 
@@ -129,15 +129,25 @@ class ActivationFrame:
     payload: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (0 <= self.request_id < 2**64):
-            raise RangeError(f"request_id {self.request_id} does not fit in u64")
-        if not (0 <= self.shard_index < 2**16):
-            raise RangeError(f"shard_index {self.shard_index} does not fit in u16")
+        if not (_is_count(self.request_id) and self.request_id < 2**64):
+            raise RangeError(f"request_id {self.request_id!r} is not an integer in 0..2**64-1")
+        if not (_is_count(self.shard_index) and self.shard_index < 2**16):
+            raise RangeError(f"shard_index {self.shard_index!r} is not an integer in 0..2**16-1")
         payload = np.array(self.payload, dtype=np.float64, order="C")
         if payload.ndim != 2 or payload.shape[0] < 1 or payload.shape[1] < 1:
             raise ShapeError(f"payload must be 2D and non-empty, got shape {payload.shape}")
         payload.setflags(write=False)
         object.__setattr__(self, "payload", payload)
+
+    @classmethod
+    def _from_wire(cls, request_id: int, shard_index: int, payload: np.ndarray) -> ActivationFrame:
+        """A frame from the fields ``decode_frame`` parsed, without running
+        ``__post_init__``: the header's u64 and u16 fields bound both ids, and
+        the payload is already an owned, non-empty, read-only float64 array.
+        Every field is set here, so a new field must be set here too."""
+        frame = object.__new__(cls)
+        vars(frame).update(request_id=request_id, shard_index=shard_index, payload=payload)
+        return frame
 
     @property
     def seq_len(self) -> int:
@@ -181,7 +191,7 @@ def decode_frame(data: bytes) -> ActivationFrame:
     if len(data) > expected:
         raise FormatError(f"{len(data) - expected} trailing bytes after frame", offset=expected)
     (stored_crc,) = _CRC.unpack_from(data, expected - _CRC.size)
-    actual_crc = zlib.crc32(memoryview(data)[: expected - _CRC.size])
+    actual_crc = zlib.crc32(data[: expected - _CRC.size])
     if stored_crc != actual_crc:
         raise IntegrityError(
             f"frame checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
@@ -189,11 +199,7 @@ def decode_frame(data: bytes) -> ActivationFrame:
     payload = np.ndarray((seq_len, d_model), _WIRE_F8, data, _FRAME_HEADER.size)
     payload = payload.astype(np.float64)
     payload.setflags(write=False)
-    # the header's field widths bound every value __post_init__ checks, so
-    # the decoded frame skips it and its second payload copy
-    frame = object.__new__(ActivationFrame)
-    vars(frame).update(request_id=request_id, shard_index=shard_index, payload=payload)
-    return frame
+    return ActivationFrame._from_wire(request_id, shard_index, payload)
 
 
 class InProcessTransport:
@@ -365,16 +371,12 @@ def run_pipeline(
             else:
                 rows = emitted[s - 1, cache.length : len(ids)]
                 transport.send(encode_frame(ActivationFrame(request_id, s, rows)))
-                data = transport.recv()
-                frame = decode_frame(data)
-                # the bytes _payload_hash(frame.payload) would serialize
-                payload = memoryview(data)[_FRAME_HEADER.size : -_CRC.size]
-                payload_sha256 = hashlib.sha256(payload).hexdigest()
+                frame = decode_frame(transport.recv())
                 entries.append(
                     {"step": deliveries, "time": clock, "token_index": token_index,
                      "to_node": assignment[s], "shard": s, "kind": "frame",
                      "from_node": assignment[s - 1], "seq_len": frame.seq_len,
-                     "payload_sha256": payload_sha256}
+                     "payload_sha256": _payload_hash(frame.payload)}
                 )
                 x = frame.payload
             x = apply_layer_range(cache, x, first, last)

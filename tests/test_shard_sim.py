@@ -1,6 +1,7 @@
 """Tests for the sharded ciphertext pipeline simulator."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -186,6 +187,20 @@ class TestFrames:
             ActivationFrame(request_id=-1, shard_index=0, payload=np.zeros((1, 1)))
         with pytest.raises(RangeError):
             ActivationFrame(request_id=0, shard_index=70000, payload=np.zeros((1, 1)))
+        # integers only: a float died in encode_frame, a bool encoded as 1
+        for request_id, shard_index in ((1.5, 0), (True, 0), (0, 1.0), (0, True)):
+            with pytest.raises(RangeError):
+                ActivationFrame(request_id, shard_index, np.zeros((1, 1)))
+        frame = ActivationFrame(np.uint64(2**64 - 1), np.int16(3), np.zeros((1, 1)))
+        assert decode_frame(encode_frame(frame)).request_id == 2**64 - 1
+
+    def test_decoded_frame_sets_every_field(self):
+        # decode_frame skips __post_init__, so a field added to the class
+        # must be set by ActivationFrame._from_wire as well
+        frame = ActivationFrame(request_id=5, shard_index=1, payload=np.ones((2, 3)))
+        again = decode_frame(encode_frame(frame))
+        assert set(vars(again)) == {f.name for f in dataclasses.fields(ActivationFrame)}
+        assert type(again) is ActivationFrame
 
     def test_payload_is_an_owned_read_only_copy(self):
         # built on the sending side from a view, and parsed from a buffer the
