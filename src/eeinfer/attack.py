@@ -78,7 +78,7 @@ import numpy as np
 from .containers import json_ids, read_jsonl, write_jsonl
 from .bench import random_prompts
 from .encryption import check_pairing, encrypt_tokens
-from .errors import ConfigError, RangeError, RefusalError, ShapeError
+from .errors import ConfigError, RangeError, RefusalError, ShapeError, check_int
 from .model import PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
 from .tensor_ops import PermTable
 
@@ -108,16 +108,12 @@ class TranscriptCorpus:
         if not self.pairs:
             raise ConfigError("corpus must contain at least one pair")
         norm = []
+        top = self.vocab_size - 1
         for pair_in, pair_out in self.pairs:
-            pi = tuple(int(t) for t in pair_in)
-            po = tuple(int(t) for t in pair_out)
+            pi, po = (tuple([check_int(t, "token id", RangeError, hi=top) for t in seq])
+                      for seq in (pair_in, pair_out))
             if not pi or not po:
                 raise ConfigError("corpus pairs need a non-empty input and output")
-            for t in pi + po:
-                if not (0 <= t < self.vocab_size):
-                    raise RangeError(
-                        f"token id {t} out of range for vocab_size {self.vocab_size}"
-                    )
             norm.append((pi, po))
         object.__setattr__(self, "pairs", tuple(norm))
 
@@ -147,8 +143,8 @@ def generate_corpus(
 ) -> TranscriptCorpus:
     """Greedy-generate plaintext pairs and publish them encrypted."""
     check_pairing(key, model.config)
-    if n_pairs < 1 or prompt_len < 1 or n_new < 1:
-        raise ConfigError("n_pairs, prompt_len, and n_new must all be >= 1")
+    # random_prompts checks n_pairs, prompt_len and the seed
+    n_new = check_int(n_new, "n_new", ConfigError, lo=1)
     prompts = random_prompts(model.config, n_pairs, prompt_len, seed)
     pairs = []
     for prompt, full in zip(prompts, greedy_decode(model, prompts, n_new)):
@@ -305,8 +301,8 @@ class AttackConfig:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if self.lambda_uni == 0 and self.lambda_bi == 0 and self.lambda_cons == 0:
             raise ConfigError("at least one loss component must have positive weight")
-        if self.budget < 1:
-            raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        self.seed = check_int(self.seed, "seed", ConfigError)
+        self.budget = check_int(self.budget, "budget", ConfigError, lo=1)
         v = self.corpus.vocab_size
         if self.lambda_uni > 0:
             if self.ref_unigram is None:
@@ -320,14 +316,11 @@ class AttackConfig:
             if self.ref_bigram is None:
                 raise ConfigError("lambda_bi > 0 requires ref_bigram")
             for ctx, row in self.ref_bigram.items():
-                if not (0 <= int(ctx) < v) or not row:
-                    raise ConfigError(f"ref_bigram context {ctx!r} invalid")
+                check_int(ctx, "ref_bigram context", ConfigError, hi=v - 1)
+                if not row:
+                    raise ConfigError(f"ref_bigram context {ctx} has no successors")
                 for nxt in row:
-                    if not 0 <= int(nxt) < v:
-                        raise ConfigError(
-                            f"ref_bigram successor {nxt!r} of context {ctx} out of range "
-                            f"for vocab_size {v}"
-                        )
+                    check_int(nxt, f"ref_bigram successor of context {ctx}", ConfigError, hi=v - 1)
                 probs = np.asarray([float(p) for p in row.values()])
                 _check_distribution(probs, f"ref_bigram row for context {ctx}")
         if self.lambda_cons > 0:
@@ -581,8 +574,7 @@ def brute_force(cfg: AttackConfig) -> AttackState:
 
 def random_sampling(cfg: AttackConfig, M: int) -> AttackState:
     """Best of M seeded uniform permutation draws; evals_used = M."""
-    if M < 1:
-        raise ConfigError(f"M must be >= 1, got {M}")
+    M = check_int(M, "M", ConfigError, lo=1)
     n = cfg.corpus.vocab_size
     search = _Search(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -603,8 +595,7 @@ def hill_climb(cfg: AttackConfig, restarts: int = 1) -> AttackState:
     and each restart starts from its own seeded uniform draw. Result is the
     best restart, ties broken by lexicographic map.
     """
-    if restarts < 1:
-        raise ConfigError(f"restarts must be >= 1, got {restarts}")
+    restarts = check_int(restarts, "restarts", ConfigError, lo=1)
     n = cfg.corpus.vocab_size
     search = _Search(cfg)
     # every transposition (i, j), i < j, in lexicographic order

@@ -25,7 +25,7 @@ import numpy as np
 
 from .containers import json_ids, read_jsonl, write_jsonl
 from .encryption import EEKey, decrypt_logits, decrypt_tokens, encrypt_model, encrypt_tokens
-from .errors import ConfigError, DomainError, PairingError, RangeError, ShapeError
+from .errors import ConfigError, DomainError, PairingError, RangeError, ShapeError, check_int
 from .model import (
     CIPHERTEXT,
     PLAINTEXT,
@@ -226,8 +226,8 @@ def measure_latency(
     per repeat, so drift in host speed lands on both arms alike. The
     reported overhead is the median of the per-repeat paired overheads.
     """
-    if repeats < 3:
-        raise ConfigError(f"repeats must be >= 3 for a stable median, got {repeats}")
+    # three repeats at least, for a stable median
+    repeats = check_int(repeats, "repeats", ConfigError, lo=3)
     if not prompts:
         raise DomainError("latency measurement needs at least one prompt")
     _check_arms(model_vi, model_ee, key)
@@ -292,11 +292,11 @@ def emit_report(
 
 def random_prompts(config: ModelConfig, n: int, length: int, seed: int) -> list[TokenSeq]:
     """n uniform plaintext prompts of the given length."""
-    if n < 1 or length < 1:
-        raise ConfigError("n and length must be >= 1")
+    n = check_int(n, "n", ConfigError, lo=1)
+    length = check_int(length, "length", ConfigError, lo=1)
     if length > config.max_seq_len:
         raise ShapeError(f"prompt length {length} exceeds max_seq_len {config.max_seq_len}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", ConfigError))
     return [
         TokenSeq(tuple(int(t) for t in rng.integers(0, config.vocab_size, size=length)), PLAINTEXT)
         for _ in range(n)

@@ -38,6 +38,7 @@ from .errors import (
     PairingError,
     RangeError,
     ShapeError,
+    check_int,
 )
 from .model import (
     CIPHERTEXT,
@@ -112,13 +113,14 @@ def keygen(config: ModelConfig, seed: int, identity: bool = False) -> EEKey:
     Draw order is key_layout's order. identity=True is the reserved mode that
     yields the do-nothing key (seed is still recorded).
     """
+    seed = check_int(seed, "seed", ConfigError)
     rng = np.random.default_rng(seed)
     layout = _config_layout(config)
     tables = tuple(
         PermTable.identity(n) if identity else PermTable.random(n, rng)
         for _, _, n in key_layout(layout)
     )
-    return EEKey(int(seed), config_fingerprint(config), layout, tables)
+    return EEKey(seed, config_fingerprint(config), layout, tables)
 
 
 def check_pairing(key: EEKey, config: ModelConfig) -> None:
@@ -206,10 +208,13 @@ def save_key(key: EEKey, path: str | Path) -> None:
 def load_key(path: str | Path) -> EEKey:
     header, payload, payload_base = read_container(path, KEY_MAGIC)
     try:
-        seed = int(header["seed"])
+        seed = check_int(header["seed"], "key header seed", FormatError)
         fingerprint = str(header["model_fingerprint"])
-        layout = {field: int(header["layout"][field]) for field in LAYOUT_FIELDS}
-    except (KeyError, TypeError, ValueError) as exc:
+        layout = {
+            field: check_int(header["layout"][field], f"key header {field}", FormatError, lo=1)
+            for field in LAYOUT_FIELDS
+        }
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"key header is malformed: {exc}") from exc
     sizes = [n for _, _, n in key_layout(layout)]
     expected_len = 4 * sum(sizes) + 4  # tables plus trailing checksum

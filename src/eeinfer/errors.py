@@ -3,8 +3,13 @@
 Each class maps to one failure family and carries the CLI exit code for it as
 ``exit_code``. Library code raises these instead of bare ValueError so callers
 can route on type without string matching.
+
+check_int is the one rule for every count, size, index and seed the library
+takes: each site names the class it raises.
 """
 from __future__ import annotations
+
+import numpy as np
 
 
 class EEError(Exception):
@@ -83,3 +88,19 @@ class NumericsError(EEError):
     """An operation met non-finite values it cannot give a meaningful answer for."""
 
     exit_code = 14
+
+
+def check_int(
+    value: object, name: str, error: type[EEError], lo: int = 0, hi: int | None = None
+) -> int:
+    """``value`` as a plain int, refused with ``error`` unless it is an int or
+    a numpy integer in lo..hi (no upper bound when hi is None). A bool is
+    refused, not taken as 0 or 1, and a float is refused, not truncated."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise error(f"{name} must be an integer {bounds}, got {value}")
+    return value

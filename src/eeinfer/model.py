@@ -55,6 +55,7 @@ from .errors import (
     NumericsError,
     RangeError,
     ShapeError,
+    check_int,
 )
 from .tensor_ops import ACTIVATION_KINDS, activate, softmax_rows
 # the unchecked bodies: ModelBundle checked the weights, and apply_layer_range
@@ -91,15 +92,8 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_head", "d_ff", "max_seq_len"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.max_seq_len < 1:
-            raise ConfigError(f"max_seq_len must be >= 1, got {self.max_seq_len}")
-        if min(self.d_model, self.n_layers, self.n_heads, self.d_head, self.d_ff) < 1:
-            raise ConfigError("d_model, n_layers, n_heads, d_head, d_ff must all be >= 1")
+            lo = 2 if name == "vocab_size" else 1
+            object.__setattr__(self, name, check_int(getattr(self, name), name, ConfigError, lo))
         if self.n_heads * self.d_head != self.d_model:
             raise ConfigError(
                 f"n_heads * d_head must equal d_model "
@@ -151,7 +145,8 @@ def make_config(
     **kwargs: object,
 ) -> ModelConfig:
     """Convenience constructor that derives d_head = d_model / n_heads."""
-    if n_heads < 1 or d_model % n_heads != 0:
+    n_heads = check_int(n_heads, "n_heads", ConfigError, lo=1)
+    if d_model % n_heads != 0:
         raise ConfigError(f"d_model {d_model} is not divisible by n_heads {n_heads}")
     return ModelConfig(
         vocab_size=vocab_size,
@@ -180,9 +175,7 @@ class TokenSeq:
     def __post_init__(self) -> None:
         if self.domain not in DOMAINS:
             raise DomainError(f"domain must be one of {DOMAINS}, got {self.domain!r}")
-        ids = tuple(map(int, self.ids))
-        if ids and min(ids) < 0:
-            raise RangeError("token ids must be non-negative")
+        ids = tuple([check_int(i, "token id", RangeError) for i in self.ids])
         object.__setattr__(self, "ids", ids)
 
     def __len__(self) -> int:
@@ -314,7 +307,7 @@ class ModelBundle:
 def init_model(config: ModelConfig, seed: int) -> ModelBundle:
     """Seeded deterministic init: weights and biases normal(0, 0.02), norm
     gains 1, norm offsets 0. Draw order is the expected_tensor_shapes order."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", ConfigError))
     tensors: dict[str, np.ndarray] = {}
     for name, shape in expected_tensor_shapes(config).items():
         if name.endswith(".gain"):
@@ -326,41 +319,37 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
     return ModelBundle(config, PLAINTEXT, tensors)
 
 
-def _validate_prompt(model: ModelBundle, tokens: TokenSeq, extra: int = 0) -> None:
-    """Refuse ``tokens`` on ``model`` with ``extra`` more positions: the n_new
-    of a decode, checked first, or the cached length ahead of a forward pass."""
-    if extra < 0:
-        raise RangeError(f"n_new must be >= 0, got {extra}")
-    if tokens.domain != model.domain:
-        raise DomainError(
-            f"token sequence is {tokens.domain} but the model is {model.domain}; "
-            "encrypt/decrypt at the boundary instead of mixing domains"
-        )
-    if len(tokens) == 0:
-        raise ShapeError("prompt must contain at least one token")
-    if len(tokens) + extra > model.config.max_seq_len:
-        raise ShapeError(
-            f"sequence length {len(tokens)}+{extra} exceeds max_seq_len "
-            f"{model.config.max_seq_len}"
-        )
-    if max(tokens.ids) >= model.config.vocab_size:
-        raise RangeError(
-            f"token id {max(tokens.ids)} out of range for vocab_size {model.config.vocab_size}"
-        )
-
-
-def _validate_batch(model: ModelBundle, batch: list[TokenSeq], extra: int) -> None:
-    """_validate_prompt for each request of a batch, which must not be empty
-    and whose sequences must all have the same length."""
+def _validate_batch(model: ModelBundle, batch: list[TokenSeq], extra: int) -> int:
+    """Refuse a batch of token sequences on ``model`` with ``extra`` more
+    positions each: the n_new of a decode, checked once and returned as an
+    int, or the cached length ahead of a forward pass. The batch must not be
+    empty and its sequences must all have the same length."""
     if not batch:
         raise ShapeError("a batch needs at least one token sequence")
+    extra = check_int(extra, "n_new", RangeError)
     for tokens in batch:
         if len(tokens) != len(batch[0]):
             raise ShapeError(
                 f"sequences in a batch must have equal lengths, got {len(batch[0])} "
                 f"and {len(tokens)}"
             )
-        _validate_prompt(model, tokens, extra)
+        if tokens.domain != model.domain:
+            raise DomainError(
+                f"token sequence is {tokens.domain} but the model is {model.domain}; "
+                "encrypt/decrypt at the boundary instead of mixing domains"
+            )
+        if len(tokens) == 0:
+            raise ShapeError("prompt must contain at least one token")
+        if len(tokens) + extra > model.config.max_seq_len:
+            raise ShapeError(
+                f"sequence length {len(tokens)}+{extra} exceeds max_seq_len "
+                f"{model.config.max_seq_len}"
+            )
+        if max(tokens.ids) >= model.config.vocab_size:
+            raise RangeError(
+                f"token id {max(tokens.ids)} out of range for vocab_size {model.config.vocab_size}"
+            )
+    return extra
 
 
 def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.ndarray:
@@ -383,10 +372,9 @@ def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.nda
                 f"token id {lo if lo < 0 else hi} out of range for vocab_size "
                 f"{model.config.vocab_size}"
             )
+    # a negative slice start would count from the end of the table
+    start = check_int(start, "start position", ShapeError)
     end = start + idx.shape[-1]
-    if start < 0:
-        # a negative slice start would count from the end of the table
-        raise ShapeError(f"positions {start}..{end - 1} start before position 0")
     if end > model.config.max_seq_len:
         raise ShapeError(
             f"positions {start}..{end - 1} exceed max_seq_len {model.config.max_seq_len}"
@@ -409,12 +397,10 @@ class KVCache:
     """
 
     def __init__(self, model: ModelBundle, first: int, last: int, requests: int = 1) -> None:
-        if not (0 <= first <= last < model.config.n_layers):
-            raise ShapeError(
-                f"layer range ({first}, {last}) invalid for n_layers {model.config.n_layers}"
-            )
-        if requests < 1:
-            raise ShapeError(f"a cache needs at least one request, got {requests}")
+        top = model.config.n_layers - 1
+        first = check_int(first, "first layer", ShapeError, hi=top)
+        last = check_int(last, "last layer", ShapeError, lo=first, hi=top)
+        requests = check_int(requests, "requests", ShapeError, lo=1)
         self.model = model
         self.layers = range(first, last + 1)
         self.requests = requests
@@ -551,7 +537,7 @@ def greedy_decode(
     request gets the tokens it would get alone.
     """
     batch = [prompts] if isinstance(prompts, TokenSeq) else list(prompts)
-    _validate_batch(model, batch, n_new)
+    n_new = _validate_batch(model, batch, n_new)
     last = model.config.n_layers - 1
     cache = KVCache(model, 0, last, len(batch))
     new = np.empty((len(batch), n_new), dtype=np.int64)
@@ -608,11 +594,13 @@ def load_model(path: str | Path) -> ModelBundle:
     for entry in header["tensors"]:
         try:
             name = entry["name"]
-            shape = tuple(int(s) for s in entry["shape"])
-            offset = int(entry["offset"])
-            length = int(entry["length"])
-            crc = int(entry["crc32"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shape = tuple(
+                check_int(s, f"tensor {name!r} shape", FormatError) for s in entry["shape"]
+            )
+            offset = check_int(entry["offset"], f"tensor {name!r} offset", FormatError)
+            length = check_int(entry["length"], f"tensor {name!r} length", FormatError)
+            crc = check_int(entry["crc32"], f"tensor {name!r} crc32", FormatError, hi=2**32 - 1)
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed tensor directory entry: {exc}") from exc
         expected_len = int(np.prod(shape)) * 8 if shape else 8
         if length != expected_len:
@@ -620,7 +608,7 @@ def load_model(path: str | Path) -> ModelBundle:
                 f"tensor {name!r} length {length} disagrees with shape {shape}",
                 offset=payload_base + offset,
             )
-        if offset < 0 or offset + length > len(payload):
+        if offset + length > len(payload):
             raise FormatError(
                 f"tensor {name!r} payload is truncated", offset=payload_base + offset
             )

@@ -52,6 +52,7 @@ from .errors import (
     RangeError,
     ShapeError,
     VersionError,
+    check_int,
 )
 from .model import (
     CIPHERTEXT,
@@ -59,7 +60,7 @@ from .model import (
     ModelBundle,
     ModelConfig,
     TokenSeq,
-    _validate_prompt,
+    _validate_batch,
     apply_layer_range,
     embed_positions,
     final_logits,
@@ -82,10 +83,11 @@ class ShardPlan:
     def __post_init__(self) -> None:
         if not self.ranges:
             raise ConfigError("a shard plan needs at least one range")
-        ranges = tuple((int(a), int(b)) for a, b in self.ranges)
-        for first, last in ranges:
-            if first < 0 or last < first:
-                raise ConfigError(f"invalid layer range ({first}, {last})")
+        ranges = []
+        for first, last in self.ranges:
+            first = check_int(first, "first layer", ConfigError)
+            ranges.append((first, check_int(last, "last layer", ConfigError, lo=first)))
+        ranges = tuple(ranges)
         for (_, prev_last), (nxt_first, _) in zip(ranges, ranges[1:]):
             if nxt_first != prev_last + 1:
                 raise ConfigError("shard ranges must be contiguous and ordered")
@@ -94,8 +96,7 @@ class ShardPlan:
 
 def plan_shards(config: ModelConfig, n: int) -> ShardPlan:
     """Balanced contiguous split; earlier shards absorb the remainder."""
-    if n < 1 or n > config.n_layers:
-        raise ConfigError(f"cannot split {config.n_layers} layers into {n} shards")
+    n = check_int(n, "shard count", ConfigError, lo=1, hi=config.n_layers)
     base, rem = divmod(config.n_layers, n)
     ranges = []
     first = 0
@@ -114,11 +115,6 @@ def _plan_matches(plan: ShardPlan, config: ModelConfig) -> None:
         )
 
 
-def _is_count(value: object) -> bool:
-    """An integer >= 0; numpy integers count, a bool does not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
-
-
 @dataclass(frozen=True, eq=False)
 class ActivationFrame:
     """One hop's encrypted residual activations (seq_len x d_model, f64): the
@@ -129,15 +125,13 @@ class ActivationFrame:
     payload: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (_is_count(self.request_id) and self.request_id < 2**64):
-            raise RangeError(f"request_id {self.request_id!r} is not an integer in 0..2**64-1")
-        if not (_is_count(self.shard_index) and self.shard_index < 2**16):
-            raise RangeError(f"shard_index {self.shard_index!r} is not an integer in 0..2**16-1")
+        request_id = check_int(self.request_id, "request_id", RangeError, hi=2**64 - 1)
+        shard_index = check_int(self.shard_index, "shard_index", RangeError, hi=2**16 - 1)
         payload = np.array(self.payload, dtype=np.float64, order="C")
         if payload.ndim != 2 or payload.shape[0] < 1 or payload.shape[1] < 1:
             raise ShapeError(f"payload must be 2D and non-empty, got shape {payload.shape}")
         payload.setflags(write=False)
-        object.__setattr__(self, "payload", payload)
+        vars(self).update(request_id=request_id, shard_index=shard_index, payload=payload)
 
     @classmethod
     def _from_wire(cls, request_id: int, shard_index: int, payload: np.ndarray) -> ActivationFrame:
@@ -231,18 +225,16 @@ class BrokerConfig:
     spares: int = 0
 
     def __post_init__(self) -> None:
-        if not _is_count(self.seed):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        seed = check_int(self.seed, "seed", ConfigError)
         # NaN fails every comparison, so this refuses it too
         if not 0 <= self.latency_lo <= self.latency_hi < np.inf:
             raise ConfigError("latency bounds need 0 <= lo <= hi, both finite")
-        if not _is_count(self.spares):
-            raise ConfigError(f"spares must be an integer >= 0, got {self.spares!r}")
-        failures = tuple(self.failures)
-        for node, step in failures:
-            if not (_is_count(node) and _is_count(step)):
-                raise ConfigError(f"failure injection ({node!r}, {step!r}) invalid")
-        object.__setattr__(self, "failures", tuple((int(n), int(s)) for n, s in failures))
+        spares = check_int(self.spares, "spares", ConfigError)
+        failures = tuple(
+            (check_int(n, "failure node", ConfigError), check_int(t, "failure step", ConfigError))
+            for n, t in self.failures
+        )
+        vars(self).update(seed=seed, spares=spares, failures=failures)
 
 
 class Transcript:
@@ -289,10 +281,9 @@ def run_pipeline(
     if enc_model.domain != CIPHERTEXT:
         raise DomainError("the shard pipeline runs the encrypted model only")
     _plan_matches(plan, enc_model.config)
-    _validate_prompt(enc_model, prompt, extra=n_new)
+    n_new = _validate_batch(enc_model, [prompt], n_new)
     # checked before the first message; the frame header holds a u64
-    if not (_is_count(request_id) and int(request_id) < 2**64):
-        raise RangeError(f"request_id {request_id!r} is not an integer in 0..2**64-1")
+    request_id = check_int(request_id, "request_id", RangeError, hi=2**64 - 1)
 
     n_shards = len(plan.ranges)
     transport = transport if transport is not None else InProcessTransport()
@@ -361,7 +352,7 @@ def run_pipeline(
                 # the bytes json.dumps gives for {"request_id": ..., "token_ids": [...]}
                 rows = ", ".join(map(str, ids[cache.length :])).encode()
                 transport.send(b'{"request_id": %d, "token_ids": [%s]}' % (request_id, rows))
-                token_ids = json.loads(transport.recv())["token_ids"]
+                token_ids = json.loads(transport.recv().decode())["token_ids"]
                 entries.append(
                     {"step": deliveries, "time": clock, "token_index": token_index,
                      "to_node": assignment[0], "shard": 0, "kind": "tokens_in",
@@ -387,7 +378,7 @@ def run_pipeline(
         next_id = int(np.argmax(logits[0]))
         deliver()
         transport.send(b'{"request_id": %d, "token_id": %d}' % (request_id, next_id))
-        token_id = int(json.loads(transport.recv())["token_id"])
+        token_id = int(json.loads(transport.recv().decode())["token_id"])
         entries.append(
             {"step": deliveries, "time": clock, "token_index": token_index, "kind": "token_out",
              "from_node": assignment[-1], "token_id": token_id}

@@ -392,7 +392,7 @@ class TestIncremental:
         with pytest.raises(ShapeError, match="0 rows .* at least one"):
             apply_layer_range(KVCache(model, 0, 1), x[:0], 0, 1)
         for requests in (0, -1):
-            with pytest.raises(ShapeError, match="at least one request"):
+            with pytest.raises(ShapeError, match="requests must be an integer >= 1"):
                 KVCache(model, 0, 1, requests)
 
     def test_positions_past_max_seq_len_refused(self, tiny_model):
@@ -410,11 +410,11 @@ class TestIncremental:
     def test_positions_before_zero_refused(self, tiny_model):
         # a negative start would slice positional rows from the end of the
         # table (start -3: positions max_seq_len - 3 on), or too few of them
-        with pytest.raises(ShapeError, match=r"positions -3\.\.-2 start before position 0"):
+        with pytest.raises(ShapeError, match="start position must be an integer >= 0, got -3"):
             embed_positions(tiny_model, [3, 4], start=-3)
-        with pytest.raises(ShapeError, match=r"positions -1\.\.0 start before position 0"):
+        with pytest.raises(ShapeError, match="start position must be an integer >= 0, got -1"):
             embed_positions(tiny_model, [3, 4], start=-1)
-        with pytest.raises(ShapeError, match="start before position 0"):
+        with pytest.raises(ShapeError, match="start position must be an integer >= 0"):
             embed_positions(tiny_model, [(3, 4)], start=-1)
 
     def test_ids_outside_the_vocab_or_not_integers_refused(self):
