@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from eeinfer.bench import _compare_arms, emit_report, measure_latency, random_prompts
-from eeinfer.encryption import encrypt_model, keygen
+from eeinfer.bench import Arms, compare_arms, emit_report, measure_latency, random_prompts
+from eeinfer.encryption import keygen
 from eeinfer.model import init_model, make_config
 
 
@@ -35,12 +35,9 @@ def main() -> None:
         ("random-key", keygen(config, seed=args.seed)),
         ("identity-key", keygen(config, seed=0, identity=True)),
     ):
-        enc = encrypt_model(key, model)
-        lat = measure_latency(
-            model, enc, key, prompts[:10], n_new=args.n_new, repeats=args.repeats
-        )
-        # measure_latency checked the arms, which encrypts the model once
-        fid, _ = _compare_arms(model, enc, key, prompts, n_new=0)
+        arms = Arms(model, key)
+        lat = measure_latency(arms, prompts[:10], n_new=args.n_new, repeats=args.repeats)
+        fid, _ = compare_arms(arms, prompts, n_new=0)
         json_path, md_path = emit_report(fid, lat, out_dir / name, model_name=name)
         print(
             f"{name}: fidelity {fid.fidelity:.9f} over {fid.n} prompts, "

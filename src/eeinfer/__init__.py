@@ -15,7 +15,7 @@ alone can undo the permutation on the way out. Submodules:
 """
 from __future__ import annotations
 
-from eeinfer.bench import compare_arms
+from eeinfer.bench import Arms, compare_arms
 from eeinfer.encryption import (
     EEKey,
     decrypt_logits,
@@ -43,6 +43,7 @@ from eeinfer.model import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Arms",
     "CIPHERTEXT",
     "EEKey",
     "ModelBundle",

@@ -105,12 +105,13 @@ class TranscriptCorpus:
     vocab_size: int
 
     def __post_init__(self) -> None:
+        vocab = check_int(self.vocab_size, "vocab_size", ConfigError, lo=2)
+        object.__setattr__(self, "vocab_size", vocab)
         if not self.pairs:
             raise ConfigError("corpus must contain at least one pair")
         norm = []
-        top = self.vocab_size - 1
         for pair_in, pair_out in self.pairs:
-            pi, po = (tuple([check_int(t, "token id", RangeError, hi=top) for t in seq])
+            pi, po = (tuple([check_int(t, "token id", RangeError, hi=vocab - 1) for t in seq])
                       for seq in (pair_in, pair_out))
             if not pi or not po:
                 raise ConfigError("corpus pairs need a non-empty input and output")

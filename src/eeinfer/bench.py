@@ -25,16 +25,8 @@ import numpy as np
 
 from .containers import json_ids, read_jsonl, write_jsonl
 from .encryption import EEKey, decrypt_logits, decrypt_tokens, encrypt_model, encrypt_tokens
-from .errors import ConfigError, DomainError, PairingError, RangeError, ShapeError, check_int
-from .model import (
-    CIPHERTEXT,
-    PLAINTEXT,
-    ModelBundle,
-    ModelConfig,
-    TokenSeq,
-    forward,
-    greedy_decode,
-)
+from .errors import ConfigError, DomainError, RangeError, ShapeError, check_int
+from .model import PLAINTEXT, ModelBundle, ModelConfig, TokenSeq, forward, greedy_decode
 from .tensor_ops import softmax_rows
 
 
@@ -127,17 +119,21 @@ class LatencyReport:
         object.__setattr__(self, "repeats", len(self.vi_samples))
 
 
-def _check_arms(model_vi: ModelBundle, model_ee: ModelBundle, key: EEKey) -> None:
-    """The EE arm must be the VI arm encrypted under the key, byte for byte."""
-    if model_vi.domain != PLAINTEXT:
-        raise DomainError("the VI arm needs a plaintext model")
-    if model_ee.domain != CIPHERTEXT:
-        raise DomainError("the EE arm needs a ciphertext model")
-    expected = encrypt_model(key, model_vi).tensors
-    if model_ee.config != model_vi.config or any(
-        model_ee.tensors[name].tobytes() != t.tobytes() for name, t in expected.items()
-    ):
-        raise PairingError("the EE arm is not the VI arm encrypted under this key")
+@dataclass(frozen=True)
+class Arms:
+    """The two arms of a comparison: the plaintext (VI) model, the key, and
+    the ciphertext (EE) model, which is the VI model encrypted under the key.
+
+    encrypt_model refuses a ciphertext VI model (DomainError) and a key made
+    for another config (PairingError).
+    """
+
+    vi: ModelBundle
+    key: EEKey
+    ee: ModelBundle = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ee", encrypt_model(self.key, self.vi))
 
 
 def _confidence(row: np.ndarray) -> float:
@@ -146,11 +142,7 @@ def _confidence(row: np.ndarray) -> float:
 
 
 def compare_arms(
-    model_vi: ModelBundle,
-    model_ee: ModelBundle,
-    key: EEKey,
-    prompts: Sequence[TokenSeq],
-    n_new: int,
+    arms: Arms, prompts: Sequence[TokenSeq], n_new: int
 ) -> tuple[FidelityReport, EquivarianceReport]:
     """Plaintext against decrypted ciphertext inference over a prompt set.
 
@@ -159,21 +151,9 @@ def compare_arms(
     the last prompt position, equivariance the prompt rows, the tokens and
     the plaintext top-2 margin.
     """
-    _check_arms(model_vi, model_ee, key)
     if not prompts:
         raise DomainError("fidelity needs at least one prompt")
-    return _compare_arms(model_vi, model_ee, key, prompts, n_new)
-
-
-def _compare_arms(
-    model_vi: ModelBundle,
-    model_ee: ModelBundle,
-    key: EEKey,
-    prompts: Sequence[TokenSeq],
-    n_new: int,
-) -> tuple[FidelityReport, EquivarianceReport]:
-    """compare_arms on arms and prompts already checked: measure_latency's
-    checks cover compare_arms' too."""
+    vi, ee, key = arms.vi, arms.ee, arms.key
     scores_vi: list[float] = []
     scores_ee: list[float] = []
     max_diff = 0.0
@@ -184,17 +164,17 @@ def _compare_arms(
         c_prompt = encrypt_tokens(key, prompt)
         recoverable &= decrypt_tokens(key, c_prompt).ids == prompt.ids
         if n_new == 0:
-            plain_logits = forward(model_vi, prompt)
+            plain_logits = forward(vi, prompt)
         else:
-            plain_out = greedy_decode(model_vi, prompt, n_new)
-            cipher_out = decrypt_tokens(key, greedy_decode(model_ee, c_prompt, n_new))
+            plain_out = greedy_decode(vi, prompt, n_new)
+            cipher_out = decrypt_tokens(key, greedy_decode(ee, c_prompt, n_new))
             token_match &= plain_out.ids == cipher_out.ids
             # forward is row-local: its rows equal what decoding saw at each position,
             # and its first len(prompt) rows equal a pass over the prompt alone
-            plain_logits = forward(model_vi, TokenSeq(plain_out.ids[:-1], PLAINTEXT))
+            plain_logits = forward(vi, TokenSeq(plain_out.ids[:-1], PLAINTEXT))
             top2 = np.sort(plain_logits[len(prompt) - 1 :], axis=1)[:, -2:]
             margin = min(margin, float(np.min(top2[:, 1] - top2[:, 0])))
-        cipher_logits = decrypt_logits(key, forward(model_ee, c_prompt))
+        cipher_logits = decrypt_logits(key, forward(ee, c_prompt))
         scores_vi.append(_confidence(plain_logits[len(prompt) - 1 : len(prompt)]))
         scores_ee.append(_confidence(cipher_logits[-1:]))
         diff = plain_logits[: len(prompt)] - cipher_logits
@@ -211,12 +191,7 @@ def _compare_arms(
 
 
 def measure_latency(
-    model_vi: ModelBundle,
-    model_ee: ModelBundle,
-    key: EEKey,
-    prompts: Sequence[TokenSeq],
-    n_new: int,
-    repeats: int,
+    arms: Arms, prompts: Sequence[TokenSeq], n_new: int, repeats: int
 ) -> LatencyReport:
     """Median wall-clock seconds per arm over the same prompts and length.
 
@@ -230,22 +205,22 @@ def measure_latency(
     repeats = check_int(repeats, "repeats", ConfigError, lo=3)
     if not prompts:
         raise DomainError("latency measurement needs at least one prompt")
-    _check_arms(model_vi, model_ee, key)
-    arms = (
-        lambda p: greedy_decode(model_vi, p, n_new),
-        lambda p: decrypt_tokens(key, greedy_decode(model_ee, encrypt_tokens(key, p), n_new)),
+    vi, ee, key = arms.vi, arms.ee, arms.key
+    pipelines = (
+        lambda p: greedy_decode(vi, p, n_new),
+        lambda p: decrypt_tokens(key, greedy_decode(ee, encrypt_tokens(key, p), n_new)),
     )
-    for arm in arms:
+    for pipeline in pipelines:
         for p in prompts:
-            arm(p)
+            pipeline(p)
     samples = []
-    order = [0, 1]  # indices into arms, VI first
+    order = [0, 1]  # indices into pipelines, VI first
     for _ in range(repeats):
         totals = [0.0, 0.0]
         for p in prompts:
             for i in order:
                 t0 = time.perf_counter()
-                arms[i](p)
+                pipelines[i](p)
                 totals[i] += time.perf_counter() - t0
             order.reverse()
         samples.append(totals)

@@ -133,15 +133,12 @@ def cmd_infer(resolved: dict) -> None:
 
 
 def cmd_fidelity(resolved: dict) -> None:
-    vi = load_model(resolved["vi_model"])
-    ee = load_model(resolved["ee_model"])
-    key = load_key(resolved["key"])
+    arms = bench_mod.Arms(load_model(resolved["vi_model"]), load_key(resolved["key"]))
     prompts = bench_mod.load_prompts(resolved["prompts"])
     lat = bench_mod.measure_latency(
-        vi, ee, key, prompts, n_new=resolved["n_new"], repeats=resolved["repeats"]
+        arms, prompts, n_new=resolved["n_new"], repeats=resolved["repeats"]
     )
-    # measure_latency checked the arms, which encrypts the VI model once
-    fid, eq = bench_mod._compare_arms(vi, ee, key, prompts, resolved["n_new"])
+    fid, eq = bench_mod.compare_arms(arms, prompts, resolved["n_new"])
     json_path, md_path = bench_mod.emit_report(
         fid, lat, resolved["out"], model_name=resolved["model_name"]
     )
@@ -363,7 +360,6 @@ COMMANDS: dict[str, tuple] = {
     )),
     "fidelity": (cmd_fidelity, (
         ("--vi-model", REQUIRED, _STR),
-        ("--ee-model", REQUIRED, _STR),
         ("--key", REQUIRED, _STR),
         ("--prompts", REQUIRED, _STR),
         ("--out", REQUIRED, _STR),

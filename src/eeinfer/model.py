@@ -433,6 +433,8 @@ def apply_layer_range(
     float64. Each request needs at least one row, and the rows must fit in
     max_seq_len.
     """
+    first = check_int(first, "first layer", ShapeError)
+    last = check_int(last, "last layer", ShapeError)
     if cache.layers != range(first, last + 1):
         raise ShapeError(
             f"cache holds layers {cache.layers.start}..{cache.layers.stop - 1}, "
@@ -590,6 +592,8 @@ def load_model(path: str | Path) -> ModelBundle:
     domain = header["domain"]
     if domain not in DOMAINS:
         raise FormatError(f"model header domain {domain!r} is invalid")
+    if not isinstance(header["tensors"], list):
+        raise FormatError("model header tensors field must be a list")
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         try:

@@ -19,7 +19,7 @@ from eeinfer.attack import (
     hill_climb,
     random_sampling,
 )
-from eeinfer.bench import compare_arms, measure_latency, random_prompts
+from eeinfer.bench import Arms, compare_arms, measure_latency, random_prompts
 from eeinfer.encryption import (
     decrypt_tokens,
     encrypt_model,
@@ -50,8 +50,8 @@ def toy_key():
 
 
 @pytest.fixture(scope="module")
-def toy_enc(toy_model, toy_key):
-    return encrypt_model(toy_key, toy_model)
+def toy_arms(toy_model, toy_key):
+    return Arms(toy_model, toy_key)
 
 
 def announce(capsys, line: str) -> None:
@@ -63,7 +63,7 @@ def test_criterion_1_equivariance(toy_model, capsys):
     start = time.perf_counter()
     key = keygen(TOY, seed=2024)
     prompts = random_prompts(TOY, 20, 16, seed=7)
-    _, report = compare_arms(toy_model, encrypt_model(key, toy_model), key, prompts, n_new=0)
+    _, report = compare_arms(Arms(toy_model, key), prompts, n_new=0)
     elapsed = time.perf_counter() - start
     assert not key.is_identity
     assert report.n_prompts == 20
@@ -94,9 +94,9 @@ def test_criterion_2_recoverability(toy_key, capsys):
     )
 
 
-def test_criterion_3_output_consistency(toy_model, toy_enc, toy_key, capsys):
+def test_criterion_3_output_consistency(toy_arms, capsys):
     prompts = random_prompts(TOY, 20, 16, seed=7)
-    _, report = compare_arms(toy_model, toy_enc, toy_key, prompts, n_new=32)
+    _, report = compare_arms(toy_arms, prompts, n_new=32)
     assert report.token_match
     assert report.recoverability_ok
     announce(
@@ -106,14 +106,13 @@ def test_criterion_3_output_consistency(toy_model, toy_enc, toy_key, capsys):
     )
 
 
-def test_criterion_4_fidelity(toy_model, toy_enc, toy_key, capsys):
+def test_criterion_4_fidelity(toy_model, toy_arms, capsys):
     prompts = random_prompts(TOY, 100, 8, seed=11)
-    random_report, _ = compare_arms(toy_model, toy_enc, toy_key, prompts, n_new=0)
+    random_report, _ = compare_arms(toy_arms, prompts, n_new=0)
     assert random_report.fidelity >= 0.999999
 
-    id_key = keygen(TOY, seed=0, identity=True)
-    id_enc = encrypt_model(id_key, toy_model)
-    id_report, _ = compare_arms(toy_model, id_enc, id_key, prompts, n_new=0)
+    id_arms = Arms(toy_model, keygen(TOY, seed=0, identity=True))
+    id_report, _ = compare_arms(id_arms, prompts, n_new=0)
     assert id_report.fidelity == 1.0
     announce(
         capsys,
@@ -123,9 +122,9 @@ def test_criterion_4_fidelity(toy_model, toy_enc, toy_key, capsys):
     )
 
 
-def test_criterion_5_latency_overhead(toy_model, toy_enc, toy_key, capsys):
+def test_criterion_5_latency_overhead(toy_arms, capsys):
     prompts = random_prompts(TOY, 10, 16, seed=5)
-    report = measure_latency(toy_model, toy_enc, toy_key, prompts, n_new=32, repeats=10)
+    report = measure_latency(toy_arms, prompts, n_new=32, repeats=10)
     assert abs(report.delta_t_pct) <= 5.0
     announce(
         capsys,

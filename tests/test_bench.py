@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eeinfer.bench import (
+    Arms,
     FidelityReport,
     LatencyReport,
     compare_arms,
@@ -117,65 +118,57 @@ class TestFidelityReport:
 
 @pytest.fixture(scope="module")
 def bench_setup(tiny_model):
-    key = keygen(tiny_model.config, seed=99)
-    return tiny_model, encrypt_model(key, tiny_model), key
+    return Arms(tiny_model, keygen(tiny_model.config, seed=99))
 
 
 class TestFidelitySuite:
     def test_identity_key_exact_one(self, tiny_model):
-        key = keygen(tiny_model.config, seed=0, identity=True)
-        enc = encrypt_model(key, tiny_model)
+        arms = Arms(tiny_model, keygen(tiny_model.config, seed=0, identity=True))
         prompts = random_prompts(tiny_model.config, 10, 5, seed=1)
-        report, _ = compare_arms(tiny_model, enc, key, prompts, n_new=0)
+        report, _ = compare_arms(arms, prompts, n_new=0)
         assert report.fidelity == 1.0
         assert report.n == 10
         assert report.scores_vi == report.scores_ee
 
     def test_random_key_near_one(self, bench_setup):
-        vi, ee, key = bench_setup
-        prompts = random_prompts(vi.config, 20, 6, seed=2)
-        report, _ = compare_arms(vi, ee, key, prompts, n_new=0)
+        prompts = random_prompts(bench_setup.vi.config, 20, 6, seed=2)
+        report, _ = compare_arms(bench_setup, prompts, n_new=0)
         assert report.fidelity >= 1.0 - 1e-6
         assert report.skipped_zero_pairs == 0
 
     def test_ee_confidence_matches_plaintext(self, bench_setup):
-        vi, ee, key = bench_setup
+        vi = bench_setup.vi
         prompt = random_prompts(vi.config, 1, 7, seed=3)[0]
-        report, _ = compare_arms(vi, ee, key, [prompt], n_new=0)
+        report, _ = compare_arms(bench_setup, [prompt], n_new=0)
         (a,), (b,) = report.scores_vi, report.scores_ee
         assert a == pytest.approx(b, abs=1e-12)
         # the softmax probability of the argmax token at the last prompt position
         assert a == float(softmax_rows(forward(vi, prompt)[-1:])[0].max())
 
     def test_mismatched_key_pairing_error(self, bench_setup):
-        vi, ee, _ = bench_setup
+        vi = bench_setup.vi
         other = keygen(make_config(32, 16, 2, 2, 32, 8), seed=1000)
         other_model_key = keygen(make_config(16, 8, 1, 1, 16, 6), seed=5)
         prompts = random_prompts(vi.config, 2, 4, seed=4)
         with pytest.raises(PairingError):
-            compare_arms(vi, ee, other_model_key, prompts, n_new=0)
+            Arms(vi, other_model_key)
         # same config but a different seeded key still pairs fine
-        report, _ = compare_arms(vi, encrypt_model(other, vi), other, prompts, n_new=0)
+        report, _ = compare_arms(Arms(vi, other), prompts, n_new=0)
         assert report.fidelity >= 1.0 - 1e-6
 
-    def test_arm_encrypted_under_another_key_pairing_error(self, bench_setup):
-        vi, _, key = bench_setup
-        other = encrypt_model(keygen(vi.config, seed=1000), vi)
-        prompts = random_prompts(vi.config, 2, 4, seed=4)
-        with pytest.raises(PairingError):
-            compare_arms(vi, other, key, prompts, n_new=0)
-        with pytest.raises(PairingError):
-            measure_latency(vi, other, key, prompts, n_new=2, repeats=3)
+    def test_ee_arm_is_vi_encrypted_under_key(self, bench_setup):
+        expected = encrypt_model(bench_setup.key, bench_setup.vi).tensors
+        assert bench_setup.ee.config is bench_setup.vi.config
+        for name, t in expected.items():
+            assert bench_setup.ee.tensors[name].tobytes() == t.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bench_setup.ee = bench_setup.vi
 
     def test_domain_guards(self, bench_setup):
-        vi, ee, key = bench_setup
-        prompts = random_prompts(vi.config, 2, 4, seed=5)
         with pytest.raises(DomainError):
-            compare_arms(ee, ee, key, prompts, n_new=0)
+            Arms(bench_setup.ee, bench_setup.key)
         with pytest.raises(DomainError):
-            compare_arms(vi, vi, key, prompts, n_new=0)
-        with pytest.raises(DomainError):
-            compare_arms(vi, ee, key, [], n_new=0)
+            compare_arms(bench_setup, [], n_new=0)
 
 
 # The README quickstart: init-model --seed 42, keygen --seed 7 and make-prompts
@@ -200,7 +193,7 @@ def test_golden_quickstart_reports(tmp_path, n_new, margin):
     vi = init_model(config, seed=42)
     key = keygen(config, seed=7)
     prompts = random_prompts(config, 5, 16, seed=7)
-    fid, eq = compare_arms(vi, encrypt_model(key, vi), key, prompts, n_new)
+    fid, eq = compare_arms(Arms(vi, key), prompts, n_new)
     assert (fid.n, fid.skipped_zero_pairs) == (5, 0)
     assert tuple(s.hex() for s in fid.scores_vi) == QUICKSTART_SCORES_VI
     assert tuple(s.hex() for s in fid.scores_ee) == QUICKSTART_SCORES_EE
@@ -226,7 +219,7 @@ def test_argmax_tie_shows_as_zero_margin(tiny_model, key_seed):
     vi = ModelBundle(tiny_model.config, PLAINTEXT, {**tensors, "lm_head.W": w, "lm_head.b": b})
     key = keygen(vi.config, seed=key_seed)
     prompts = random_prompts(vi.config, 2, 4, seed=8)
-    _, eq = compare_arms(vi, encrypt_model(key, vi), key, prompts, n_new=3)
+    _, eq = compare_arms(Arms(vi, key), prompts, n_new=3)
     assert eq.min_top2_margin == 0.0
     cipher = key.vocab_perm.map
     assert eq.token_match == (cipher[3] < cipher[5])
@@ -234,16 +227,14 @@ def test_argmax_tie_shows_as_zero_margin(tiny_model, key_seed):
 
 class TestLatency:
     def test_repeats_guard(self, bench_setup):
-        vi, ee, key = bench_setup
-        prompts = random_prompts(vi.config, 1, 4, seed=6)
+        prompts = random_prompts(bench_setup.vi.config, 1, 4, seed=6)
         for bad in (1, 2):
             with pytest.raises(ConfigError):
-                measure_latency(vi, ee, key, prompts, n_new=2, repeats=bad)
+                measure_latency(bench_setup, prompts, n_new=2, repeats=bad)
 
     def test_report_fields(self, bench_setup):
-        vi, ee, key = bench_setup
-        prompts = random_prompts(vi.config, 2, 4, seed=7)
-        report = measure_latency(vi, ee, key, prompts, n_new=3, repeats=3)
+        prompts = random_prompts(bench_setup.vi.config, 2, 4, seed=7)
+        report = measure_latency(bench_setup, prompts, n_new=3, repeats=3)
         assert report.repeats == 3 and report.batch_size == 1
         assert len(report.vi_samples) == 3 and len(report.ee_samples) == 3
         assert report.vi_seconds > 0 and report.ee_seconds > 0
@@ -255,14 +246,13 @@ class TestLatency:
     def test_identity_twin_overhead_small(self, micro_model):
         # identity-encrypted twin runs the same arithmetic; the bound is
         # loose because container schedulers add noise
-        key = keygen(micro_model.config, seed=0, identity=True)
-        enc = encrypt_model(key, micro_model)
+        arms = Arms(micro_model, keygen(micro_model.config, seed=0, identity=True))
         prompts = random_prompts(micro_model.config, 2, 3, seed=8)
-        report = measure_latency(micro_model, enc, key, prompts, n_new=3, repeats=5)
+        report = measure_latency(arms, prompts, n_new=3, repeats=5)
         assert abs(report.delta_t_pct) <= 50.0
 
     def test_call_order(self, bench_setup, monkeypatch):
-        vi, ee, key = bench_setup
+        vi, key = bench_setup.vi, bench_setup.key
         prompts = random_prompts(vi.config, 3, 4, seed=12)
         calls = []
 
@@ -272,7 +262,7 @@ class TestLatency:
             return greedy_decode(model, prompt, n_new)
 
         monkeypatch.setattr("eeinfer.bench.greedy_decode", recording_decode)
-        measure_latency(vi, ee, key, prompts, n_new=1, repeats=3)
+        measure_latency(bench_setup, prompts, n_new=1, repeats=3)
         # one warmup pass per arm, VI first; then per repeat both arms on each
         # prompt, the first arm flipping after every prompt and across repeats
         warmup = [("V", p) for p in prompts] + [("E", p) for p in prompts]
@@ -304,10 +294,9 @@ class TestLatency:
 
 class TestReportEmission:
     def test_files_and_round_trip(self, tmp_path, bench_setup):
-        vi, ee, key = bench_setup
-        prompts = random_prompts(vi.config, 3, 4, seed=9)
-        fid, _ = compare_arms(vi, ee, key, prompts, n_new=2)
-        lat = measure_latency(vi, ee, key, prompts, n_new=2, repeats=3)
+        prompts = random_prompts(bench_setup.vi.config, 3, 4, seed=9)
+        fid, _ = compare_arms(bench_setup, prompts, n_new=2)
+        lat = measure_latency(bench_setup, prompts, n_new=2, repeats=3)
         json_path, md_path = emit_report(fid, lat, tmp_path / "out" / "bench")
         assert json_path.name == "bench.report.json"
         assert md_path.name == "bench.report.md"
@@ -329,9 +318,8 @@ class TestReportEmission:
             assert len(frac) == 2
 
 
-    def test_benchmark_script_encrypts_twice_per_key(self, tmp_path, monkeypatch, capsys):
-        # one encrypt_model builds the EE arm and one checks it in
-        # measure_latency; the fidelity report reuses that check
+    def test_benchmark_script_encrypts_once_per_key(self, tmp_path, monkeypatch, capsys):
+        # building one Arms per key is the only encrypt_model call
         calls = []
 
         def counting_encrypt(*args):
@@ -344,7 +332,7 @@ class TestReportEmission:
             "run_benchmark.py", "--n-prompts", "3", "--n-new", "2", "--repeats", "3",
             "--out-dir", str(tmp_path)])
         runpy.run_path(str(SCRIPTS / "run_benchmark.py"), run_name="__main__")
-        assert len(calls) == 4
+        assert len(calls) == 2
         out = capsys.readouterr().out
         assert "random-key: fidelity 1.000000000 over 3 prompts" in out
         assert "identity-key: fidelity 1.000000000 over 3 prompts" in out

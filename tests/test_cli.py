@@ -201,9 +201,8 @@ class TestFidelityCommand:
     def test_identity_key_reports_one(self, ws, capsys):
         out = ws["dir"] / "fid_id"
         assert run_cli(
-            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["idenc"],
-            "--key", ws["idkey"], "--prompts", ws["prompts"], "--out", out,
-            "--n-new", 2, "--repeats", 3,
+            "fidelity", "--vi-model", ws["model"], "--key", ws["idkey"],
+            "--prompts", ws["prompts"], "--out", out, "--n-new", 2, "--repeats", 3,
         ) == 0
         printed = capsys.readouterr().out
         assert "fidelity 1.00000000" in printed
@@ -216,23 +215,31 @@ class TestFidelityCommand:
     def test_random_key_near_one(self, ws):
         out = ws["dir"] / "fid_rand"
         assert run_cli(
-            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"],
-            "--key", ws["key"], "--prompts", ws["prompts"], "--out", out,
-            "--n-new", 2, "--repeats", 3,
+            "fidelity", "--vi-model", ws["model"], "--key", ws["key"],
+            "--prompts", ws["prompts"], "--out", out, "--n-new", 2, "--repeats", 3,
         ) == 0
         doc = json.loads((ws["dir"] / "fid_rand.report.json").read_text())
         assert doc["fidelity"]["fidelity"] >= 1 - 1e-6
 
-    def test_model_encrypted_under_another_key_is_pairing_error(self, ws, tmp_path, capsys):
-        # same config, but --ee-model was encrypted under --idkey, not --key
-        out = tmp_path / "fid_mismatch"
+    def test_key_for_another_model_refused_first(self, ws, tmp_path, capsys):
+        # the key is refused before --repeats and the (empty) prompts file are read
+        prompts = tmp_path / "empty.jsonl"
+        prompts.write_text("")
         assert run_cli(
-            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["idenc"],
-            "--key", ws["key"], "--prompts", ws["prompts"], "--out", out,
-            "--n-new", 2, "--repeats", 3,
+            "fidelity", "--vi-model", ws["model"], "--key", ws["toy6_key"],
+            "--prompts", prompts, "--out", tmp_path / "f", "--n-new", 2, "--repeats", 2,
         ) == 5
         assert "fidelity" not in capsys.readouterr().out
-        assert not (tmp_path / "fid_mismatch.report.json").exists()
+        assert not (tmp_path / "f.report.json").exists()
+
+    def test_ee_model_flag_is_gone(self, ws, tmp_path):
+        # the EE arm is built from --vi-model and --key
+        with pytest.raises(SystemExit) as info:
+            run_cli(
+                "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"],
+                "--key", ws["key"], "--prompts", ws["prompts"], "--out", tmp_path / "f",
+            )
+        assert info.value.code == 2
 
     def test_too_few_repeats_refused_before_decoding(self, ws, tmp_path, monkeypatch):
         calls = []
@@ -244,16 +251,15 @@ class TestFidelityCommand:
         monkeypatch.setattr("eeinfer.bench.greedy_decode", counting_decode)
         out = tmp_path / "fid_two"
         assert run_cli(
-            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"],
-            "--key", ws["key"], "--prompts", ws["prompts"], "--out", out,
-            "--n-new", 2, "--repeats", 2,
+            "fidelity", "--vi-model", ws["model"], "--key", ws["key"],
+            "--prompts", ws["prompts"], "--out", out, "--n-new", 2, "--repeats", 2,
         ) == 7
         assert calls == []
         assert not (tmp_path / "fid_two.report.json").exists()
         assert not (tmp_path / "fid_two.resolved_config.json").exists()
 
     def test_arms_checked_once(self, ws, tmp_path, monkeypatch):
-        # checking the arms encrypts the VI model; both reports share one check
+        # building the arms encrypts the VI model; both reports share them
         calls = []
 
         def counting_encrypt(*args):
@@ -262,8 +268,8 @@ class TestFidelityCommand:
 
         monkeypatch.setattr("eeinfer.bench.encrypt_model", counting_encrypt)
         assert run_cli(
-            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"],
-            "--key", ws["key"], "--prompts", ws["prompts"], "--out", tmp_path / "fid_once",
+            "fidelity", "--vi-model", ws["model"], "--key", ws["key"],
+            "--prompts", ws["prompts"], "--out", tmp_path / "fid_once",
             "--n-new", 2, "--repeats", 3,
         ) == 0
         assert len(calls) == 1
@@ -272,9 +278,8 @@ class TestFidelityCommand:
         prompts = tmp_path / "empty.jsonl"
         prompts.write_text("")
         assert run_cli(
-            "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"],
-            "--key", ws["key"], "--prompts", prompts, "--out", tmp_path / "f",
-            "--n-new", 2, "--repeats", 3,
+            "fidelity", "--vi-model", ws["model"], "--key", ws["key"],
+            "--prompts", prompts, "--out", tmp_path / "f", "--n-new", 2, "--repeats", 3,
         ) == 6
         assert "latency measurement needs at least one prompt" in capsys.readouterr().err
 
@@ -725,7 +730,7 @@ def test_fidelity_prompt_with_a_non_integer_id_is_format_error(ws, tmp_path, cap
     prompts = tmp_path / "p.jsonl"
     prompts.write_text('{"input_ids": [1, 2.5, 3]}\n')
     assert run_cli(
-        "fidelity", "--vi-model", ws["model"], "--ee-model", ws["enc"], "--key", ws["key"],
+        "fidelity", "--vi-model", ws["model"], "--key", ws["key"],
         "--prompts", prompts, "--out", tmp_path / "f", "--n-new", 2, "--repeats", 3,
     ) == 3
     assert "prompt line 1 is malformed" in capsys.readouterr().err

@@ -19,14 +19,15 @@ from eeinfer.attack import (
     TranscriptCorpus,
     generate_corpus,
     hill_climb,
+    load_corpus,
     random_sampling,
+    save_corpus,
 )
-from eeinfer.bench import measure_latency, random_prompts
+from eeinfer.bench import Arms, measure_latency, random_prompts
 from eeinfer.containers import read_container, write_container
 from eeinfer.encryption import (
     KEY_MAGIC,
     LAYOUT_FIELDS,
-    encrypt_model,
     encrypt_tokens,
     keygen,
     load_key,
@@ -39,6 +40,7 @@ from eeinfer.model import (
     KVCache,
     ModelConfig,
     TokenSeq,
+    apply_layer_range,
     embed_positions,
     greedy_decode,
     init_model,
@@ -53,17 +55,22 @@ CONFIG_INTS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_head", "d_ff",
 
 
 @pytest.fixture(scope="module")
-def w() -> types.SimpleNamespace:
+def w(tmp_path_factory) -> types.SimpleNamespace:
     model = init_model(CONFIG, 1)
     key = keygen(CONFIG, 2)
+    arms = Arms(model, key)
     corpus = generate_corpus(model, key, 3, 2, 2, seed=0)
+    corpus_path = tmp_path_factory.mktemp("errors") / "corpus.jsonl"
+    save_corpus(corpus, corpus_path)
     return types.SimpleNamespace(
         model=model,
         key=key,
-        enc=encrypt_model(key, model),
+        arms=arms,
+        enc=arms.ee,
         prompt=TokenSeq((1, 2), PLAINTEXT),
         enc_prompt=encrypt_tokens(key, TokenSeq((1, 2), PLAINTEXT)),
         corpus=corpus,
+        corpus_path=corpus_path,
         attack=AttackConfig(
             corpus=corpus, lambda_uni=1.0, ref_unigram=np.full(16, 1 / 16), budget=4
         ),
@@ -114,6 +121,12 @@ INT_ARGS = [Site(*row) for row in [
      lambda r: r.layers.stop - 1),
     ("KVCache requests", lambda w, v: KVCache(w.model, 0, 1, v), ShapeError, 2, 0,
      lambda r: r.requests),
+    ("apply_layer_range first",
+     lambda w, v: apply_layer_range(KVCache(w.model, 0, 1), np.ones((1, 8)), v, 1), ShapeError,
+     0, -1, None),
+    ("apply_layer_range last",
+     lambda w, v: apply_layer_range(KVCache(w.model, 0, 1), np.ones((1, 8)), 0, v), ShapeError,
+     1, 2, None),
     ("greedy_decode n_new", lambda w, v: greedy_decode(w.model, w.prompt, v), RangeError, 2, -1,
      lambda r: len(r) - 2),
     ("embed_positions start", lambda w, v: embed_positions(w.model, [1], start=v), ShapeError,
@@ -154,6 +167,10 @@ INT_ARGS = [Site(*row) for row in [
      lambda r: r.evals_used),
     ("TranscriptCorpus id", lambda w, v: TranscriptCorpus((((v,), (1,)),), 16), RangeError, 15,
      16, lambda r: r.pairs[0][0][0]),
+    ("TranscriptCorpus vocab_size", lambda w, v: TranscriptCorpus((((1,), (1,)),), v),
+     ConfigError, 16, 1, lambda r: r.vocab_size),
+    ("load_corpus vocab_size", lambda w, v: load_corpus(w.corpus_path, v), ConfigError, 16, 1,
+     lambda r: r.vocab_size),
     *[
         (f"generate_corpus {name}",
          lambda w, v, name=name: generate_corpus(
@@ -169,15 +186,17 @@ INT_ARGS = [Site(*row) for row in [
         for name in ("n", "length", "seed")
     ],
     ("measure_latency repeats",
-     lambda w, v: measure_latency(w.model, w.enc, w.key, [w.prompt], 1, v), ConfigError, 3, 2,
+     lambda w, v: measure_latency(w.arms, [w.prompt], 1, v), ConfigError, 3, 2,
      lambda r: r.repeats),
 ]]
 
 
 @pytest.mark.parametrize("site", INT_ARGS, ids=[site.name for site in INT_ARGS])
-@pytest.mark.parametrize("which", ["float", "bool", "out of range"])
+@pytest.mark.parametrize("which", ["float", "whole float", "bool", "out of range"])
 def test_non_integer_or_out_of_range_refused(w, site, which):
-    value = {"float": 1.5, "bool": True, "out of range": site.bad}[which]
+    # a whole float equal to the accepted value is refused too, not truncated
+    value = {"float": 1.5, "whole float": float(site.good), "bool": True,
+             "out of range": site.bad}[which]
     with pytest.raises(EEError) as info:
         site.call(w, value)
     assert type(info.value) is site.error

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eeinfer.model
-from eeinfer.bench import compare_arms
+from eeinfer.bench import Arms, compare_arms
 from eeinfer.encryption import decrypt_tokens, encrypt_model, encrypt_tokens, keygen
 from eeinfer.errors import (
     ConfigError,
@@ -206,9 +206,8 @@ class TestForward:
         zeroed = zero_lm_head(tiny_model)
         logits = forward(zeroed, TokenSeq((1, 2, 3), PLAINTEXT))
         assert np.array_equal(logits, np.zeros((3, 32)))
-        key = keygen(zeroed.config, 0, identity=True)
-        fid, _ = compare_arms(zeroed, encrypt_model(key, zeroed), key,
-                              [TokenSeq((1, 2, 3), PLAINTEXT)], n_new=0)
+        arms = Arms(zeroed, keygen(zeroed.config, 0, identity=True))
+        fid, _ = compare_arms(arms, [TokenSeq((1, 2, 3), PLAINTEXT)], n_new=0)
         assert fid.scores_vi[0] == pytest.approx(1 / 32, abs=1e-15)
 
     def test_golden_logits_checksum(self, tiny_model):
@@ -281,9 +280,8 @@ class TestGreedy:
             greedy_decode(tiny_model, TokenSeq((1, 2, 3, 4), PLAINTEXT), 5)
 
     def test_confidence_in_unit_interval(self, tiny_model):
-        key = keygen(tiny_model.config, 0, identity=True)
-        fid, _ = compare_arms(tiny_model, encrypt_model(key, tiny_model), key,
-                              [TokenSeq((3, 1), PLAINTEXT)], n_new=0)
+        arms = Arms(tiny_model, keygen(tiny_model.config, 0, identity=True))
+        fid, _ = compare_arms(arms, [TokenSeq((3, 1), PLAINTEXT)], n_new=0)
         assert 0.0 < fid.scores_vi[0] <= 1.0
 
 
@@ -716,6 +714,15 @@ class TestContainer:
         save_model(tiny_model, p)
         self._rewrite_header(p, lambda h: h["config"].__setitem__("norm_eps", "x"))
         with pytest.raises(FormatError, match="norm_eps"):
+            load_model(p)
+
+    @pytest.mark.parametrize("tensors", [5, None, True])
+    def test_tensors_field_not_a_list_is_format_error(self, tiny_model, tmp_path, tensors):
+        # iterating one used to end in a bare TypeError
+        p = tmp_path / "m.eem"
+        save_model(tiny_model, p)
+        self._rewrite_header(p, lambda h: h.__setitem__("tensors", tensors))
+        with pytest.raises(FormatError, match="tensors"):
             load_model(p)
 
     def test_version_bump_rejected(self, tiny_model, tmp_path):
