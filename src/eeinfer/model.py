@@ -412,8 +412,9 @@ class KVCache:
 
 
 def _as_rows(model: ModelBundle, x: object) -> np.ndarray:
-    """x as float64 residual-stream rows, refused unless (rows, d_model)."""
-    rows = np.asarray(x, dtype=np.float64)
+    """x as C-ordered float64 residual-stream rows, refused unless (rows, d_model);
+    the norms' bytes depend on the layout (tensor_ops.as_matrix says why)."""
+    rows = np.asarray(x, dtype=np.float64, order="C")
     if rows.ndim != 2 or rows.shape[1] != model.config.d_model:
         raise ShapeError(
             f"rows must be 2-D with d_model {model.config.d_model} columns, got shape "
@@ -598,6 +599,8 @@ def load_model(path: str | Path) -> ModelBundle:
     for entry in header["tensors"]:
         try:
             name = entry["name"]
+            if not isinstance(name, str):
+                raise FormatError(f"tensor directory entry name {name!r} is not a string")
             shape = tuple(
                 check_int(s, f"tensor {name!r} shape", FormatError) for s in entry["shape"]
             )

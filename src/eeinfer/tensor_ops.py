@@ -17,9 +17,14 @@ Everything downstream leans on three properties of this module:
   commute with permutations of the feature axis. The encryption layer is built
   entirely on that fact, and the property suite pins it down.
 
-Every public kernel converts its inputs to float64 arrays, 2-D except for a
-batched ``matmul``, and checks their shapes; integer examples in the tests
-are exact because float64 holds small integers exactly. ``matmul``,
+A decode step feeds one row per request, so ``matmul`` and the norms take
+one row by a cheaper form with the same arithmetic (``_rows`` and
+``_layer_norm`` say why the bytes agree). Every public kernel converts its
+inputs to float64 arrays and checks their shapes: 2-D and C-ordered, except
+that ``matmul`` takes batched operands in any layout. The norms need C
+order, since numpy sums each row of an F-ordered matrix sequentially, not
+pairwise. Integer examples in the tests are exact because float64 holds
+small integers exactly. ``matmul``,
 ``layer_norm`` and ``rms_norm`` then call one unchecked body, ``_matmul``,
 ``_layer_norm`` and ``_rms_norm``, which holds all of their arithmetic. The
 model binds those bodies under the public names: its weights were checked
@@ -47,8 +52,9 @@ ACTIVATION_KINDS = ("relu", "gelu", "silu")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def as_matrix(x: object, name: str = "input") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    arr = np.asarray(x, dtype=np.float64)
+    """Coerce to a 2-D C-ordered float64 array (a copy only of another
+    layout), rejecting anything else."""
+    arr = np.asarray(x, dtype=np.float64, order="C")
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
@@ -79,11 +85,12 @@ def matmul(a: object, b: object) -> np.ndarray:
 
     Each row of each slice runs as its own one-row product in numpy's scalar
     matmul loop, which sets an entry to 0 and then adds a[i,kk]*b[kk,j] for
-    kk ascending. Reversed columns (a negative stride) keep the right operand
-    from BLAS, and no m * k * n tensor is built. One column (n = 1) would go
-    to BLAS's dot, so it takes the broadcast fold, _fold. A numpy whose loop
-    fused the multiply-add, or sent such operands to BLAS, would give other
-    bytes: a probe at import sets _ROWS_EXACT, and if it fails every product
+    kk ascending; slices of one row go to that loop as they are. Reversed
+    columns (a negative stride) keep the right operand from BLAS, and no
+    m * k * n tensor is built. One column (n = 1) would go to BLAS's dot, so
+    it takes the broadcast fold, _fold. A numpy whose loop fused the
+    multiply-add, or sent such operands to BLAS, would give other bytes: a
+    probe at import sets _ROWS_EXACT, and if it fails every product
     takes _fold. The contract covers finite operands; with a NaN the two
     paths may differ in its sign bit. With k = 0 every entry is +0.0.
     """
@@ -110,9 +117,14 @@ def _matmul(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
 
 
 def _rows(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """Every row as a one-row product in numpy's scalar loop; a fresh C-ordered result."""
+    """Every row as a one-row product in numpy's scalar loop; a fresh C-ordered result.
+    Slices of one row are such products already: numpy's loop sees the same
+    (1, k) @ (k, n) core without the row split's broadcast setup."""
     out = np.empty(av.shape[:-1] + bv.shape[-1:])
-    np.matmul(av[..., :, None, :], bv[..., None, :, ::-1], out=out[..., :, None, ::-1])
+    if av.shape[-2] == 1:
+        np.matmul(av, bv[..., ::-1], out=out[..., ::-1])
+    else:
+        np.matmul(av[..., :, None, :], bv[..., None, :, ::-1], out=out[..., :, None, ::-1])
     return out
 
 
@@ -129,10 +141,13 @@ def _fold(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
 
 def _rows_exact() -> bool:
     """Whether _rows gives _fold's bytes on terms from 2**-60 to 2**60, which a
-    pairwise sum, BLAS or a fused multiply-add round differently."""
+    pairwise sum, BLAS or a fused multiply-add round differently: on both of
+    its forms (several rows, one row), 2-D and batched."""
     rng = np.random.default_rng(0)
-    a, b = (rng.normal(size=s) * 2.0 ** rng.integers(-30, 31, size=s) for s in ((3, 67), (67, 5)))
-    return _rows(a, b).tobytes() == _fold(a, b).tobytes()
+    a, b = (rng.normal(size=s) * 2.0 ** rng.integers(-30, 31, size=s)
+            for s in ((2, 3, 67), (2, 67, 5)))
+    cases = ((a[0], b[0]), (a, b), (a[0, :1], b[0]), (a[:, :1], b))
+    return all(_rows(x, y).tobytes() == _fold(x, y).tobytes() for x, y in cases)
 
 
 _ROWS_EXACT = _rows_exact()
@@ -199,12 +214,26 @@ def layer_norm(
     return _layer_norm(v, g, b, eps)
 
 
+def _scalar_root(s: np.float64) -> float:
+    """np.sqrt of a scalar, by math.sqrt where it is defined: both round
+    correctly. A negative or NaN s keeps np.sqrt's NaN and warning."""
+    return math.sqrt(s) if s >= 0.0 else np.sqrt(s)
+
+
 def _layer_norm(v: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """layer_norm's arithmetic on a float64 matrix and vectors of its width."""
+    """layer_norm's arithmetic on a C-ordered float64 matrix and vectors of its width.
+
+    One row takes its sums as numpy scalars and finishes on scalars, without
+    numpy's array machinery: a contiguous row has the same pairwise sum
+    either way, and IEEE steps and a correctly rounded root the same bytes.
+    """
     n = v.shape[1]
-    centered = v - np.add.reduce(v, axis=1, keepdims=True) / n
-    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / n
-    centered /= np.sqrt(var + eps)
+    if v.shape[0] == 1:
+        centered = v - np.add.reduce(v, None) / n
+        centered /= _scalar_root(np.add.reduce(centered * centered, None) / n + eps)
+    else:
+        centered = v - np.add.reduce(v, axis=1, keepdims=True) / n
+        centered /= np.sqrt(np.add.reduce(centered * centered, axis=1, keepdims=True) / n + eps)
     centered *= g
     centered += b
     return centered
@@ -218,9 +247,13 @@ def rms_norm(x: object, gamma: object, eps: float = 1e-6) -> np.ndarray:
 
 
 def _rms_norm(v: np.ndarray, g: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """rms_norm's arithmetic on a float64 matrix and a vector of its width."""
-    ms = np.add.reduce(v * v, axis=1, keepdims=True) / v.shape[1]
-    out = v / np.sqrt(ms + eps)
+    """rms_norm's arithmetic on a C-ordered float64 matrix and a vector of its
+    width; one row finishes on scalars, as in _layer_norm."""
+    n = v.shape[1]
+    if v.shape[0] == 1:
+        out = v / _scalar_root(np.add.reduce(v * v, None) / n + eps)
+    else:
+        out = v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True) / n + eps)
     out *= g
     return out
 

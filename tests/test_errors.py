@@ -252,3 +252,24 @@ def test_header_integer_refused(w, tmp_path, kind, edit, bad, which):
     with pytest.raises(EEError) as info:
         load(path)
     assert type(info.value) is FormatError
+
+
+# (case, edit(header)): .eem tensor directory entries of the wrong structure
+MODEL_DIRECTORIES = [
+    ("tensor name a list", lambda h: h["tensors"][0].__setitem__("name", [1])),
+    ("tensor name a number", lambda h: h["tensors"][0].__setitem__("name", 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "edit", [row[1] for row in MODEL_DIRECTORIES], ids=[row[0] for row in MODEL_DIRECTORIES]
+)
+def test_model_directory_structure_refused(w, tmp_path, edit):
+    path = tmp_path / "f.eem"
+    save_model(w.model, path)
+    header, payload, _ = read_container(path, MODEL_MAGIC)
+    edit(header)
+    write_container(path, MODEL_MAGIC, header, payload)
+    with pytest.raises(EEError) as info:
+        load_model(path)
+    assert type(info.value) is FormatError

@@ -584,6 +584,15 @@ class TestRows:
             assert got.tobytes() == apply_layer_range(KVCache(tiny_model, 0, 1), wide, 0, 1).tobytes()
             assert final_logits(tiny_model, rows).tobytes() == final_logits(tiny_model, wide).tobytes()
 
+    def test_fortran_ordered_rows_give_the_c_ordered_bytes(self, tiny_model):
+        # numpy sums each row of an F-ordered matrix sequentially, not
+        # pairwise, so the rows are taken in C order before any norm
+        rows = np.random.default_rng(5).normal(size=(8, 16))
+        fortran = np.asfortranarray(rows)
+        got = apply_layer_range(KVCache(tiny_model, 0, 1), fortran, 0, 1)
+        assert got.tobytes() == apply_layer_range(KVCache(tiny_model, 0, 1), rows, 0, 1).tobytes()
+        assert final_logits(tiny_model, fortran).tobytes() == final_logits(tiny_model, rows).tobytes()
+
 
 class TestBatch:
     @settings(deadline=None, derandomize=True, max_examples=40)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,9 @@ def fused_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out[i, j] = acc
     return out
 
+
+# the row path itself, for a stand-in that changes only its one-row form
+_ROWS = tensor_ops._rows
 
 finite_elems = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=64)
 
@@ -294,11 +298,13 @@ class TestMatmul:
             assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
             got += 1.0
 
-    @pytest.mark.parametrize("other", [pairwise_rows, fused_rows, lambda a, b: a @ b],
-                             ids=["pairwise", "fused-multiply-add", "blas"])
+    @pytest.mark.parametrize("other", [pairwise_rows, fused_rows, lambda a, b: a @ b,
+                                       lambda a, b: a @ b if a.shape[-2] == 1 else _ROWS(a, b)],
+                             ids=["pairwise", "fused-multiply-add", "blas", "one-row blas"])
     def test_probe_refuses_any_other_order(self, monkeypatch, other):
         # if numpy's loop summed in another order, fused the multiply-add or
-        # went to BLAS, the probe fails and every product takes the fold
+        # went to BLAS, in either form of _rows, the probe fails and every
+        # product takes the fold
         monkeypatch.setattr(tensor_ops, "_rows", other)
         assert tensor_ops._rows_exact() is False
         monkeypatch.setattr(tensor_ops, "_ROWS_EXACT", tensor_ops._rows_exact())
@@ -597,6 +603,44 @@ def test_as_matrix_accepts_lists():
 
 
 
+def model_rows(x: np.ndarray) -> np.ndarray:
+    """x as apply_layer_range and final_logits hand rows to the norms they bind."""
+    width = types.SimpleNamespace(config=types.SimpleNamespace(d_model=x.shape[1]))
+    return eeinfer.model._as_rows(width, x)
+
+
+LAYOUTS = {
+    "C": lambda x: x,
+    "F": np.asfortranarray,
+    "reversed-stride": lambda x: np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1],
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 300), st.integers(1, 6), st.integers(0, 60))
+def test_norm_rows_equal_each_row_alone(layout, seed, width, rows, spread):
+    # a prefill's norm rows must have the bytes of the one-row decode steps,
+    # whatever the layout; widths cross the pairwise sum's blocks of 8 and 128
+    rng = np.random.default_rng(seed)
+    shape = (rows, width)
+    x = rng.normal(size=shape) * 2.0 ** rng.integers(-spread // 2, spread // 2 + 1, size=shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    g, beta = rng.normal(size=width), rng.normal(size=width)
+    x = LAYOUTS[layout](x)
+    kernels = [
+        ("layer_norm", lambda v: layer_norm(v, g, beta)),
+        ("rms_norm", lambda v: rms_norm(v, g)),
+        ("model layer_norm", lambda v: eeinfer.model.layer_norm(model_rows(v), g, beta, eps=1e-5)),
+        ("model rms_norm", lambda v: eeinfer.model.rms_norm(model_rows(v), g, eps=1e-6)),
+    ]
+    for name, kernel in kernels:
+        got = kernel(x)
+        for i in range(rows):
+            assert got[i].tobytes() == kernel(x[i : i + 1]).tobytes(), (name, i)
+
+
 @settings(deadline=None, derandomize=True, max_examples=80)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(0, 40), st.integers(1, 20),
        st.sampled_from([(), (3,)]), st.booleans())
@@ -614,9 +658,11 @@ def test_model_kernels_give_the_public_kernels_bytes(seed, m, k, n, batch, trans
         a, x = (np.ascontiguousarray(v.swapaxes(-1, -2)).swapaxes(-1, -2) for v in (a, x))
         b = b[..., ::-1, :]
     assert eeinfer.model.matmul(a, b).tobytes() == matmul(a, b).tobytes()
-    assert (eeinfer.model.layer_norm(x, g, beta, eps=1e-5).tobytes()
+    rows = model_rows(x)
+    assert (eeinfer.model.layer_norm(rows, g, beta, eps=1e-5).tobytes()
             == layer_norm(x, g, beta, eps=1e-5).tobytes())
-    assert eeinfer.model.rms_norm(x, g, eps=1e-6).tobytes() == rms_norm(x, g, eps=1e-6).tobytes()
+    assert (eeinfer.model.rms_norm(rows, g, eps=1e-6).tobytes()
+            == rms_norm(x, g, eps=1e-6).tobytes())
 
 
 def _kernel_cases() -> list[tuple[str, object, tuple[np.ndarray, ...]]]:
