@@ -412,9 +412,8 @@ class KVCache:
 
 
 def _as_rows(model: ModelBundle, x: object) -> np.ndarray:
-    """x as C-ordered float64 residual-stream rows, refused unless (rows, d_model);
-    the norms' bytes depend on the layout (tensor_ops.as_matrix says why)."""
-    rows = np.asarray(x, dtype=np.float64, order="C")
+    """x as float64 residual-stream rows, refused unless (rows, d_model)."""
+    rows = np.asarray(x, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.config.d_model:
         raise ShapeError(
             f"rows must be 2-D with d_model {model.config.d_model} columns, got shape "

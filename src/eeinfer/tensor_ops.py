@@ -20,11 +20,11 @@ Everything downstream leans on three properties of this module:
 A decode step feeds one row per request, so ``matmul`` and the norms take
 one row by a cheaper form with the same arithmetic (``_rows`` and
 ``_layer_norm`` say why the bytes agree). Every public kernel converts its
-inputs to float64 arrays and checks their shapes: 2-D and C-ordered, except
-that ``matmul`` takes batched operands in any layout. The norms need C
-order, since numpy sums each row of an F-ordered matrix sequentially, not
-pairwise. Integer examples in the tests are exact because float64 holds
-small integers exactly. ``matmul``,
+inputs to float64 arrays and checks their shapes, 2-D except for a batched
+``matmul``; integer examples in the tests are exact because float64 holds
+small integers exactly. The norm bodies take several rows in C order, since
+numpy sums each row of an F-ordered matrix sequentially, not pairwise, so
+their bytes do not depend on the input's layout. ``matmul``,
 ``layer_norm`` and ``rms_norm`` then call one unchecked body, ``_matmul``,
 ``_layer_norm`` and ``_rms_norm``, which holds all of their arithmetic. The
 model binds those bodies under the public names: its weights were checked
@@ -52,9 +52,8 @@ ACTIVATION_KINDS = ("relu", "gelu", "silu")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def as_matrix(x: object, name: str = "input") -> np.ndarray:
-    """Coerce to a 2-D C-ordered float64 array (a copy only of another
-    layout), rejecting anything else."""
-    arr = np.asarray(x, dtype=np.float64, order="C")
+    """Coerce to a 2-D float64 array, rejecting anything else."""
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
@@ -118,8 +117,10 @@ def _matmul(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
 
 def _rows(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """Every row as a one-row product in numpy's scalar loop; a fresh C-ordered result.
-    Slices of one row are such products already: numpy's loop sees the same
-    (1, k) @ (k, n) core without the row split's broadcast setup."""
+    Slices of one row are such products already and go to the loop as they
+    are. Several rows need the split into one-row cores: numpy (2.4 measured)
+    hands a multi-row product with reversed columns to BLAS by copying the
+    operand, and BLAS sums in another order."""
     out = np.empty(av.shape[:-1] + bv.shape[-1:])
     if av.shape[-2] == 1:
         np.matmul(av, bv[..., ::-1], out=out[..., ::-1])
@@ -221,17 +222,19 @@ def _scalar_root(s: np.float64) -> float:
 
 
 def _layer_norm(v: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """layer_norm's arithmetic on a C-ordered float64 matrix and vectors of its width.
+    """layer_norm's arithmetic on a float64 matrix and vectors of its width.
 
     One row takes its sums as numpy scalars and finishes on scalars, without
-    numpy's array machinery: a contiguous row has the same pairwise sum
-    either way, and IEEE steps and a correctly rounded root the same bytes.
+    numpy's array machinery: a row has the same pairwise sum either way,
+    whatever its stride, and IEEE steps and a correctly rounded root the
+    same bytes. Several rows are summed in C order, pairwise per row.
     """
     n = v.shape[1]
     if v.shape[0] == 1:
         centered = v - np.add.reduce(v, None) / n
         centered /= _scalar_root(np.add.reduce(centered * centered, None) / n + eps)
     else:
+        v = np.ascontiguousarray(v)
         centered = v - np.add.reduce(v, axis=1, keepdims=True) / n
         centered /= np.sqrt(np.add.reduce(centered * centered, axis=1, keepdims=True) / n + eps)
     centered *= g
@@ -247,12 +250,14 @@ def rms_norm(x: object, gamma: object, eps: float = 1e-6) -> np.ndarray:
 
 
 def _rms_norm(v: np.ndarray, g: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """rms_norm's arithmetic on a C-ordered float64 matrix and a vector of its
-    width; one row finishes on scalars, as in _layer_norm."""
+    """rms_norm's arithmetic on a float64 matrix and a vector of its width;
+    one row finishes on scalars and several are summed in C order, as in
+    _layer_norm."""
     n = v.shape[1]
     if v.shape[0] == 1:
         out = v / _scalar_root(np.add.reduce(v * v, None) / n + eps)
     else:
+        v = np.ascontiguousarray(v)
         out = v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True) / n + eps)
     out *= g
     return out

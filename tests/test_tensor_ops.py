@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -603,12 +602,6 @@ def test_as_matrix_accepts_lists():
 
 
 
-def model_rows(x: np.ndarray) -> np.ndarray:
-    """x as apply_layer_range and final_logits hand rows to the norms they bind."""
-    width = types.SimpleNamespace(config=types.SimpleNamespace(d_model=x.shape[1]))
-    return eeinfer.model._as_rows(width, x)
-
-
 LAYOUTS = {
     "C": lambda x: x,
     "F": np.asfortranarray,
@@ -632,8 +625,8 @@ def test_norm_rows_equal_each_row_alone(layout, seed, width, rows, spread):
     kernels = [
         ("layer_norm", lambda v: layer_norm(v, g, beta)),
         ("rms_norm", lambda v: rms_norm(v, g)),
-        ("model layer_norm", lambda v: eeinfer.model.layer_norm(model_rows(v), g, beta, eps=1e-5)),
-        ("model rms_norm", lambda v: eeinfer.model.rms_norm(model_rows(v), g, eps=1e-6)),
+        ("model layer_norm", lambda v: eeinfer.model.layer_norm(v, g, beta, eps=1e-5)),
+        ("model rms_norm", lambda v: eeinfer.model.rms_norm(v, g, eps=1e-6)),
     ]
     for name, kernel in kernels:
         got = kernel(x)
@@ -658,11 +651,9 @@ def test_model_kernels_give_the_public_kernels_bytes(seed, m, k, n, batch, trans
         a, x = (np.ascontiguousarray(v.swapaxes(-1, -2)).swapaxes(-1, -2) for v in (a, x))
         b = b[..., ::-1, :]
     assert eeinfer.model.matmul(a, b).tobytes() == matmul(a, b).tobytes()
-    rows = model_rows(x)
-    assert (eeinfer.model.layer_norm(rows, g, beta, eps=1e-5).tobytes()
+    assert (eeinfer.model.layer_norm(x, g, beta, eps=1e-5).tobytes()
             == layer_norm(x, g, beta, eps=1e-5).tobytes())
-    assert (eeinfer.model.rms_norm(rows, g, eps=1e-6).tobytes()
-            == rms_norm(x, g, eps=1e-6).tobytes())
+    assert eeinfer.model.rms_norm(x, g, eps=1e-6).tobytes() == rms_norm(x, g, eps=1e-6).tobytes()
 
 
 def _kernel_cases() -> list[tuple[str, object, tuple[np.ndarray, ...]]]:
