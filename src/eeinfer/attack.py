@@ -41,7 +41,11 @@ time.
 Oracle continuations are memoized by decrypted input; the oracle is a pure
 function, so memoization never changes a loss value, only the cost of
 computing it. The oracle takes a list of requests and decodes its memo misses
-in one batched greedy decode per distinct (prompt length, n_new). A candidate
+in one batched greedy decode per distinct (prompt length, n_new). A miss of
+two or more ids continues from a cache of every vocabulary token at position
+0, prefilled once: it takes its first id's cached position and decodes the
+ids after it, with the bytes of a fresh decode, since every kernel is
+row-local. A candidate
 decrypts every corpus pair with one gather over the corpus ids laid end to
 end; a pair's prompt and expected continuation are slices of those int64
 bytes, which key the memo and compare with its continuations as they are. An
@@ -79,7 +83,7 @@ from .containers import json_ids, read_jsonl, write_jsonl
 from .bench import random_prompts
 from .encryption import check_pairing, encrypt_tokens
 from .errors import ConfigError, RangeError, RefusalError, ShapeError, check_int
-from .model import PLAINTEXT, ModelBundle, TokenSeq, greedy_decode
+from .model import PLAINTEXT, KVCache, ModelBundle, TokenSeq, forward, greedy_decode
 from .tensor_ops import PermTable
 
 BRUTE_FORCE_MAX_VOCAB = 9
@@ -200,7 +204,14 @@ def empirical_bigram(corpus: TranscriptCorpus, perm: PermTable) -> dict[int, dic
 
 
 class GreedyOracle:
-    """Plaintext greedy-continuation oracle with exact memoization."""
+    """Plaintext greedy-continuation oracle with exact memoization.
+
+    Misses of two or more ids continue from a cache of every vocabulary
+    token at position 0, prefilled once on the first such miss: a miss
+    takes its first id's cached position and decodes only the ids after it.
+    Every kernel is row-local, so a continuation has the bytes of a fresh
+    decode. The cache holds vocab_size * n_layers * 2 * max_seq_len *
+    d_model float64 entries."""
 
     def __init__(self, model: ModelBundle) -> None:
         if model.domain != PLAINTEXT:
@@ -208,24 +219,47 @@ class GreedyOracle:
         self.model = model
         # (bytes of the ids as int64, n_new) -> bytes of the continuation as int64
         self._memo: dict[tuple[bytes, int], bytes] = {}
+        self._first: KVCache | None = None  # position 0 of every token, one request each
+
+    def _first_positions(self) -> KVCache:
+        if self._first is None:
+            cfg = self.model.config
+            self._first = KVCache(self.model, 0, cfg.n_layers - 1, cfg.vocab_size)
+            forward(self._first, [TokenSeq((v,), PLAINTEXT) for v in range(cfg.vocab_size)])
+        return self._first
 
     def continuations(self, requests: Sequence[tuple[np.ndarray, int]]) -> list[np.ndarray]:
         """For each (ids, n_new) request, the n_new ids greedy decoding
-        appends to ids, as a read-only int64 array. The memo misses are
-        decoded in one greedy_decode call per distinct (len(ids), n_new)."""
+        appends to ids, as a read-only int64 array; ids that are not
+        integers are refused with RangeError, not truncated. The memo misses
+        are decoded in one greedy_decode call per distinct (len(ids), n_new),
+        those of two or more ids from the cached first positions."""
         memo = self._memo
         keys = []
         misses: dict[tuple[int, int], dict[tuple[bytes, int], np.ndarray]] = {}
         for ids, n_new in requests:
-            ids = np.asarray(ids, dtype=np.int64)
+            ids = np.asarray(ids)
+            if ids.dtype != np.int64:
+                # a float would be truncated and a bool taken as 0 or 1
+                if ids.size and ids.dtype.kind not in "iu":
+                    raise RangeError(
+                        f"token ids must be integers, got {ids.dtype} id {ids.flat[0].item()!r}"
+                    )
+                ids = ids.astype(np.int64)
             key = (ids.tobytes(), n_new)
             keys.append(key)
             if key not in memo:
                 misses.setdefault((len(ids), n_new), {})[key] = ids
+        vocab = self.model.config.vocab_size
         for (length, n_new), group in misses.items():
-            prompts = [TokenSeq(tuple(ids.tolist()), PLAINTEXT) for ids in group.values()]
-            for key, out in zip(group, greedy_decode(self.model, prompts, n_new)):
-                memo[key] = np.asarray(out.ids[length:], dtype=np.int64).tobytes()
+            source, cached = self.model, 0
+            if length > 1:
+                firsts = [check_int(ids[0], "token id", RangeError, hi=vocab - 1)
+                          for ids in group.values()]
+                source, cached = self._first_positions().take(firsts), 1
+            prompts = [TokenSeq(tuple(ids[cached:].tolist()), PLAINTEXT) for ids in group.values()]
+            for key, out in zip(group, greedy_decode(source, prompts, n_new)):
+                memo[key] = np.asarray(out.ids[length - cached :], dtype=np.int64).tobytes()
         return [np.frombuffer(memo[key], dtype=np.int64) for key in keys]
 
     def known(self, ids: bytes, n_new: int) -> bytes | None:

@@ -12,16 +12,19 @@ the cached keys and values, then writes theirs into the cache's next free
 slots; on a fresh cache the rows are a whole sequence from position 0. The
 cache's buffers are sized for max_seq_len positions when it is made and
 written in place, so a step copies no cached prefix. Each layer reads its
-tensors from a record that ModelBundle derives once. forward takes the model
-or a cache over every layer, and greedy decoding prefills a cache with the
-prompt through forward, then steps through the three pieces, as a pipeline
-shard does. Because the kernels are row-local, the cached rows equal a full
-forward pass byte for byte.
+tensors from a record that ModelBundle derives once. forward and greedy
+decoding take the model or a cache over every layer; greedy decoding
+prefills a cache with the prompt through forward, then steps through the
+three pieces, as a pipeline shard does. Because the kernels are row-local,
+the cached rows equal a full forward pass byte for byte, and a cache that
+KVCache.take starts from another's cached positions continues each request
+as a fresh pass would.
 
 Operands are checked once, where they enter: ModelBundle checks every
-weight, embed_positions the ids and positions, apply_layer_range and
-final_logits the rows. The kernels run unchecked from there (tensor_ops
-says which bodies this module binds).
+weight, embed_positions the ids and positions, forward and greedy_decode
+their token sequences (and then embed through embed_positions' unchecked
+body), apply_layer_range and final_logits the rows. The kernels run
+unchecked from there (tensor_ops says which bodies this module binds).
 
 A cache holds B requests, and the rows of all of them travel as one
 request-major (B * rows, d_model) array, so every weight product takes all B
@@ -57,7 +60,7 @@ from .errors import (
     ShapeError,
     check_int,
 )
-from .tensor_ops import ACTIVATION_KINDS, activate, softmax_rows
+from .tensor_ops import ACTIVATION_KINDS, activate, check_eps, softmax_rows
 # the unchecked bodies: ModelBundle checked the weights, and apply_layer_range
 # and final_logits check the rows once per call
 from .tensor_ops import _layer_norm as layer_norm, _matmul as matmul, _rms_norm as rms_norm
@@ -105,12 +108,8 @@ class ModelConfig:
             raise ConfigError(f"act_kind must be one of {ACTIVATION_KINDS}, got {self.act_kind!r}")
         if self.pos_kind not in POS_KINDS:
             raise ConfigError(f"pos_kind must be one of {POS_KINDS}, got {self.pos_kind!r}")
-        eps = self.norm_eps
-        # NaN fails every comparison, so this refuses it too
-        if eps is not None and (
-            isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < math.inf
-        ):
-            raise ConfigError(f"norm_eps must be a finite number > 0 or None, got {eps!r}")
+        if self.norm_eps is not None:
+            check_eps(self.norm_eps, "norm_eps", zero=False)
 
     @property
     def effective_norm_eps(self) -> float:
@@ -180,6 +179,17 @@ class TokenSeq:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @classmethod
+    def _from_checked(cls, ids: tuple[int, ...], domain: str) -> TokenSeq:
+        """A sequence from a tuple of plain ints >= 0 and a valid domain,
+        without running ``__post_init__``: greedy_decode builds its outputs
+        from checked prompts and argmax ids. Every field is set here, so a
+        new field must be set here too."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "ids", ids)
+        object.__setattr__(seq, "domain", domain)
+        return seq
 
 
 # The tensor directory: each tensor's name and what each of its axes indexes.
@@ -319,14 +329,16 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
     return ModelBundle(config, PLAINTEXT, tensors)
 
 
-def _validate_batch(model: ModelBundle, batch: list[TokenSeq], extra: int) -> int:
-    """Refuse a batch of token sequences on ``model`` with ``extra`` more
-    positions each: the n_new of a decode, checked once and returned as an
-    int, or the cached length ahead of a forward pass. The batch must not be
+def _validate_batch(
+    model: ModelBundle, batch: list[TokenSeq], n_new: int = 0, start: int = 0
+) -> int:
+    """Refuse a batch of token sequences on ``model`` that starts at position
+    ``start`` (a cache's length) and is followed by ``n_new`` more positions
+    each; n_new is checked once and returned as an int. The batch must not be
     empty and its sequences must all have the same length."""
     if not batch:
         raise ShapeError("a batch needs at least one token sequence")
-    extra = check_int(extra, "n_new", RangeError)
+    n_new = check_int(n_new, "n_new", RangeError)
     for tokens in batch:
         if len(tokens) != len(batch[0]):
             raise ShapeError(
@@ -340,16 +352,17 @@ def _validate_batch(model: ModelBundle, batch: list[TokenSeq], extra: int) -> in
             )
         if len(tokens) == 0:
             raise ShapeError("prompt must contain at least one token")
-        if len(tokens) + extra > model.config.max_seq_len:
+        if start + len(tokens) + n_new > model.config.max_seq_len:
+            cached = f"{start} cached + " if start else ""
             raise ShapeError(
-                f"sequence length {len(tokens)}+{extra} exceeds max_seq_len "
+                f"sequence length {cached}{len(tokens)}+{n_new} exceeds max_seq_len "
                 f"{model.config.max_seq_len}"
             )
         if max(tokens.ids) >= model.config.vocab_size:
             raise RangeError(
                 f"token id {max(tokens.ids)} out of range for vocab_size {model.config.vocab_size}"
             )
-    return extra
+    return n_new
 
 
 def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.ndarray:
@@ -379,7 +392,13 @@ def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.nda
         raise ShapeError(
             f"positions {start}..{end - 1} exceed max_seq_len {model.config.max_seq_len}"
         )
-    pos = model.tensors["pos_embedding"][start:end]
+    return _embed(model, idx, start)
+
+
+def _embed(model: ModelBundle, idx: np.ndarray, start: int) -> np.ndarray:
+    """embed_positions' arithmetic on an integer id array whose ids and
+    positions it has checked, or _validate_batch has."""
+    pos = model.tensors["pos_embedding"][start : start + idx.shape[-1]]
     return (model.tensors["embedding"][idx] + pos).reshape(-1, model.config.d_model)
 
 
@@ -387,13 +406,13 @@ class KVCache:
     """Keys and values of the positions a layer range has processed so far,
     for each of ``requests`` requests.
 
-    Passed to apply_layer_range (or, over every layer, to forward in place
-    of the model), it makes the rows given there the next positions of its
-    requests: they attend to every cached position of their own request as
-    well, and their keys and values fill the next free slots. Each layer's
-    buffer holds max_seq_len positions from the start, so no call copies the
-    cached prefix. A cache belongs to one model and one set of requests,
-    which all have the same length.
+    Passed to apply_layer_range (or, over every layer, to forward or
+    greedy_decode in place of the model), it makes the rows given there the
+    next positions of its requests: they attend to every cached position of
+    their own request as well, and their keys and values fill the next free
+    slots. Each layer's buffer holds max_seq_len positions from the start, so
+    no call copies the cached prefix. A cache belongs to one model and one
+    set of requests; ``take`` starts another set from cached prefixes.
     """
 
     def __init__(self, model: ModelBundle, first: int, last: int, requests: int = 1) -> None:
@@ -409,6 +428,42 @@ class KVCache:
         # per layer: keys then values, (2, requests, heads, max_seq_len, d_head)
         shape = (2, requests, cfg.n_heads, cfg.max_seq_len, cfg.d_head)
         self.kv = [np.empty(shape, dtype=np.float64) for _ in self.layers]
+
+    def take(self, requests: Sequence[int]) -> KVCache:
+        """A new cache over the same layers whose request i holds the cached
+        positions of this cache's request ``requests[i]``; a request may be
+        taken more than once, so ``take([0] * n)`` forks one request n ways.
+        This cache is left as it is. Every kernel is row-local, so a position
+        run on the new cache gets the bytes it would get after a fresh pass
+        over the same prefix."""
+        idx = [check_int(r, "request index", RangeError, hi=self.requests - 1) for r in requests]
+        if not idx:
+            raise ShapeError("take needs at least one request index")
+        out = KVCache(self.model, self.layers.start, self.layers.stop - 1, len(idx))
+        out.length = end = self.length
+        for src, dst in zip(self.kv, out.kv):
+            dst[:, :, :, :end] = src[:, idx, :, :end]
+        return out
+
+
+def _open_cache(
+    model: ModelBundle | KVCache, batch: list[TokenSeq], n_new: int = 0
+) -> tuple[KVCache, int]:
+    """The cache that forward or greedy_decode runs ``batch`` on, and n_new
+    as an int, with everything checked: a new cache on a model, or the given
+    one, which must cover every layer and hold one request per sequence."""
+    if not isinstance(model, KVCache):
+        n_new = _validate_batch(model, batch, n_new)
+        return KVCache(model, 0, model.config.n_layers - 1, len(batch)), n_new
+    cache, cfg = model, model.model.config
+    if cache.layers != range(cfg.n_layers):
+        raise ShapeError(
+            f"cache holds layers {cache.layers.start}..{cache.layers.stop - 1}, not every "
+            f"layer 0..{cfg.n_layers - 1}"
+        )
+    if len(batch) != cache.requests:
+        raise ShapeError(f"{len(batch)} sequences for a cache of {cache.requests} requests")
+    return cache, _validate_batch(cache.model, batch, n_new, cache.length)
 
 
 def _as_rows(model: ModelBundle, x: object) -> np.ndarray:
@@ -508,17 +563,12 @@ def forward(
 
     With a KVCache over every layer in place of the model, the tokens
     continue the cached sequences, one per request, and the cache then holds
-    them too.
+    them too. The tokens are checked once, before anything runs.
     """
     batch = [tokens] if isinstance(tokens, TokenSeq) else list(tokens)
-    cache = model if isinstance(model, KVCache) else KVCache(
-        model, 0, model.config.n_layers - 1, len(batch)
-    )
+    cache, _ = _open_cache(model, batch)
     model = cache.model
-    _validate_batch(model, batch, cache.length)
-    if len(batch) != cache.requests:
-        raise ShapeError(f"{len(batch)} sequences for a cache of {cache.requests} requests")
-    x = embed_positions(model, [seq.ids for seq in batch], start=cache.length)
+    x = _embed(model, np.array([seq.ids for seq in batch]), cache.length)
     x = apply_layer_range(cache, x, 0, model.config.n_layers - 1)
     logits = final_logits(model, x)
     if isinstance(tokens, TokenSeq):
@@ -527,30 +577,39 @@ def forward(
 
 
 def greedy_decode(
-    model: ModelBundle, prompts: TokenSeq | Sequence[TokenSeq], n_new: int
+    model: ModelBundle | KVCache, prompts: TokenSeq | Sequence[TokenSeq], n_new: int
 ) -> TokenSeq | list[TokenSeq]:
     """Append argmax tokens one at a time; ties go to the lowest index.
 
     prompts is one TokenSeq, and one comes back, or a list of equal-length
     ones, decoded together as one batch, and a list comes back. The prompts
-    are checked once and prefill a KV cache through forward; each later
-    step runs the tokens chosen last through the three pieces a pipeline
-    shard runs (embed_positions, apply_layer_range, final_logits). Each
-    request gets the tokens it would get alone.
+    and n_new are checked once, before anything runs, and prefill a KV cache
+    through forward; each later step embeds the tokens chosen last without a
+    second check and runs them through the pieces a pipeline shard runs
+    (apply_layer_range, final_logits). Each request gets the tokens it would
+    get alone.
+
+    With a KVCache over every layer in place of the model (one from
+    KVCache.take, say), the prompts continue its requests, one each, and the
+    cache holds the decode afterwards. Each request gets the tokens a fresh
+    decode of its cached prefix followed by its prompt would append; the
+    sequences that come back hold the prompt and the new tokens, not the
+    cached prefix.
     """
     batch = [prompts] if isinstance(prompts, TokenSeq) else list(prompts)
-    n_new = _validate_batch(model, batch, n_new)
+    cache, n_new = _open_cache(model, batch, n_new)
+    model = cache.model
     last = model.config.n_layers - 1
-    cache = KVCache(model, 0, last, len(batch))
     new = np.empty((len(batch), n_new), dtype=np.int64)
     for step in range(n_new):
         if step == 0:
             logits = forward(cache, batch)[:, -1]
         else:
-            x = embed_positions(model, new[:, step - 1 : step], start=cache.length)
+            x = _embed(model, new[:, step - 1 : step], cache.length)
             logits = final_logits(model, apply_layer_range(cache, x, 0, last))
         new[:, step] = logits.argmax(axis=1)
-    out = [TokenSeq(seq.ids + tuple(row), model.domain) for seq, row in zip(batch, new.tolist())]
+    out = [TokenSeq._from_checked(seq.ids + tuple(row), model.domain)
+           for seq, row in zip(batch, new.tolist())]
     return out[0] if isinstance(prompts, TokenSeq) else out
 
 

@@ -202,17 +202,30 @@ def activate(kind: str, x: object) -> np.ndarray:
     raise ConfigError(f"unknown activation kind {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
+def check_eps(eps: object, name: str = "eps", zero: bool = True) -> float:
+    """eps as given, refused with ConfigError unless it is an int or a float,
+    not a bool, finite and >= 0 (> 0 when zero is False): the one rule for a
+    norm's eps, which ModelConfig applies to norm_eps with zero False."""
+    # NaN fails every comparison, so this refuses it too
+    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+            or not (0 <= eps if zero else 0 < eps) or not eps < math.inf):
+        bound = ">= 0" if zero else "> 0"
+        raise ConfigError(f"{name} must be a finite number {bound}, got {eps!r}")
+    return eps
+
+
 def layer_norm(
     x: object,
     gamma: object,
     beta: object,
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Per-row mean/variance normalization followed by an affine map."""
+    """Per-row mean/variance normalization followed by an affine map; eps is
+    a finite number >= 0."""
     v = as_matrix(x, "layer_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
     b = _as_vector(beta, v.shape[1], "beta")
-    return _layer_norm(v, g, b, eps)
+    return _layer_norm(v, g, b, check_eps(eps))
 
 
 def _scalar_root(s: np.float64) -> float:
@@ -243,10 +256,11 @@ def _layer_norm(v: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) 
 
 
 def rms_norm(x: object, gamma: object, eps: float = 1e-6) -> np.ndarray:
-    """Per-row division by the root mean square, then a gamma scale."""
+    """Per-row division by the root mean square, then a gamma scale; eps is a
+    finite number >= 0."""
     v = as_matrix(x, "rms_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
-    return _rms_norm(v, g, eps)
+    return _rms_norm(v, g, check_eps(eps))
 
 
 def _rms_norm(v: np.ndarray, g: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -41,7 +41,7 @@ from eeinfer.errors import (
     RefusalError,
     ShapeError,
 )
-from eeinfer.model import PLAINTEXT, TokenSeq, greedy_decode, init_model, make_config
+from eeinfer.model import PLAINTEXT, KVCache, TokenSeq, greedy_decode, init_model, make_config
 from eeinfer.tensor_ops import PermTable
 
 
@@ -303,19 +303,52 @@ class TestConsistency:
             (np.array([0, 1]), 2), (np.array([4]), 2), (np.array([3, 0]), 1),
         ]
         batches = []
-        real = attack.greedy_decode
+        taken = []
+        real, real_take = attack.greedy_decode, KVCache.take
 
-        def counted(model, prompts, n_new):
-            batches.append(([p.ids for p in prompts], n_new))
-            return real(model, prompts, n_new)
+        def take(cache, firsts):
+            taken.append(firsts)
+            return real_take(cache, firsts)
 
-        with patch.object(attack, "greedy_decode", counted):
+        def counted(source, prompts, n_new):
+            # a routed call continues a cache taken from the first positions,
+            # with the ids after each prompt's first: record the whole prompt
+            firsts = taken.pop() if isinstance(source, KVCache) else [None] * len(prompts)
+            batches.append(
+                ([(() if f is None else (f,)) + p.ids for f, p in zip(firsts, prompts)], n_new)
+            )
+            return real(source, prompts, n_new)
+
+        with patch.object(attack, "greedy_decode", counted), patch.object(KVCache, "take", take):
             got = oracle.continuations(requests)
+        assert not taken
         # the hit is not decoded and the repeat is decoded once
         assert sorted(batches) == [([(0, 1), (2, 3)], 2), ([(3, 0)], 1), ([(4,)], 2)]
         for (ids, n_new), out in zip(requests, got):
             single = greedy_decode(small_model, TokenSeq(tuple(ids), PLAINTEXT), n_new)
             assert tuple(out) == single.ids[len(ids) :]
+
+
+    @pytest.mark.parametrize("n_new", [1, 2])
+    def test_oracle_continuations_equal_fresh_decodes(self, tiny_model, n_new):
+        # one call holds prompts of 1, 2 and 3 ids; those of two or more
+        # continue from the cached first positions, every first id among them
+        rng = np.random.default_rng(n_new)
+        tails = [rng.integers(0, 32, size=length - 1) for length in (1, 2, 3) for _ in range(3)]
+        requests = [(np.array([first, *tail]), n_new) for tail in tails for first in range(32)]
+        got = GreedyOracle(tiny_model).continuations(requests)
+        by_tail = {}
+        for (ids, _), out in zip(requests, got):
+            single = greedy_decode(tiny_model, TokenSeq(tuple(ids.tolist()), PLAINTEXT), n_new)
+            assert out.tolist() == list(single.ids[len(ids) :]), ids
+            by_tail.setdefault(ids[1:].tobytes(), set()).add(out.tobytes())
+        # the first id changes the continuation of some longer prompts
+        assert max(len(outs) for tail, outs in by_tail.items() if tail) > 1
+
+    def test_oracle_without_a_long_miss_caches_no_first_positions(self, small_model):
+        oracle = GreedyOracle(small_model)
+        oracle.continuations([(np.array([3]), 2), (np.array([1]), 1)])
+        assert oracle._first is None
 
 
 class TestTotalLoss:

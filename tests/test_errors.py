@@ -5,6 +5,9 @@ integer in its range. A float, a bool or an out-of-range value raises the
 site's EEError subclass, never a bare TypeError or ValueError, and a numpy
 integer is accepted and stored as a plain int. The integer fields of a .eekey
 or .eem header follow the same rule and raise FormatError.
+
+The other shared rules follow: token ids given as arrays, a norm's eps, and
+the arguments of a decode over a cache, each refused before anything runs.
 """
 from __future__ import annotations
 
@@ -14,8 +17,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+import eeinfer.model
 from eeinfer.attack import (
     AttackConfig,
+    GreedyOracle,
     TranscriptCorpus,
     generate_corpus,
     hill_climb,
@@ -42,6 +47,7 @@ from eeinfer.model import (
     TokenSeq,
     apply_layer_range,
     embed_positions,
+    forward,
     greedy_decode,
     init_model,
     load_model,
@@ -49,6 +55,7 @@ from eeinfer.model import (
     save_model,
 )
 from eeinfer.shard_sim import ActivationFrame, BrokerConfig, ShardPlan, plan_shards, run_pipeline
+from eeinfer.tensor_ops import layer_norm, rms_norm
 
 CONFIG = make_config(vocab_size=16, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq_len=8)
 CONFIG_INTS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_head", "d_ff", "max_seq_len")
@@ -129,6 +136,8 @@ INT_ARGS = [Site(*row) for row in [
      1, 2, None),
     ("greedy_decode n_new", lambda w, v: greedy_decode(w.model, w.prompt, v), RangeError, 2, -1,
      lambda r: len(r) - 2),
+    ("KVCache.take index", lambda w, v: KVCache(w.model, 0, 1, 2).take([0, v]), RangeError, 1, 2,
+     None),
     ("embed_positions start", lambda w, v: embed_positions(w.model, [1], start=v), ShapeError,
      3, -1, None),
     ("keygen seed", lambda w, v: keygen(CONFIG, v), ConfigError, 2, -1, lambda r: r.seed),
@@ -254,3 +263,74 @@ def test_header_integer_refused(w, tmp_path, kind, edit, bad, which):
     with pytest.raises(EEError) as info:
         load(path)
     assert type(info.value) is FormatError
+
+
+@pytest.mark.parametrize("ids", [np.array([1.7, 2.2]), [True, False], np.array([3.0])],
+                         ids=["float", "bool", "whole float"])
+def test_oracle_refuses_ids_that_are_not_integers(w, ids):
+    # a float was truncated to its integer part and a bool taken as 0 or 1
+    oracle = GreedyOracle(w.model)
+    with pytest.raises(RangeError, match="token ids must be integers"):
+        oracle.continuations([(ids, 1)])
+    assert not oracle._memo and oracle._first is None
+
+
+# a norm's eps: what ModelConfig refuses as norm_eps the public kernels
+# refuse too, by the same rule, bar 0, which a kernel takes (its hand cases
+# use it) and a config refuses (a zero row would divide 0 by 0)
+EPS_SITES = {
+    "layer_norm": lambda v: layer_norm([[1.0, 2.0]], [1.0, 1.0], [0.0, 0.0], eps=v),
+    "rms_norm": lambda v: rms_norm([[1.0, 2.0]], [1.0, 1.0], eps=v),
+    "ModelConfig.norm_eps": lambda v: _config("norm_eps", v),
+}
+
+
+@pytest.mark.parametrize("site", EPS_SITES)
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1, -1e-300, True, "x"], ids=repr)
+def test_norm_eps_refused(site, eps):
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        EPS_SITES[site](eps)
+
+
+def test_norm_eps_zero_is_a_kernel_value_only():
+    assert np.isfinite(EPS_SITES["layer_norm"](0)).all()
+    assert np.isfinite(EPS_SITES["rms_norm"](0.0)).all()
+    with pytest.raises(ConfigError, match="norm_eps must be a finite number > 0"):
+        EPS_SITES["ModelConfig.norm_eps"](0.0)
+
+
+def _no_product(*args):
+    raise AssertionError("a product ran before the refusal")
+
+
+def _prefilled(w, length):
+    cache = KVCache(w.model, 0, 1, 2)
+    forward(cache, [TokenSeq(tuple(range(1, length + 1)), PLAINTEXT)] * 2)
+    return cache
+
+
+# (the cache, the number of prompts, n_new) of a decode over a cache that is
+# refused; the prompts are w.prompt, two ids, and max_seq_len is 8
+DECODE_OVER_A_CACHE = {
+    "cache of layer 0 alone": (lambda w: KVCache(w.model, 0, 0), 1, 1),
+    "cache of 2 requests, 1 prompt": (lambda w: _prefilled(w, 2), 1, 1),
+    "cache of 2 requests, 3 prompts": (lambda w: _prefilled(w, 2), 3, 1),
+    "2 cached + 2 + 5 positions": (lambda w: _prefilled(w, 2), 2, 5),
+    "7 cached + 2 + 0 positions": (lambda w: _prefilled(w, 7), 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", DECODE_OVER_A_CACHE)
+def test_decode_over_a_cache_refused_before_any_compute(w, monkeypatch, case):
+    make, prompts, n_new = DECODE_OVER_A_CACHE[case]
+    cache = make(w)
+    length = cache.length
+    monkeypatch.setattr(eeinfer.model, "matmul", _no_product)
+    with pytest.raises(ShapeError):
+        greedy_decode(cache, [w.prompt] * prompts, n_new)
+    assert cache.length == length
+
+
+def test_take_refuses_no_requests(w):
+    with pytest.raises(ShapeError, match="at least one request index"):
+        _prefilled(w, 2).take([])

@@ -646,6 +646,60 @@ class TestBatch:
         assert forward(tiny_model, [prompt])[0].tobytes() == forward(tiny_model, prompt).tobytes()
 
 
+class TestTake:
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
+    @pytest.mark.parametrize("encrypted", [False, True])
+    def test_decode_from_a_taken_cache_equals_fresh_decodes(self, norm_kind, encrypted):
+        # mixed and repeated source requests: a repeated one is a fork
+        model = _batch_model(norm_kind, "gelu", encrypted)
+        rng = np.random.default_rng(3)
+        prefixes = [tuple(rng.integers(0, 48, size=4).tolist()) for _ in range(3)]
+        source = KVCache(model, 0, model.config.n_layers - 1, 3)
+        forward(source, [TokenSeq(p, model.domain) for p in prefixes])
+        kept = [kv.copy() for kv in source.kv]
+        picks = [2, 0, 2, 1, 2]
+        tails = [TokenSeq(tuple(rng.integers(0, 48, size=3).tolist()), model.domain) for _ in picks]
+        fresh = [TokenSeq(prefixes[i] + t.ids, model.domain) for i, t in zip(picks, tails)]
+        logits = forward(source.take(picks), tails)
+        for r, seq in enumerate(fresh):
+            assert logits[r].tobytes() == forward(model, seq)[4:].tobytes(), r
+        outs = greedy_decode(source.take(picks), tails, 6)
+        assert [out.ids for out in outs] == [
+            greedy_decode(model, seq, 6).ids[4:] for seq in fresh
+        ]
+        assert all(out.domain == model.domain for out in outs)
+        # the source is read, never written
+        assert source.length == 4
+        assert all(kv.tobytes() == old.tobytes() for kv, old in zip(source.kv, kept))
+
+    def test_take_of_a_shard_layer_range(self):
+        model = init_model(make_config(48, 16, 3, 2, 32, 12), 5)
+        rng = np.random.default_rng(8)
+        prefix = rng.normal(size=(2, 5, 16))  # two requests' rows into layer 1
+        source = KVCache(model, 1, 2, 2)
+        apply_layer_range(source, prefix.reshape(-1, 16), 1, 2)
+        picks = [1, 1, 0]
+        tails = rng.normal(size=(3, 2, 16))
+        got = apply_layer_range(source.take(picks), tails.reshape(-1, 16), 1, 2).reshape(3, 2, 16)
+        for r, i in enumerate(picks):
+            rows = np.concatenate([prefix[i], tails[r]])
+            whole = apply_layer_range(KVCache(model, 1, 2), rows, 1, 2)
+            assert got[r].tobytes() == whole[5:].tobytes(), r
+
+    def test_take_zero_positions_and_past_the_end(self, tiny_model):
+        # an empty cache takes as an empty cache, and a full one refuses a
+        # decode that would need another position
+        cfg = tiny_model.config
+        empty = KVCache(tiny_model, 0, cfg.n_layers - 1, 2).take([1, 0, 1])
+        assert (empty.requests, empty.length) == (3, 0)
+        prompt = TokenSeq((1, 2), PLAINTEXT)
+        assert greedy_decode(empty, [prompt] * 3, 2) == [greedy_decode(tiny_model, prompt, 2)] * 3
+        full = KVCache(tiny_model, 0, cfg.n_layers - 1)
+        forward(full, TokenSeq(tuple(range(cfg.max_seq_len)), PLAINTEXT))
+        with pytest.raises(ShapeError, match="exceeds max_seq_len"):
+            greedy_decode(full.take([0]), TokenSeq((1,), PLAINTEXT), 0)
+
+
 class TestContainer:
     def test_round_trip_bit_exact(self, tiny_model, tmp_path):
         p = tmp_path / "m.eem"
