@@ -247,6 +247,20 @@ def expected_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return {name: tuple(size[kind] for kind in axes) for name, _, axes in tensor_layout(config)}
 
 
+# the right operands of the model's products, besides Wq, Wk and Wv
+_RIGHT_OPERANDS = ("attn.Wo", "ffn.W1", "ffn.W2", "lm_head.W")
+
+
+def _frozen(arr: np.ndarray, backwards: bool = False) -> np.ndarray:
+    """A read-only copy of arr with its values: C-ordered, or (backwards)
+    stored with its last axis reversed and viewed forwards, so that axis has
+    a negative stride."""
+    flip = slice(None, None, -1 if backwards else 1)
+    out = arr[..., flip].copy()
+    out.setflags(write=False)
+    return out[..., flip]
+
+
 class ModelBundle:
     """Immutable (config, domain, tensors) triple of checked shapes and finite entries.
 
@@ -256,6 +270,14 @@ class ModelBundle:
     three), Wo, bo, the FFN norm, W1, b1, W2 and b2; the head is the final
     norm, lm_head.W and lm_head.b. A norm is its gain and, for layernorm, its
     offset.
+
+    Every right operand of a product (Wq|Wk|Wv, Wo, W1, W2, lm_head.W) is
+    held once, stored with its columns reversed and viewed forwards: its
+    values are those given, but its last axis has a negative stride, so
+    matmul hands it to numpy's loop as it is instead of reversing it on
+    every call (tensor_ops._rows); save_model and encrypt_model read any
+    layout. Wq, Wk and Wv in ``tensors`` are views of the fused Wq|Wk|Wv, so
+    each weight has one copy. The other tensors are C-ordered copies.
     """
 
     __slots__ = ("config", "domain", "tensors", "layers", "head")
@@ -273,7 +295,7 @@ class ModelBundle:
             )
         frozen: dict[str, np.ndarray] = {}
         for name, shape in expected.items():
-            arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=np.float64))
+            arr = np.asarray(tensors[name], dtype=np.float64)
             if arr.shape != shape:
                 raise IntegrityError(
                     f"tensor {name!r} has shape {arr.shape}, config implies {shape}"
@@ -281,9 +303,17 @@ class ModelBundle:
             # a ufunc reduce: argmax would pick a NaN logit and decode on silently
             if not np.logical_and.reduce(np.isfinite(arr), axis=None):
                 raise NumericsError(f"tensor {name!r} holds a NaN or infinite entry")
-            arr = arr.copy()
-            arr.setflags(write=False)
             frozen[name] = arr
+        width = config.n_heads * config.d_head
+        w_qkv = []
+        for layer in range(config.n_layers):
+            names = [f"layer{layer}.attn.W{c}" for c in "qkv"]
+            w_qkv.append(_frozen(np.concatenate([frozen[n] for n in names], axis=1), True))
+            for i, name in enumerate(names):
+                frozen[name] = w_qkv[layer][:, i * width : (i + 1) * width]
+        for name, arr in frozen.items():
+            if not name.endswith(("attn.Wq", "attn.Wk", "attn.Wv")):
+                frozen[name] = _frozen(arr, name.endswith(_RIGHT_OPERANDS))
         parts = ("gain", "offset") if config.norm_kind == "layernorm" else ("gain",)
 
         def norm(prefix: str) -> tuple[np.ndarray, ...]:
@@ -292,16 +322,11 @@ class ModelBundle:
         layers = []
         for layer in range(config.n_layers):
             p = f"layer{layer}."
-            w_qkv, b_qkv = (
-                np.concatenate([frozen[f"{p}attn.{kind}{c}"] for c in "qkv"], axis=-1)
-                for kind in ("W", "b")
-            )
-            w_qkv.setflags(write=False)
-            b_qkv.setflags(write=False)
+            b_qkv = _frozen(np.concatenate([frozen[f"{p}attn.b{c}"] for c in "qkv"]))
             layers.append((
-                norm(f"{p}attn_norm"), w_qkv, b_qkv, frozen[f"{p}attn.Wo"], frozen[f"{p}attn.bo"],
-                norm(f"{p}ffn_norm"), frozen[f"{p}ffn.W1"], frozen[f"{p}ffn.b1"],
-                frozen[f"{p}ffn.W2"], frozen[f"{p}ffn.b2"],
+                norm(f"{p}attn_norm"), w_qkv[layer], b_qkv, frozen[f"{p}attn.Wo"],
+                frozen[f"{p}attn.bo"], norm(f"{p}ffn_norm"), frozen[f"{p}ffn.W1"],
+                frozen[f"{p}ffn.b1"], frozen[f"{p}ffn.W2"], frozen[f"{p}ffn.b2"],
             ))
         head = (norm("final_norm"), frozen["lm_head.W"], frozen["lm_head.b"])
         object.__setattr__(self, "config", config)
@@ -413,6 +438,12 @@ class KVCache:
     slots. Each layer's buffer holds max_seq_len positions from the start, so
     no call copies the cached prefix. A cache belongs to one model and one
     set of requests; ``take`` starts another set from cached prefixes.
+
+    Each buffer is a view with its position and d_head axes reversed in
+    memory. Indexing reads and writes it in logical order as usual, and both
+    attention operands it yields, the keys transposed and the values, have a
+    negative stride on their last axis, so matmul hands them to numpy's loop
+    as they are (tensor_ops._rows).
     """
 
     def __init__(self, model: ModelBundle, first: int, last: int, requests: int = 1) -> None:
@@ -425,9 +456,10 @@ class KVCache:
         self.requests = requests
         self.length = 0  # positions processed so far; the next row's position
         cfg = model.config
-        # per layer: keys then values, (2, requests, heads, max_seq_len, d_head)
+        # per layer: keys then values, (2, requests, heads, max_seq_len, d_head),
+        # stored with the last two axes backwards
         shape = (2, requests, cfg.n_heads, cfg.max_seq_len, cfg.d_head)
-        self.kv = [np.empty(shape, dtype=np.float64) for _ in self.layers]
+        self.kv = [np.empty(shape, dtype=np.float64)[..., ::-1, ::-1] for _ in self.layers]
 
     def take(self, requests: Sequence[int]) -> KVCache:
         """A new cache over the same layers whose request i holds the cached

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from eeinfer.model import ModelBundle, ModelConfig, init_model, make_config
+from eeinfer.tensor_ops import PermTable
+
+
+def perm_matrix(table: PermTable) -> np.ndarray:
+    """Dense permutation matrix P of ``table`` with P[map[i], i] = 1."""
+    p = np.zeros((table.n, table.n), dtype=np.float64)
+    p[table.map, np.arange(table.n)] = 1.0
+    return p
 
 
 @pytest.fixture(scope="session")

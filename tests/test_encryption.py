@@ -49,6 +49,8 @@ from eeinfer.model import (
 )
 from eeinfer.tensor_ops import PermTable, matmul
 
+from conftest import perm_matrix
+
 # first seed whose initial 5-element draw is [2, 0, 1, 4, 3], found by search
 SEED_FOR_20143 = 178
 
@@ -221,8 +223,8 @@ class TestEncryptModel:
         key = keygen(cfg, 77)
         enc = encrypt_model(key, m)
         groups = key.groups()
-        pv = key.vocab_perm.matrix()
-        pr = groups["resid", None][0].matrix()
+        pv = perm_matrix(key.vocab_perm)
+        pr = perm_matrix(groups["resid", None][0])
 
         def conj(w, p_in, p_out):
             # stored orientation (in, out): expected = P_in @ W @ P_out.T
@@ -241,9 +243,9 @@ class TestEncryptModel:
         norms = ["final_norm"]
         for i in range(cfg.n_layers):
             p = f"layer{i}"
-            pqk = _block_table(groups["qk", i], cfg.d_head).matrix()
-            pvv = _block_table(groups["v", i], cfg.d_head).matrix()
-            pf = groups["ffn", i][0].matrix()
+            pqk = perm_matrix(_block_table(groups["qk", i], cfg.d_head))
+            pvv = perm_matrix(_block_table(groups["v", i], cfg.d_head))
+            pf = perm_matrix(groups["ffn", i][0])
             expected[f"{p}.attn.Wq"] = conj(t[f"{p}.attn.Wq"], pr, pqk)
             expected[f"{p}.attn.Wk"] = conj(t[f"{p}.attn.Wk"], pr, pqk)
             expected[f"{p}.attn.Wv"] = conj(t[f"{p}.attn.Wv"], pr, pvv)

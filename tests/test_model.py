@@ -46,7 +46,7 @@ from eeinfer.model import (
     make_config,
     save_model,
 )
-from eeinfer.tensor_ops import ACTIVATION_KINDS
+from eeinfer.tensor_ops import ACTIVATION_KINDS, layer_norm, matmul
 
 # sha256 of forward(init_model(make_config(32,16,2,2,32,8), seed=42), [1,2,3])
 # logits bytes, produced once by the reference run and frozen as a regression
@@ -692,6 +692,58 @@ class TestTake:
         assert (empty.requests, empty.length) == (3, 0)
         prompt = TokenSeq((1, 2), PLAINTEXT)
         assert greedy_decode(empty, [prompt] * 3, 2) == [greedy_decode(tiny_model, prompt, 2)] * 3
+
+
+class TestLayout:
+    """The right operands of the model's products are stored backwards in
+    memory (a negative last-axis stride), which spares matmul a reversal per
+    call; C order would give the same bytes, only slower, so these tests are
+    what keeps it."""
+
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
+    def test_weights_are_stored_backwards_once(self, norm_kind):
+        cfg = make_config(24, 8, 2, 2, 12, 6, norm_kind=norm_kind)
+        rng = np.random.default_rng(9)
+        given = {n: rng.normal(size=s) for n, s in expected_tensor_shapes(cfg).items()}
+        model = ModelBundle(cfg, PLAINTEXT, given)
+        for i, layer in enumerate(model.layers):
+            p = f"layer{i}."
+            weights = [w for w in layer if isinstance(w, np.ndarray) and w.ndim == 2]
+            names = ["attn.Wq|attn.Wk|attn.Wv", "attn.Wo", "ffn.W1", "ffn.W2"]
+            assert len(weights) == len(names)
+            for w, name in zip(weights, names):
+                expected = np.concatenate([given[p + n] for n in name.split("|")], axis=1)
+                assert w.strides[-1] < 0 and not w.flags.writeable, p + name
+                assert w.tobytes() == expected.tobytes(), p + name
+            # Wq, Wk and Wv are views of the fused weight, not a second copy
+            for c in "qkv":
+                assert np.shares_memory(model.tensors[f"{p}attn.W{c}"], weights[0]), c
+        w = model.head[1]
+        assert w.strides[-1] < 0 and w.tobytes() == given["lm_head.W"].tobytes()
+        for name, arr in given.items():
+            assert model.tensors[name].tobytes() == arr.tobytes(), name
+
+    def test_cache_buffers_are_stored_backwards(self, tiny_model):
+        cfg, rng = tiny_model.config, np.random.default_rng(4)
+        prompts = [TokenSeq(tuple(rng.integers(0, 32, size=3).tolist()), PLAINTEXT) for _ in range(2)]
+        source = KVCache(tiny_model, 0, cfg.n_layers - 1, 2)
+        greedy_decode(source, prompts, 2)
+        taken = source.take([1, 0, 1])
+        fresh = KVCache(tiny_model, 0, cfg.n_layers - 1, 3)
+        greedy_decode(fresh, [prompts[1], prompts[0], prompts[1]], 2)
+        for cache in (source, taken, fresh):
+            assert cache.length == 4
+            assert all(kv.strides[-1] < 0 and kv.strides[-2] < 0 for kv in cache.kv)
+        for got, want in zip(taken.kv, fresh.kv):
+            assert got[:, :, :, :4].tobytes() == want[:, :, :, :4].tobytes()
+        # layer 0's keys and values from the public kernels, rows 0..2
+        t, ids = tiny_model.tensors, [seq.ids for seq in prompts]
+        h = layer_norm(embed_positions(tiny_model, ids), t["layer0.attn_norm.gain"],
+                       t["layer0.attn_norm.offset"], cfg.effective_norm_eps)
+        for half, c in enumerate("kv"):
+            rows = matmul(h, t[f"layer0.attn.W{c}"]) + t[f"layer0.attn.b{c}"]
+            want = rows.reshape(2, 3, cfg.n_heads, cfg.d_head).transpose(0, 2, 1, 3)
+            assert source.kv[0][half, :, :, :3].tobytes() == want.tobytes(), c
 
 
 class TestContainer:

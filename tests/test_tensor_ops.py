@@ -30,6 +30,8 @@ from eeinfer.tensor_ops import (
     softmax_rows,
 )
 
+from conftest import perm_matrix
+
 # gelu(1) oracle, computed from the erf definition independently of the
 # implementation: 1 * 0.5 * (1 + erf(1/sqrt(2)))
 GELU_AT_ONE = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
@@ -220,6 +222,25 @@ class TestMatmul:
                                keys.transpose(0, 2, 1), q.transpose(0, 2, 1), (4, n, k, m))
 
     @on_both_paths
+    def test_backwards_right_operands_bit_exact(self):
+        # a right operand whose last axis runs backwards in memory, as the
+        # model stores its weights and KV cache, goes to numpy's loop as it
+        # is; reversed forwards again, a one-row product of it would go to
+        # BLAS
+        rng = np.random.default_rng(47)
+
+        def draw(shape):
+            return rng.normal(size=shape) * 2.0 ** rng.integers(-30, 31, size=shape)
+
+        for m, k, n in [(1, 32, 96), (1, 67, 5), (1, 8, 2), (2, 31, 33), (3, 67, 5), (5, 16, 7),
+                        (16, 32, 96)]:
+            a, w = draw((m, k)), draw((k, n))
+            for b in (w[:, ::-1], w[::-1, ::-1]):
+                assert_scalar_fold(matmul(a, b), a, b, (m, k, n))
+            q, keys = draw((4, m, k)), draw((4, k, n))[..., ::-1]
+            assert_scalar_fold(matmul(q, keys), q, keys, (4, m, k, n))
+
+    @on_both_paths
     def test_one_column_is_a_sequential_fold(self):
         # with n = 1 only k is left to reduce over, which numpy would sum
         # pairwise from 8 terms on; one column must still fold in order
@@ -302,12 +323,19 @@ class TestMatmul:
             assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
             got += 1.0
 
-    @pytest.mark.parametrize("other", [pairwise_rows, fused_rows, lambda a, b: a @ b,
-                                       lambda a, b: a @ b if a.shape[-2] == 1 else _ROWS(a, b)],
-                             ids=["pairwise", "fused-multiply-add", "blas", "one-row blas"])
+    @pytest.mark.parametrize(
+        "other",
+        [pairwise_rows, fused_rows, lambda a, b: a @ b,
+         lambda a, b: a @ b if a.shape[-2] == 1 else _ROWS(a, b),
+         lambda a, b: a @ b if b.strides[-1] < 0 else _ROWS(a, b),
+         lambda a, b: (a @ np.ascontiguousarray(b) if b.strides[-1] < 0 and a.shape[-2] == 1
+                       else _ROWS(a, b))],
+        ids=["pairwise", "fused-multiply-add", "blas", "one-row blas", "backwards blas",
+             "backwards one-row blas"])
     def test_probe_refuses_any_other_order(self, monkeypatch, other):
         # if numpy's loop summed in another order, fused the multiply-add or
-        # went to BLAS, in either form of _rows, the probe fails and every
+        # went to BLAS, in any form of _rows (one row or several, a right
+        # operand stored forwards or backwards), the probe fails and every
         # product takes the fold
         monkeypatch.setattr(tensor_ops, "_rows", other)
         assert tensor_ops._rows_exact() is False
@@ -345,7 +373,7 @@ class TestMatmul:
         rng = np.random.default_rng(11)
         a = rng.integers(-9, 10, size=(5, 6)).astype(np.float64)
         x = rng.integers(-9, 10, size=(6, 3)).astype(np.float64)
-        p = PermTable.random(6, rng).matrix()
+        p = perm_matrix(PermTable.random(6, rng))
         lhs = matmul(matmul(a, p.T), matmul(p, x))
         assert np.array_equal(lhs, matmul(a, x))
 
@@ -353,7 +381,7 @@ class TestMatmul:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(4, 8))
         x = rng.normal(size=(8, 2))
-        p = PermTable.random(8, rng).matrix()
+        p = perm_matrix(PermTable.random(8, rng))
         lhs = matmul(matmul(a, p.T), matmul(p, x))
         ref = matmul(a, x)
         assert np.max(np.abs(lhs - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
@@ -603,7 +631,7 @@ class TestPermTable:
     def test_matrix_convention(self):
         # P[map[i], i] = 1: P @ e_i lands on coordinate map[i]
         p = PermTable(np.array([2, 0, 1]))
-        m = p.matrix()
+        m = perm_matrix(p)
         e0 = np.zeros((3, 1))
         e0[0, 0] = 1.0
         assert np.argmax(matmul(m, e0)) == 2
