@@ -274,8 +274,8 @@ class ModelBundle:
     Every right operand of a product (Wq|Wk|Wv, Wo, W1, W2, lm_head.W) is
     held once, stored with its columns reversed and viewed forwards: its
     values are those given, but its last axis has a negative stride, so
-    matmul hands it to numpy's loop as it is instead of reversing it on
-    every call (tensor_ops._rows); save_model and encrypt_model read any
+    matmul hands it to numpy's loop as it is instead of copying it into that
+    layout on every call (tensor_ops._rows); save_model and encrypt_model read any
     layout. Wq, Wk and Wv in ``tensors`` are views of the fused Wq|Wk|Wv, so
     each weight has one copy. The other tensors are C-ordered copies.
     """

@@ -19,12 +19,12 @@ Everything downstream leans on three properties of this module:
 
 A decode step feeds one row per request, so ``matmul`` and the norms take
 one row by a cheaper form with the same arithmetic (``_rows`` and
-``_layer_norm`` say why the bytes agree). ``matmul`` hands a right operand
-whose last axis runs backwards in memory (a negative stride) to numpy's loop
-as it is, and reverses any other into such a view on each call; the model
-stores its weights and KV cache backwards once, so its products skip that
-step. numpy's loop walks its operands in logical index order whatever their
-strides, so the layout never changes a byte. Every public kernel converts its
+``_layer_norm`` say why the bytes agree). ``matmul`` hands numpy's loop a
+right operand whose last axis runs backwards in memory (a negative stride)
+as it is, and first copies any other into that layout; the model stores its
+weights and KV cache backwards once, so its products skip the copy. numpy's
+loop walks its operands in logical index order whatever their strides, so
+the layout never changes a byte. Every public kernel converts its
 inputs to float64 arrays and checks their shapes, 2-D except for a batched
 ``matmul``; integer examples in the tests are exact because float64 holds
 small integers exactly. The norm bodies take several rows in C order, since
@@ -90,11 +90,11 @@ def matmul(a: object, b: object) -> np.ndarray:
     Each row of each slice runs as its own one-row product in numpy's scalar
     matmul loop, which sets an entry to 0 and then adds a[i,kk]*b[kk,j] for
     kk ascending, in logical index order whatever the operands' strides;
-    slices of one row go to that loop as they are. A right operand whose last
-    axis has a negative stride is kept from BLAS by that stride and goes to
-    the loop as it is; any other is reversed into such a view, and the
-    result written through a reversed view, so every layout gives the same
-    bytes. No m * k * n tensor is built. One column (n = 1) would go to
+    slices of one row go to that loop as they are. The loop gets a right
+    operand whose last axis has a negative stride, which keeps it from BLAS:
+    such an operand as it is, any other copied backwards in memory and
+    viewed forwards. Every layout gives the same bytes. No m * k * n tensor
+    is built. One column (n = 1) would go to
     BLAS's dot, so it takes the broadcast fold, _fold. A numpy whose loop
     fused the multiply-add, or sent such operands to BLAS, would give other
     bytes: a probe at import sets _ROWS_EXACT, and if it fails every product
@@ -126,26 +126,21 @@ def _matmul(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
 def _rows(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """Every row as a one-row product in numpy's scalar loop; a fresh C-ordered result.
 
-    A right operand that runs backwards in memory (a negative stride on its
-    last axis, as the model stores its weights and KV cache) goes to the loop
-    as it is; any other is reversed into such a view, and the result written
-    through a reversed view. The loop walks every operand in logical index
-    order whatever its strides, so both forms give the same bytes. Slices of
-    one row are one-row products already and go to the loop directly.
-    Several rows need the split into one-row cores: numpy (2.4 measured)
-    hands a multi-row product with reversed columns to BLAS by copying the
-    operand, and BLAS sums in another order."""
-    if bv.strides[-1] < 0:
-        if av.shape[-2] == 1:
-            return np.matmul(av, bv)
-        out = np.matmul(av[..., :, None, :], bv[..., None, :, :])
-        return out.reshape(av.shape[:-1] + bv.shape[-1:])
-    out = np.empty(av.shape[:-1] + bv.shape[-1:])
+    The right operand goes to the loop running backwards in memory (a
+    negative stride on its last axis): as it is if it already does, as the
+    model stores its weights and KV cache, else copied into that layout. The
+    loop walks every operand in logical index order whatever its strides, so
+    the layout never changes a byte. Slices of one row are one-row products
+    already and go to the loop directly. Several rows need the split into
+    one-row cores: numpy (2.4 measured) hands a multi-row product with
+    reversed columns to BLAS by copying the operand, and BLAS sums in another
+    order."""
+    if bv.strides[-1] >= 0:
+        bv = np.ascontiguousarray(bv[..., ::-1])[..., ::-1]
     if av.shape[-2] == 1:
-        np.matmul(av, bv[..., ::-1], out=out[..., ::-1])
-    else:
-        np.matmul(av[..., :, None, :], bv[..., None, :, ::-1], out=out[..., :, None, ::-1])
-    return out
+        return np.matmul(av, bv)
+    out = np.matmul(av[..., :, None, :], bv[..., None, :, :])
+    return out.reshape(av.shape[:-1] + bv.shape[-1:])
 
 
 def _fold(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -161,15 +156,19 @@ def _fold(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
 
 def _rows_exact() -> bool:
     """Whether _rows gives _fold's bytes on terms from 2**-60 to 2**60, which a
-    pairwise sum, BLAS or a fused multiply-add round differently: on each of
-    its forms (several rows, one row), 2-D and batched, with a right operand
-    stored forwards and one stored backwards."""
+    pairwise sum, BLAS or a fused multiply-add round differently: on both of
+    its forms (several rows, one row), 2-D and batched, with the right operand
+    in each layout the model passes: C-ordered, which _rows copies into the
+    weights' layout (columns backwards), both axes backwards (cached values),
+    and rows backwards with unit stride (transposed cached keys)."""
     rng = np.random.default_rng(0)
     a, b = (rng.normal(size=s) * 2.0 ** rng.integers(-30, 31, size=s)
             for s in ((2, 3, 67), (2, 67, 5)))
-    backwards = np.ascontiguousarray(b[..., ::-1])[..., ::-1]
+    keys = np.ascontiguousarray(b.transpose(0, 2, 1)[..., ::-1, ::-1])[..., ::-1, ::-1]
+    layouts = (b, np.ascontiguousarray(b[..., ::-1, ::-1])[..., ::-1, ::-1],
+               keys.transpose(0, 2, 1))
     return all(_rows(x, y).tobytes() == _fold(x, y).tobytes()
-               for w in (b, backwards)
+               for w in layouts
                for x, y in ((a[0], w[0]), (a, w), (a[0, :1], w[0]), (a[:, :1], w)))
 
 
