@@ -83,6 +83,7 @@ from .containers import json_ids, read_jsonl, write_jsonl
 from .bench import random_prompts
 from .encryption import check_pairing, encrypt_tokens
 from .errors import ConfigError, RangeError, RefusalError, ShapeError, check_int
+from .errors import check_float, check_ids
 from .model import PLAINTEXT, KVCache, ModelBundle, TokenSeq, forward, greedy_decode
 from .tensor_ops import PermTable
 
@@ -238,14 +239,7 @@ class GreedyOracle:
         keys = []
         misses: dict[tuple[int, int], dict[tuple[bytes, int], np.ndarray]] = {}
         for ids, n_new in requests:
-            ids = np.asarray(ids)
-            if ids.dtype != np.int64:
-                # a float would be truncated and a bool taken as 0 or 1
-                if ids.size and ids.dtype.kind not in "iu":
-                    raise RangeError(
-                        f"token ids must be integers, got {ids.dtype} id {ids.flat[0].item()!r}"
-                    )
-                ids = ids.astype(np.int64)
+            ids = check_ids(ids)
             key = (ids.tobytes(), n_new)
             keys.append(key)
             if key not in memo:
@@ -331,9 +325,7 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         for name in ("lambda_uni", "lambda_bi", "lambda_cons"):
-            # NaN fails every comparison, so this refuses it too
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0")
+            setattr(self, name, check_float(getattr(self, name), name, ConfigError))
         if self.lambda_uni == 0 and self.lambda_bi == 0 and self.lambda_cons == 0:
             raise ConfigError("at least one loss component must have positive weight")
         self.seed = check_int(self.seed, "seed", ConfigError)
@@ -356,8 +348,9 @@ class AttackConfig:
                     raise ConfigError(f"ref_bigram context {ctx} has no successors")
                 for nxt in row:
                     check_int(nxt, f"ref_bigram successor of context {ctx}", ConfigError, hi=v - 1)
-                probs = np.asarray([float(p) for p in row.values()])
-                _check_distribution(probs, f"ref_bigram row for context {ctx}")
+                probs = [check_float(p, f"ref_bigram probability of {nxt} after context {ctx}",
+                                     ConfigError) for nxt, p in row.items()]
+                _check_distribution(np.asarray(probs), f"ref_bigram row for context {ctx}")
         if self.lambda_cons > 0:
             if self.oracle is None:
                 raise ConfigError("lambda_cons > 0 requires an oracle model")

@@ -25,24 +25,9 @@ import numpy as np
 
 from .containers import json_ids, read_jsonl, write_jsonl
 from .encryption import EEKey, decrypt_logits, decrypt_tokens, encrypt_model, encrypt_tokens
-from .errors import ConfigError, DomainError, RangeError, ShapeError, check_int
+from .errors import ConfigError, DomainError, RangeError, ShapeError, check_float, check_int
 from .model import PLAINTEXT, ModelBundle, ModelConfig, TokenSeq, forward, greedy_decode
 from .tensor_ops import softmax_rows
-
-
-def _score_arrays(scores_vi, scores_ee) -> tuple[np.ndarray, np.ndarray]:
-    vi = np.asarray(scores_vi, dtype=np.float64)
-    ee = np.asarray(scores_ee, dtype=np.float64)
-    if vi.ndim != 1 or ee.ndim != 1:
-        raise ShapeError("score lists must be one-dimensional")
-    if vi.shape != ee.shape:
-        raise ShapeError(f"score lists differ in length: {vi.shape[0]} vs {ee.shape[0]}")
-    if vi.shape[0] == 0:
-        raise DomainError("fidelity of empty score lists is undefined")
-    for name, arr in (("scores_vi", vi), ("scores_ee", ee)):
-        if not ((0 <= arr) & (arr <= 1)).all():
-            raise RangeError(f"{name} has entries outside [0, 1]")
-    return vi, ee
 
 
 @dataclass(frozen=True)
@@ -57,7 +42,16 @@ class FidelityReport:
     skipped_zero_pairs: int = field(init=False)
 
     def __post_init__(self) -> None:
-        vi, ee = _score_arrays(self.scores_vi, self.scores_ee)
+        shape_vi, shape_ee = np.shape(self.scores_vi), np.shape(self.scores_ee)
+        if len(shape_vi) != 1 or len(shape_ee) != 1:
+            raise ShapeError("score lists must be one-dimensional")
+        if shape_vi != shape_ee:
+            raise ShapeError(f"score lists differ in length: {shape_vi[0]} vs {shape_ee[0]}")
+        if shape_vi[0] == 0:
+            raise DomainError("fidelity of empty score lists is undefined")
+        arms = [[check_float(s, f"{name} entry", RangeError, hi=1) for s in getattr(self, name)]
+                for name in ("scores_vi", "scores_ee")]
+        vi, ee = np.asarray(arms, dtype=np.float64)
         peak = np.maximum(vi, ee)
         both_zero = peak == 0.0
         # a 0/0 pair means both arms agree exactly; it contributes no gap
@@ -108,8 +102,9 @@ class LatencyReport:
     def __post_init__(self) -> None:
         if not self.vi_samples or len(self.vi_samples) != len(self.ee_samples):
             raise ShapeError("latency needs one sample per arm per repeat, and a repeat")
-        if not all(0 < s < math.inf for s in (*self.vi_samples, *self.ee_samples)):
-            raise RangeError("latency samples must be finite and > 0 seconds")
+        vi, ee = (tuple(check_float(s, "latency sample", RangeError, open_lo=True) for s in arm)
+                  for arm in (self.vi_samples, self.ee_samples))
+        vars(self).update(vi_samples=vi, ee_samples=ee)
         # each repeat's EE-over-VI overhead, in percent
         deltas = [(ee - vi) / vi * 100.0 for vi, ee in zip(self.vi_samples, self.ee_samples)]
         object.__setattr__(self, "vi_seconds", statistics.median(self.vi_samples))

@@ -39,7 +39,7 @@ from .encryption import (
     load_key,
     save_key,
 )
-from .errors import ConfigError, DomainError, EEError, FormatError
+from .errors import ConfigError, DomainError, EEError, FormatError, check_float
 from .model import (
     CIPHERTEXT,
     PLAINTEXT,
@@ -152,29 +152,29 @@ def cmd_fidelity(resolved: dict) -> None:
     print(f"wrote {json_path} and {md_path}")
 
 
-def _as_number(value: object) -> float:
-    """A JSON number as a float; a string, boolean, null or list raises TypeError."""
-    if not _fits(_FLOAT, value):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
+# A reference entry that is not a JSON number is a FormatError; a JSON float is
+# passed on as it is, so NaN or infinity meets AttackConfig's ConfigError.
 def _load_ref_unigram(path: str) -> np.ndarray:
     doc = _load_json(path, "unigram reference", list)
-    try:
-        return np.asarray([_as_number(p) for p in doc], dtype=np.float64)
-    except TypeError as exc:
-        raise FormatError(f"unigram reference {path} is malformed: {exc}") from exc
+    what = f"unigram reference {path} entry"
+    return np.asarray(
+        [p if type(p) is float else check_float(p, what, FormatError, lo=-np.inf) for p in doc],
+        dtype=np.float64,
+    )
 
 
 def _load_ref_bigram(path: str) -> dict[int, dict[int, float]]:
     doc = _load_json(path, "bigram reference", dict)
+    what = f"bigram reference {path} entry"
     try:
         return {
-            int(ctx): {int(nxt): _as_number(p) for nxt, p in row.items()}
+            int(ctx): {
+                int(nxt): p if type(p) is float else check_float(p, what, FormatError, lo=-np.inf)
+                for nxt, p in row.items()
+            }
             for ctx, row in doc.items()
         }
-    except (ValueError, AttributeError, TypeError) as exc:
+    except (ValueError, AttributeError) as exc:
         raise FormatError(f"bigram reference {path} is malformed: {exc}") from exc
 
 

@@ -138,22 +138,15 @@ def check_pairing(key: EEKey, config: ModelConfig) -> None:
 def encrypt_tokens(key: EEKey, s: TokenSeq) -> TokenSeq:
     if s.domain != PLAINTEXT:
         raise DomainError("encrypt_tokens expects a plaintext sequence")
-    _check_token_range(key, s)
+    check_int(max(s.ids, default=0), "token id", RangeError, hi=key.vocab_perm.n - 1)
     return TokenSeq(tuple(int(key.vocab_perm.map[i]) for i in s.ids), CIPHERTEXT)
 
 
 def decrypt_tokens(key: EEKey, s: TokenSeq) -> TokenSeq:
     if s.domain != CIPHERTEXT:
         raise DomainError("decrypt_tokens expects a ciphertext sequence")
-    _check_token_range(key, s)
+    check_int(max(s.ids, default=0), "token id", RangeError, hi=key.vocab_perm.n - 1)
     return TokenSeq(tuple(int(key.vocab_perm.inv_map[i]) for i in s.ids), PLAINTEXT)
-
-
-def _check_token_range(key: EEKey, s: TokenSeq) -> None:
-    if s.ids and max(s.ids) >= key.vocab_perm.n:
-        raise RangeError(
-            f"token id {max(s.ids)} out of range for vocabulary size {key.vocab_perm.n}"
-        )
 
 
 def _block_table(per_head: Sequence[PermTable], d_head: int) -> PermTable:

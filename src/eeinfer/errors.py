@@ -4,8 +4,9 @@ Each class maps to one failure family and carries the CLI exit code for it as
 ``exit_code``. Library code raises these instead of bare ValueError so callers
 can route on type without string matching.
 
-check_int is the one rule for every count, size, index and seed the library
-takes: each site names the class it raises.
+The number rules live here too, each site naming the class it raises:
+check_int for every count, size, index and seed, check_float for every other
+scalar number, and check_ids for token ids handed over as an array.
 """
 from __future__ import annotations
 
@@ -104,3 +105,36 @@ def check_int(
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise error(f"{name} must be an integer {bounds}, got {value}")
     return value
+
+
+def check_float(
+    value: object, name: str, error: type[EEError], lo: float = 0, hi: float = np.inf,
+    open_lo: bool = False,
+) -> int | float:
+    """``value`` as a plain int if it is an int or a numpy integer, else as a
+    plain float (so stored values keep their JSON bytes), refused with ``error``
+    unless it is a number, finite and in lo..hi (above lo when open_lo). A bool
+    is refused, not taken as 0 or 1; a string, None or a list is not parsed."""
+    ok = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if ok:
+        number = int(value) if isinstance(value, (int, np.integer)) else float(value)
+        # NaN fails every comparison, so this refuses it too
+        ok = (lo < number if open_lo else lo <= number) and number <= hi and abs(number) < np.inf
+    if not ok:
+        bound = f" {'>' if open_lo else '>='} {lo}" if lo > -np.inf else ""
+        bound += f" and <= {hi}" if hi < np.inf else ""
+        raise error(f"{name} must be a finite number{bound}, got {value!r}")
+    return number
+
+
+def check_ids(ids: object) -> np.ndarray:
+    """Token ids as an int64 array (an int64 array as it is), refused with
+    RangeError unless they are integers: a float would be truncated and a bool
+    taken as 0 or 1. The caller checks their range."""
+    idx = np.asarray(ids)
+    if idx.dtype != np.int64:
+        if idx.size and idx.dtype.kind not in "iu":
+            first = idx.flat[0].item()
+            raise RangeError(f"token ids must be integers, got {idx.dtype} id {first!r}")
+        idx = idx.astype(np.int64)
+    return idx

@@ -20,11 +20,12 @@ the cached rows equal a full forward pass byte for byte, and a cache that
 KVCache.take starts from another's cached positions continues each request
 as a fresh pass would.
 
-Operands are checked once, where they enter: ModelBundle checks every
-weight, embed_positions the ids and positions, forward and greedy_decode
-their token sequences (and then embed through embed_positions' unchecked
-body), apply_layer_range and final_logits the rows. The kernels run
-unchecked from there (tensor_ops says which bodies this module binds).
+Operands are checked where they enter: ModelBundle checks every weight,
+embed_positions the ids and positions, forward and greedy_decode their token
+sequences (greedy_decode's prompts twice, since its prefill goes through
+forward) and then embed them through embed_positions' unchecked body,
+apply_layer_range and final_logits the rows. The kernels run unchecked from
+there (tensor_ops says which bodies this module binds).
 
 A cache holds B requests, and the rows of all of them travel as one
 request-major (B * rows, d_model) array, so every weight product takes all B
@@ -58,9 +59,11 @@ from .errors import (
     NumericsError,
     RangeError,
     ShapeError,
+    check_float,
+    check_ids,
     check_int,
 )
-from .tensor_ops import ACTIVATION_KINDS, activate, check_eps, softmax_rows
+from .tensor_ops import ACTIVATION_KINDS, activate, softmax_rows
 # the unchecked bodies: ModelBundle checked the weights, and apply_layer_range
 # and final_logits check the rows once per call
 from .tensor_ops import _layer_norm as layer_norm, _matmul as matmul, _rms_norm as rms_norm
@@ -109,7 +112,8 @@ class ModelConfig:
         if self.pos_kind not in POS_KINDS:
             raise ConfigError(f"pos_kind must be one of {POS_KINDS}, got {self.pos_kind!r}")
         if self.norm_eps is not None:
-            check_eps(self.norm_eps, "norm_eps", zero=False)
+            eps = check_float(self.norm_eps, "norm_eps", ConfigError, open_lo=True)
+            object.__setattr__(self, "norm_eps", eps)
 
     @property
     def effective_norm_eps(self) -> float:
@@ -383,10 +387,7 @@ def _validate_batch(
                 f"sequence length {cached}{len(tokens)}+{n_new} exceeds max_seq_len "
                 f"{model.config.max_seq_len}"
             )
-        if max(tokens.ids) >= model.config.vocab_size:
-            raise RangeError(
-                f"token id {max(tokens.ids)} out of range for vocab_size {model.config.vocab_size}"
-            )
+        check_int(max(tokens.ids), "token id", RangeError, hi=model.config.vocab_size - 1)
     return n_new
 
 
@@ -396,20 +397,13 @@ def embed_positions(model: ModelBundle, ids: Sequence, start: int = 0) -> np.nda
     them; the result is request-major, (B * rows, d_model). The ids must be
     integers in 0..vocab_size - 1 and the positions must fit in
     0..max_seq_len - 1."""
-    idx = np.asarray(ids)
-    if idx.size == 0:
-        idx = idx.astype(np.int64)
-    elif idx.dtype.kind not in "iu":
-        # a float would be truncated and a bool taken as 0 or 1
-        raise RangeError(f"token ids must be integers, got {idx.dtype} id {idx.flat[0].item()!r}")
-    else:
+    idx = check_ids(ids)
+    if idx.size:
         # ufunc reduces, as ndarray.min and max go through numpy's Python wrapper
         lo, hi = np.minimum.reduce(idx, axis=None), np.maximum.reduce(idx, axis=None)
-        if lo < 0 or hi >= model.config.vocab_size:
-            raise RangeError(
-                f"token id {lo if lo < 0 else hi} out of range for vocab_size "
-                f"{model.config.vocab_size}"
-            )
+        vocab = model.config.vocab_size
+        if lo < 0 or hi >= vocab:
+            raise RangeError(f"token id {lo if lo < 0 else hi} out of range for vocab_size {vocab}")
     # a negative slice start would count from the end of the table
     start = check_int(start, "start position", ShapeError)
     end = start + idx.shape[-1]
@@ -615,10 +609,10 @@ def greedy_decode(
 
     prompts is one TokenSeq, and one comes back, or a list of equal-length
     ones, decoded together as one batch, and a list comes back. The prompts
-    and n_new are checked once, before anything runs, and prefill a KV cache
-    through forward; each later step embeds the tokens chosen last without a
-    second check and runs them through the pieces a pipeline shard runs
-    (apply_layer_range, final_logits). Each request gets the tokens it would
+    and n_new are checked before anything runs, and prefill a KV cache through
+    forward, which checks the prompts again; each later step embeds the tokens
+    chosen last without a check and runs them through the pieces a pipeline
+    shard runs (apply_layer_range, final_logits). Each request gets the tokens it would
     get alone.
 
     With a KVCache over every layer in place of the model (one from

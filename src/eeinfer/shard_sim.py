@@ -52,6 +52,7 @@ from .errors import (
     RangeError,
     ShapeError,
     VersionError,
+    check_float,
     check_int,
 )
 from .model import (
@@ -226,15 +227,14 @@ class BrokerConfig:
 
     def __post_init__(self) -> None:
         seed = check_int(self.seed, "seed", ConfigError)
-        # NaN fails every comparison, so this refuses it too
-        if not 0 <= self.latency_lo <= self.latency_hi < np.inf:
-            raise ConfigError("latency bounds need 0 <= lo <= hi, both finite")
+        lo = check_float(self.latency_lo, "latency_lo", ConfigError)
+        hi = check_float(self.latency_hi, "latency_hi", ConfigError, lo=lo)
         spares = check_int(self.spares, "spares", ConfigError)
         failures = tuple(
             (check_int(n, "failure node", ConfigError), check_int(t, "failure step", ConfigError))
             for n, t in self.failures
         )
-        vars(self).update(seed=seed, spares=spares, failures=failures)
+        vars(self).update(seed=seed, latency_lo=lo, latency_hi=hi, spares=spares, failures=failures)
 
 
 class Transcript:

@@ -26,8 +26,9 @@ weights and KV cache backwards once, so its products skip the copy. numpy's
 loop walks its operands in logical index order whatever their strides, so
 the layout never changes a byte. Every public kernel converts its
 inputs to float64 arrays and checks their shapes, 2-D except for a batched
-``matmul``; integer examples in the tests are exact because float64 holds
-small integers exactly. The norm bodies take several rows in C order, since
+``matmul``, and the public norms check eps by ``errors.check_float``; integer
+examples in the tests are exact because float64 holds small integers exactly.
+The norm bodies take several rows in C order, since
 numpy sums each row of an F-ordered matrix sequentially, not pairwise, so
 their bytes do not depend on the input's layout. ``matmul``,
 ``layer_norm`` and ``rms_norm`` then call one unchecked body, ``_matmul``,
@@ -50,7 +51,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError, check_float
 
 ACTIVATION_KINDS = ("relu", "gelu", "silu")
 
@@ -223,18 +224,6 @@ def activate(kind: str, x: object) -> np.ndarray:
     raise ConfigError(f"unknown activation kind {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
-def check_eps(eps: object, name: str = "eps", zero: bool = True) -> float:
-    """eps as given, refused with ConfigError unless it is an int or a float,
-    not a bool, finite and >= 0 (> 0 when zero is False): the one rule for a
-    norm's eps, which ModelConfig applies to norm_eps with zero False."""
-    # NaN fails every comparison, so this refuses it too
-    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
-            or not (0 <= eps if zero else 0 < eps) or not eps < math.inf):
-        bound = ">= 0" if zero else "> 0"
-        raise ConfigError(f"{name} must be a finite number {bound}, got {eps!r}")
-    return eps
-
-
 def layer_norm(
     x: object,
     gamma: object,
@@ -242,11 +231,11 @@ def layer_norm(
     eps: float = 1e-5,
 ) -> np.ndarray:
     """Per-row mean/variance normalization followed by an affine map; eps is
-    a finite number >= 0."""
+    a finite number >= 0 (errors.check_float, ConfigError)."""
     v = as_matrix(x, "layer_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
     b = _as_vector(beta, v.shape[1], "beta")
-    return _layer_norm(v, g, b, check_eps(eps))
+    return _layer_norm(v, g, b, check_float(eps, "eps", ConfigError))
 
 
 def _scalar_root(s: np.float64) -> float:
@@ -278,10 +267,10 @@ def _layer_norm(v: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) 
 
 def rms_norm(x: object, gamma: object, eps: float = 1e-6) -> np.ndarray:
     """Per-row division by the root mean square, then a gamma scale; eps is a
-    finite number >= 0."""
+    finite number >= 0 (errors.check_float, ConfigError)."""
     v = as_matrix(x, "rms_norm input")
     g = _as_vector(gamma, v.shape[1], "gamma")
-    return _rms_norm(v, g, check_eps(eps))
+    return _rms_norm(v, g, check_float(eps, "eps", ConfigError))
 
 
 def _rms_norm(v: np.ndarray, g: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -1,13 +1,19 @@
-"""The one integer rule, entry point by entry point.
+"""The number rules of eeinfer.errors, entry point by entry point.
 
 Every count, size, index and seed the library takes is an int or a numpy
-integer in its range. A float, a bool or an out-of-range value raises the
-site's EEError subclass, never a bare TypeError or ValueError, and a numpy
-integer is accepted and stored as a plain int. The integer fields of a .eekey
-or .eem header follow the same rule and raise FormatError.
+integer in its range (check_int). A float, a bool or an out-of-range value
+raises the site's EEError subclass, never a bare TypeError or ValueError, and
+a numpy integer is accepted and stored as a plain int. The integer fields of
+a .eekey or .eem header follow the same rule and raise FormatError.
 
-The other shared rules follow: token ids given as arrays, a norm's eps, and
-the arguments of a decode over a cache, each refused before anything runs.
+Every other scalar number (a norm's eps, a loss weight, a reference
+probability, a latency bound or sample, a confidence score) is an int, a
+float or a numpy number, finite and in its range (check_float). A bool, a
+string, None, NaN, an infinity or a value below the range raises the site's
+class, and an accepted value is stored as a plain int or float.
+
+The other shared rules follow: token ids given as arrays (check_ids) and the
+arguments of a decode over a cache, each refused before anything runs.
 """
 from __future__ import annotations
 
@@ -28,11 +34,12 @@ from eeinfer.attack import (
     random_sampling,
     save_corpus,
 )
-from eeinfer.bench import Arms, measure_latency, random_prompts
+from eeinfer.bench import Arms, FidelityReport, LatencyReport, measure_latency, random_prompts
 from eeinfer.containers import read_container, write_container
 from eeinfer.encryption import (
     KEY_MAGIC,
     LAYOUT_FIELDS,
+    decrypt_tokens,
     encrypt_tokens,
     keygen,
     load_key,
@@ -40,6 +47,7 @@ from eeinfer.encryption import (
 )
 from eeinfer.errors import ConfigError, EEError, FormatError, RangeError, ShapeError
 from eeinfer.model import (
+    CIPHERTEXT,
     MODEL_MAGIC,
     PLAINTEXT,
     KVCache,
@@ -121,6 +129,12 @@ INT_ARGS = [Site(*row) for row in [
      lambda r: r.n_heads),
     ("TokenSeq id", lambda w, v: TokenSeq((0, v), PLAINTEXT), RangeError, 3, -1,
      lambda r: r.ids[1]),
+    ("greedy_decode id", lambda w, v: greedy_decode(w.model, TokenSeq((0, v), PLAINTEXT), 1),
+     RangeError, 3, 16, lambda r: r.ids[1]),
+    ("encrypt_tokens id", lambda w, v: encrypt_tokens(w.key, TokenSeq((0, v), PLAINTEXT)),
+     RangeError, 3, 16, None),
+    ("decrypt_tokens id", lambda w, v: decrypt_tokens(w.key, TokenSeq((0, v), CIPHERTEXT)),
+     RangeError, 3, 16, None),
     ("init_model seed", lambda w, v: init_model(CONFIG, v), ConfigError, 1, -1, None),
     ("KVCache first", lambda w, v: KVCache(w.model, v, 1), ShapeError, 1, -1,
      lambda r: r.layers.start),
@@ -275,28 +289,115 @@ def test_oracle_refuses_ids_that_are_not_integers(w, ids):
     assert not oracle._memo and oracle._first is None
 
 
-# a norm's eps: what ModelConfig refuses as norm_eps the public kernels
-# refuse too, by the same rule, bar 0, which a kernel takes (its hand cases
-# use it) and a config refuses (a zero row would divide 0 by 0)
-EPS_SITES = {
-    "layer_norm": lambda v: layer_norm([[1.0, 2.0]], [1.0, 1.0], [0.0, 0.0], eps=v),
-    "rms_norm": lambda v: rms_norm([[1.0, 2.0]], [1.0, 1.0], eps=v),
-    "ModelConfig.norm_eps": lambda v: _config("norm_eps", v),
-}
+def _weights(w, name, v):
+    # every loss on, so that each weight may take any value its rule accepts
+    weights = {"lambda_uni": 1.0, "lambda_bi": 1.0, "lambda_cons": 1.0, name: v}
+    return AttackConfig(corpus=w.corpus, ref_unigram=np.full(16, 1 / 16),
+                        ref_bigram={0: {1: 1.0}}, oracle=GreedyOracle(w.model), **weights)
 
 
-@pytest.mark.parametrize("site", EPS_SITES)
+class FloatSite(NamedTuple):
+    """A float entry point: call(w, value), the class it raises, a float it
+    accepts (1 is accepted everywhere too), a value below its range, and how
+    to read the stored value back from the call's result (None: the call
+    stores nothing to read)."""
+
+    name: str
+    call: Callable
+    error: type
+    good: float
+    below: float
+    stored: Callable | None
+
+
+FLOAT_ARGS = [FloatSite(*row) for row in [
+    # a norm's eps: what ModelConfig refuses as norm_eps the public kernels
+    # refuse too, by the same rule, bar 0, which a kernel takes (its hand
+    # cases use it) and a config refuses (a zero row would divide 0 by 0)
+    ("layer_norm", lambda w, v: layer_norm([[1.0, 2.0]], [1.0, 1.0], [0.0, 0.0], eps=v),
+     ConfigError, 0.5, -1e-300, None),
+    ("rms_norm", lambda w, v: rms_norm([[1.0, 2.0]], [1.0, 1.0], eps=v), ConfigError, 0.5,
+     -1e-300, None),
+    ("ModelConfig.norm_eps", lambda w, v: _config("norm_eps", v), ConfigError, 1e-5, 0,
+     lambda r: r.norm_eps),
+    *[
+        (f"AttackConfig {name}", lambda w, v, name=name: _weights(w, name, v), ConfigError, 0.5,
+         -1e-300, lambda r, name=name: getattr(r, name))
+        for name in ("lambda_uni", "lambda_bi", "lambda_cons")
+    ],
+    # a one-successor row, so that the accepted value is 1 and "1.0" parses
+    # to a distribution
+    ("AttackConfig ref_bigram probability",
+     lambda w, v: AttackConfig(corpus=w.corpus, lambda_bi=1.0, ref_bigram={0: {1: v}}),
+     ConfigError, 1.0, -1, None),
+    ("BrokerConfig latency_lo", lambda w, v: BrokerConfig(latency_lo=v, latency_hi=2),
+     ConfigError, 0.5, -1e-300, lambda r: r.latency_lo),
+    # the upper bound's range starts at the lower bound
+    ("BrokerConfig latency_hi", lambda w, v: BrokerConfig(latency_lo=0.25, latency_hi=v),
+     ConfigError, 0.5, 0.125, lambda r: r.latency_hi),
+    *[
+        (f"LatencyReport {arm} sample",
+         lambda w, v, arm=arm: LatencyReport(**{"vi_samples": (1.0,) * 3,
+                                                "ee_samples": (1.0,) * 3, arm: (v, 1.0, 1.0)}),
+         RangeError, 0.5, 0, lambda r, arm=arm: getattr(r, arm)[0])
+        for arm in ("vi_samples", "ee_samples")
+    ],
+    *[
+        (f"FidelityReport {arm} score",
+         lambda w, v, arm=arm: FidelityReport(**{"scores_vi": (0.5,), "scores_ee": (0.5,),
+                                                 arm: (v,)}),
+         RangeError, 0.5, -1e-300, lambda r, arm=arm: getattr(r, arm)[0])
+        for arm in ("scores_vi", "scores_ee")
+    ],
+]]
+FLOAT_SITE = {site.name: site for site in FLOAT_ARGS}
+
+
+@pytest.mark.parametrize("site", FLOAT_ARGS, ids=[site.name for site in FLOAT_ARGS])
+@pytest.mark.parametrize("which", ["int", "float", "numpy float"])
+def test_number_accepted_and_stored_as_plain_number(w, site, which):
+    value = {"int": 1, "float": site.good, "numpy float": np.float64(site.good)}[which]
+    result = site.call(w, value)
+    if site.stored is not None:
+        # an int may be stored as it is or as a float (a score is kept as a float)
+        stored = site.stored(result)
+        assert stored == value and type(stored) in ((int, float) if which == "int" else (float,))
+
+
+# None is a value of norm_eps: the per-kind default
+FLOAT_REFUSALS = [
+    (site, which)
+    for site in FLOAT_ARGS
+    for which in ["bool", "string", "None", "nan", "inf", "-inf", "below range"]
+    if (site.name, which) != ("ModelConfig.norm_eps", "None")
+]
+
+
+@pytest.mark.parametrize(
+    "site, which", FLOAT_REFUSALS, ids=[f"{which}-{site.name}" for site, which in FLOAT_REFUSALS]
+)
+def test_non_number_or_out_of_range_float_refused(w, site, which):
+    # a string that parses to an accepted value is refused too, not parsed
+    value = {"bool": True, "string": str(site.good), "None": None, "nan": float("nan"),
+             "inf": float("inf"), "-inf": float("-inf"), "below range": site.below}[which]
+    with pytest.raises(EEError) as info:
+        site.call(w, value)
+    assert type(info.value) is site.error
+    assert "must be a finite number" in str(info.value)
+
+
+@pytest.mark.parametrize("site", ["layer_norm", "rms_norm", "ModelConfig.norm_eps"])
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1, -1e-300, True, "x"], ids=repr)
-def test_norm_eps_refused(site, eps):
+def test_norm_eps_refused(w, site, eps):
     with pytest.raises(ConfigError, match="must be a finite number"):
-        EPS_SITES[site](eps)
+        FLOAT_SITE[site].call(w, eps)
 
 
-def test_norm_eps_zero_is_a_kernel_value_only():
-    assert np.isfinite(EPS_SITES["layer_norm"](0)).all()
-    assert np.isfinite(EPS_SITES["rms_norm"](0.0)).all()
+def test_norm_eps_zero_is_a_kernel_value_only(w):
+    assert np.isfinite(FLOAT_SITE["layer_norm"].call(w, 0)).all()
+    assert np.isfinite(FLOAT_SITE["rms_norm"].call(w, 0.0)).all()
     with pytest.raises(ConfigError, match="norm_eps must be a finite number > 0"):
-        EPS_SITES["ModelConfig.norm_eps"](0.0)
+        FLOAT_SITE["ModelConfig.norm_eps"].call(w, 0.0)
 
 
 def _no_product(*args):

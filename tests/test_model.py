@@ -2,6 +2,7 @@
 decoding, and the .eem container."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -140,6 +141,16 @@ class TestTokenSeq:
     def test_ids_coerced_to_ints(self):
         s = TokenSeq((np.int64(3), 4), PLAINTEXT)
         assert s.ids == (3, 4) and all(type(i) is int for i in s.ids)
+
+    def test_unchecked_sequence_sets_every_field(self, tiny_model):
+        # greedy_decode builds its outputs by TokenSeq._from_checked, which
+        # skips __post_init__, so a field added to the class must be set there
+        # as well, to what the checked constructor would give
+        out = greedy_decode(tiny_model, TokenSeq((4, 9), PLAINTEXT), 2)
+        for seq in (out, TokenSeq._from_checked((3, 1, 4), PLAINTEXT)):
+            assert type(seq) is TokenSeq
+            assert set(vars(seq)) == {f.name for f in dataclasses.fields(TokenSeq)}
+            assert vars(seq) == vars(TokenSeq(seq.ids, seq.domain))
 
 
 class TestInit:
